@@ -30,6 +30,7 @@ from .badsets import (
     BadFamily,
     DomainError,
     Schedule,
+    StraddleError,
     bad_family,
     badic_deviation_bound,
     block_bad_set,
@@ -77,6 +78,7 @@ __all__ = [
     "BadFamily",
     "DomainError",
     "Schedule",
+    "StraddleError",
     "bad_family",
     "badic_deviation_bound",
     "block_bad_set",

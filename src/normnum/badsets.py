@@ -7,11 +7,13 @@ a schedule the module builds, for any base and size index:
 
 * block bad sets, indexed by a dyadic band, over the full leading window;
 * tail bad sets, over short windows offset past the leading block;
-* the merged family of all of them up to a size index, with exact inner
-  and outer interval enclosures and a certified residual mass bound.
+* the merged family of all of them up to a size index, with one exact
+  region per component and a certified residual mass bound.
 
-Each enclosure is computed from an exact sweep, so inner and outer parts
-are true rational interval sets, not floating approximations.
+Hit counts are integers, so each bad set is decided by the integer count
+cutoffs of its threshold. The threshold enclosure is refined until both of
+its ends give the same cutoffs; the region is then swept exactly, a true
+rational interval set rather than a floating approximation.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import isqrt
-from typing import Mapping, Optional, Union
+from typing import Mapping, Optional
 
 from mpmath import iv
 
@@ -33,6 +35,7 @@ from .measure import (
     IntervalSet,
     PeriodicIntervalSet,
     RationalLike,
+    RegionLike,
     as_fraction,
     format_fraction,
     parse_fraction,
@@ -41,13 +44,23 @@ from .orbit import (
     DEFAULT_EVENT_BUDGET,
     Band,
     Window,
-    deviation_regions,
+    count_cutoffs,
+    deviation_region,
     f_value,
+    sweep_cost,
 )
 
 
 class DomainError(ValueError):
     """A closed-form bound was queried outside its hypotheses."""
+
+
+class StraddleError(RuntimeError):
+    """A threshold enclosure straddles a count cutoff at every precision tried."""
+
+
+# Precision doublings allowed before a threshold's cutoffs count as undecided.
+_REFINEMENT_ROUNDS = 8
 
 
 # Least integer exceeding exp(12 / ln 2); start indices never sit below it.
@@ -179,24 +192,34 @@ class Schedule:
 
     @classmethod
     def from_json(cls, data: Mapping) -> "Schedule":
-        return cls(
-            tag=str(data["tag"]),
-            delta=parse_fraction(data["delta"]),
-            eta=parse_fraction(data["eta"]),
-            z_table=(
-                None
-                if data.get("z_table") is None
-                else {int(b): int(z) for b, z in data["z_table"].items()}
-            ),
-            p_const=data.get("p_const"),
-            base_cap=data.get("base_cap"),
-            index_cap=data.get("index_cap"),
-            obstacle=(
-                None
-                if data.get("obstacle") is None
-                else [(parse_fraction(lo), parse_fraction(hi)) for lo, hi in data["obstacle"]]
-            ),
-        )
+        """Parse a schedule object; any malformed field raises ValueError."""
+        if not isinstance(data, Mapping):
+            raise ValueError("schedule must be a JSON object")
+        for key in ("p_const", "base_cap", "index_cap"):
+            value = data.get(key)
+            if value is not None and type(value) is not int:
+                raise ValueError("schedule field %r must be an integer or null" % key)
+        try:
+            return cls(
+                tag=str(data["tag"]),
+                delta=parse_fraction(data["delta"]),
+                eta=parse_fraction(data["eta"]),
+                z_table=(
+                    None
+                    if data.get("z_table") is None
+                    else {int(b): int(z) for b, z in data["z_table"].items()}
+                ),
+                p_const=data.get("p_const"),
+                base_cap=data.get("base_cap"),
+                index_cap=data.get("index_cap"),
+                obstacle=(
+                    None
+                    if data.get("obstacle") is None
+                    else [(parse_fraction(lo), parse_fraction(hi)) for lo, hi in data["obstacle"]]
+                ),
+            )
+        except (KeyError, TypeError, AttributeError) as exc:
+            raise ValueError("malformed schedule: %s %s" % (type(exc).__name__, exc)) from exc
 
     def digest(self) -> str:
         payload = json.dumps(self.to_json(), sort_keys=True, separators=(",", ":"))
@@ -280,20 +303,16 @@ def _tilted_threshold(
 
 @dataclass(frozen=True)
 class SetEnclosure:
-    """One bad set bracketed between exact inner and outer interval sets."""
+    """One bad set: its threshold enclosure and its exact region."""
 
     label: str
     window: Window
     band: Band
     threshold: Enclosure
-    inner: Union[IntervalSet, PeriodicIntervalSet]
-    outer: Union[IntervalSet, PeriodicIntervalSet]
+    region: RegionLike
 
     def is_empty(self) -> bool:
-        return self.outer.is_empty()
-
-    def measure_bounds(self) -> Enclosure:
-        return Enclosure(self.inner.measure(), self.outer.measure())
+        return self.region.is_empty()
 
 
 def _band_for(h: int, limit: int, a: int) -> Band:
@@ -301,9 +320,48 @@ def _band_for(h: int, limit: int, a: int) -> Band:
     return Band(a, depth)
 
 
-def _max_deviation(length: int, band: Band) -> Fraction:
-    width = band.length
-    return length * max(width, 1 - width)
+def _bad_set(
+    label: str,
+    window: Window,
+    band: Band,
+    scale_length: int,
+    exponent: Fraction,
+    schedule: Schedule,
+    precision: int,
+    budget: int,
+) -> SetEnclosure:
+    """Where the window's deviation for the band reaches 2**exponent times
+    the threshold scale of `scale_length`.
+
+    Hit counts are integers, so the set is decided by the threshold's count
+    cutoffs. It is empty once the low end's cutoffs lie outside the window,
+    since higher thresholds only widen them; otherwise the precision
+    doubles until both ends of the enclosure give the same cutoffs, and
+    the region is swept at the low end.
+    """
+    core_window = Window(window.base, 0, window.length)
+    expected = band.length * window.length
+    for _ in range(_REFINEMENT_ROUNDS + 1):
+        threshold = _tilted_threshold(
+            scale_length, window.base, schedule.delta, exponent, precision
+        )
+        c_lo, c_hi = count_cutoffs(expected, threshold.lo)
+        if c_lo < 0 and c_hi > window.length:
+            return SetEnclosure(label, window, band, threshold, IntervalSet.empty())
+        if (c_lo, c_hi) == count_cutoffs(expected, threshold.hi):
+            region = deviation_region(core_window, band, threshold.lo, budget)
+            if window.offset:
+                region = PeriodicIntervalSet(region, window.base, window.offset)
+            return SetEnclosure(label, window, band, threshold, region)
+        # the low end already needs a sweep: refuse a window beyond the
+        # budget before refining
+        sweep_cost(core_window, budget)
+        precision *= 2
+    raise StraddleError(
+        "threshold enclosure around %.17g still straddles a count cutoff of the "
+        "%d-point window after %d refinement rounds"
+        % (threshold.midpoint(), window.length, _REFINEMENT_ROUNDS)
+    )
 
 
 def block_bad_set(
@@ -318,8 +376,7 @@ def block_bad_set(
     """Bad set over the leading window of length 2**n for one dyadic band.
 
     Membership means the windowed deviation for the band reaches the
-    tilted threshold; the returned enclosure brackets it between the
-    regions for the threshold's two endpoints.
+    tilted threshold.
     """
     if n < 4:
         raise ValueError("size index must be at least 4")
@@ -329,19 +386,16 @@ def block_bad_set(
         raise ValueError("band scale h must lie in [1, %d]" % limit)
     if not 0 <= a < 2**h:
         raise ValueError("band index out of range")
-    band = _band_for(h, limit, a)
-    threshold = _tilted_threshold(
-        length, base, schedule.delta, Fraction(-h, 8), precision
+    return _bad_set(
+        "block b=%d n=%d h=%d a=%d" % (base, n, h, a),
+        Window(base, 0, length),
+        _band_for(h, limit, a),
+        length,
+        Fraction(-h, 8),
+        schedule,
+        precision,
+        budget,
     )
-    window = Window(base, 0, length)
-    label = "block b=%d n=%d h=%d a=%d" % (base, n, h, a)
-    if threshold.lo > _max_deviation(length, band):
-        empty = IntervalSet.empty()
-        return SetEnclosure(label, window, band, threshold, empty, empty)
-    outer, inner = deviation_regions(
-        window, band, [threshold.lo, threshold.hi], budget
-    )
-    return SetEnclosure(label, window, band, threshold, inner, outer)
 
 
 def tail_bad_set(
@@ -360,7 +414,7 @@ def tail_bad_set(
     The window starts at 2**n + m * 2**l and has length 2**(l-1); its
     threshold carries an extra tilt that shrinks with the window. The
     computed region is periodic with period base**-offset, and is kept in
-    that implicit form.
+    that implicit form (an empty region stays the plain empty set).
     """
     if n < 4:
         raise ValueError("size index must be at least 4")
@@ -376,26 +430,15 @@ def tail_bad_set(
         )
     if not 0 <= a < 2**h:
         raise ValueError("band index out of range")
-    band = _band_for(h, limit, a)
-    exponent = Fraction(-h, 8) + Fraction(l - n - 3, 6)
-    threshold = _tilted_threshold(2**n, base, schedule.delta, exponent, precision)
-    offset = 2**n + m * 2**l
-    window = Window(base, offset, length)
-    label = "tail b=%d n=%d h=%d a=%d l=%d m=%d" % (base, n, h, a, l, m)
-    if threshold.lo > _max_deviation(length, band):
-        empty = IntervalSet.empty()
-        return SetEnclosure(label, window, band, threshold, empty, empty)
-    core_window = Window(base, 0, length)
-    outer_core, inner_core = deviation_regions(
-        core_window, band, [threshold.lo, threshold.hi], budget
-    )
-    return SetEnclosure(
-        label,
-        window,
-        band,
-        threshold,
-        PeriodicIntervalSet(inner_core, base, offset),
-        PeriodicIntervalSet(outer_core, base, offset),
+    return _bad_set(
+        "tail b=%d n=%d h=%d a=%d l=%d m=%d" % (base, n, h, a, l, m),
+        Window(base, 2**n + m * 2**l, length),
+        _band_for(h, limit, a),
+        2**n,
+        Fraction(-h, 8) + Fraction(l - n - 3, 6),
+        schedule,
+        precision,
+        budget,
     )
 
 
@@ -405,12 +448,17 @@ class FamilyComponent:
 
     label: str
     kind: str
-    inner: Union[IntervalSet, PeriodicIntervalSet]
-    outer: Union[IntervalSet, PeriodicIntervalSet]
+    region: RegionLike
     members: tuple = ()
 
     def is_empty(self) -> bool:
-        return self.outer.is_empty()
+        return self.region.is_empty()
+
+    def overlap(self, lo: RationalLike, hi: RationalLike, copy_budget: int) -> Fraction:
+        """Exact measure of the region inside [lo, hi)."""
+        if isinstance(self.region, PeriodicIntervalSet):
+            return self.region.intersect_measure(lo, hi, copy_budget)
+        return self.region.intersect_measure(lo, hi)
 
 
 def block_bad_union(
@@ -421,8 +469,7 @@ def block_bad_union(
     budget: int = DEFAULT_EVENT_BUDGET,
 ) -> Optional[FamilyComponent]:
     """Exact union of all block bad sets for one base and size index."""
-    inner = IntervalSet.empty()
-    outer = IntervalSet.empty()
+    region = IntervalSet.empty()
     members = []
     limit = depth_limit(2**n)
     for h in range(1, limit + 1):
@@ -430,13 +477,10 @@ def block_bad_union(
             piece = block_bad_set(base, n, a, h, schedule, precision, budget)
             if not piece.is_empty():
                 members.append(piece.label)
-                inner = inner.union(piece.inner)
-                outer = outer.union(piece.outer)
+                region = region.union(piece.region)
     if not members:
         return None
-    return FamilyComponent(
-        "block b=%d n=%d" % (base, n), "block", inner, outer, tuple(members)
-    )
+    return FamilyComponent("block b=%d n=%d" % (base, n), "block", region, tuple(members))
 
 
 def tail_bad_union(
@@ -451,7 +495,7 @@ def tail_bad_union(
     Pieces sharing an offset are preimages at the same level, so their
     cores union exactly; distinct offsets stay separate components.
     """
-    by_offset: dict[int, tuple[IntervalSet, IntervalSet, list]] = {}
+    by_offset: dict[int, tuple[IntervalSet, list]] = {}
     for l in range((n + 1) // 2, n + 1):
         limit = depth_limit(2 ** (l - 1))
         for h in range(1, limit + 1):
@@ -460,31 +504,23 @@ def tail_bad_union(
                 probe = tail_bad_set(base, n, a, h, l, 1, schedule, precision, budget)
                 if probe.is_empty():
                     continue
-                assert isinstance(probe.inner, PeriodicIntervalSet)
-                assert isinstance(probe.outer, PeriodicIntervalSet)
+                assert isinstance(probe.region, PeriodicIntervalSet)
                 for m in range(1, 2 ** (n - l) + 1):
                     offset = 2**n + m * 2**l
-                    inner, outer, members = by_offset.get(
-                        offset, (IntervalSet.empty(), IntervalSet.empty(), [])
-                    )
+                    core, members = by_offset.get(offset, (IntervalSet.empty(), []))
                     by_offset[offset] = (
-                        inner.union(probe.inner.core),
-                        outer.union(probe.outer.core),
+                        core.union(probe.region.core),
                         members + ["tail b=%d n=%d h=%d a=%d l=%d m=%d" % (base, n, h, a, l, m)],
                     )
-    components = []
-    for offset in sorted(by_offset):
-        inner, outer, members = by_offset[offset]
-        components.append(
-            FamilyComponent(
-                "tail b=%d n=%d offset=%d" % (base, n, offset),
-                "tail",
-                PeriodicIntervalSet(inner, base, offset),
-                PeriodicIntervalSet(outer, base, offset),
-                tuple(members),
-            )
+    return [
+        FamilyComponent(
+            "tail b=%d n=%d offset=%d" % (base, n, offset),
+            "tail",
+            PeriodicIntervalSet(core, base, offset),
+            tuple(members),
         )
-    return components
+        for offset, (core, members) in sorted(by_offset.items())
+    ]
 
 
 @dataclass(frozen=True)
@@ -505,33 +541,19 @@ class BadFamily:
         return len(self.components)
 
     def outer_measure_bound(self) -> Fraction:
-        total = ZERO
-        for comp in self.components:
-            total += comp.outer.measure()
-        return total
+        return sum((comp.region.measure() for comp in self.components), ZERO)
 
     def inner_measure_bound(self) -> Fraction:
-        best = ZERO
-        for comp in self.components:
-            value = comp.inner.measure()
-            if value > best:
-                best = value
-        return best
+        return max((comp.region.measure() for comp in self.components), default=ZERO)
 
     def outer_intersect_bound(
         self, lo: RationalLike, hi: RationalLike, copy_budget: int = 65536
     ) -> Fraction:
-        total = ZERO
-        for comp in self.components:
-            if isinstance(comp.outer, PeriodicIntervalSet):
-                total += comp.outer.intersect_measure(lo, hi, copy_budget)
-            else:
-                total += comp.outer.intersect_measure(lo, hi)
-        return total
+        return sum((comp.overlap(lo, hi, copy_budget) for comp in self.components), ZERO)
 
     def contains(self, x: RationalLike) -> bool:
-        """Membership in the outer enclosure of some component."""
-        return any(comp.outer.contains(x) for comp in self.components)
+        """Membership in the region of some component."""
+        return any(comp.region.contains(x) for comp in self.components)
 
 
 def bad_family(
@@ -546,9 +568,7 @@ def bad_family(
     components: list[FamilyComponent] = []
     obstacle = schedule.obstacle_set()
     if obstacle is not None and not obstacle.is_empty():
-        components.append(
-            FamilyComponent("obstacle", "obstacle", obstacle, obstacle)
-        )
+        components.append(FamilyComponent("obstacle", "obstacle", obstacle))
     for base in schedule.bases_for(index):
         for n in schedule.indices_for(base, index):
             block = block_bad_union(base, n, schedule, precision, budget)

@@ -3,8 +3,8 @@
 Subcommands: digits, badset, discrepancy, verify, lemma, cost. Reports go
 to stdout as JSON with a schema field; diagnostics go to stderr. Exit
 codes: 0 success, 1 I/O failure, 2 usage or validation, 3 work budget
-exceeded, 4 indeterminate construction step, 5 verification or bound
-check failure.
+exceeded, 4 indeterminate construction step or threshold cutoff, 5
+verification or bound check failure.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from .badsets import (
     DomainError,
     PRESET_NAMES,
     Schedule,
+    StraddleError,
     bad_family,
     badic_deviation_bound,
     band_depth_triangle_check,
@@ -131,11 +132,12 @@ def _cmd_badset(args) -> int:
             "labels": [comp.label for comp in family.components],
         }
         if args.list_parts:
+            # inner and outer name the one exact region, kept for report stability
             report["parts"] = [
                 {
                     "label": comp.label,
-                    "inner": region_to_json(comp.inner),
-                    "outer": region_to_json(comp.outer),
+                    "inner": region_to_json(comp.region),
+                    "outer": region_to_json(comp.region),
                 }
                 for comp in family.components
             ]
@@ -167,6 +169,7 @@ def _cmd_badset(args) -> int:
             args.precision,
             args.budget,
         )
+    measure = format_fraction(piece.region.measure())
     report = {
         "schema": "normnum.badset/1",
         "which": args.which,
@@ -179,13 +182,12 @@ def _cmd_badset(args) -> int:
         },
         "band": {"index": piece.band.a, "depth": piece.band.k},
         "threshold": piece.threshold.to_json(),
-        "inner_measure": format_fraction(piece.inner.measure()),
-        "outer_measure": format_fraction(piece.outer.measure()),
+        "inner_measure": measure,
+        "outer_measure": measure,
         "empty": piece.is_empty(),
     }
     if args.list_parts:
-        report["inner"] = region_to_json(piece.inner)
-        report["outer"] = region_to_json(piece.outer)
+        report["inner"] = report["outer"] = region_to_json(piece.region)
     _emit(report)
     return 0
 
@@ -534,7 +536,7 @@ def main(argv=None) -> int:
     except BudgetError as exc:
         print("budget exceeded: %s" % exc, file=sys.stderr)
         return 3
-    except IndeterminateError as exc:
+    except (IndeterminateError, StraddleError) as exc:
         print("indeterminate: %s" % exc, file=sys.stderr)
         return 4
     except (DomainError, ValueError) as exc:

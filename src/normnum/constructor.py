@@ -4,7 +4,7 @@ Each step halves the current interval and keeps the first half whose
 certified bad-mass bound (materialized overlap plus residual tail) stays
 under the step's shrinking threshold. Every step is recorded in a
 certificate with exact rational figures, and an independent verifier
-rebuilds the family from scratch to replay and recheck every inequality.
+rebuilds the families from scratch to replay and recheck every inequality.
 """
 
 from __future__ import annotations
@@ -29,25 +29,21 @@ CERTIFICATE_SCHEMA = "normnum.certificate/1"
 DIGIT_FILE_HEADER = "# normnum digit file v1"
 DIGITS_PER_LINE = 64
 
-DEFAULT_MAX_REFINEMENTS = 8
-
 
 class IndeterminateError(RuntimeError):
     """Neither half of the current interval passed the avoidance test."""
 
-    def __init__(self, step, interval, bounds, tail, threshold, rounds):
+    def __init__(self, step, interval, bounds, tail, threshold):
         self.step = step
         self.interval = interval
         self.bounds = bounds
         self.tail = tail
         self.threshold = threshold
-        self.rounds = rounds
         super().__init__(
-            "step %d indeterminate after %d refinement rounds: "
-            "half bounds %s and %s plus tail %s never beat threshold %s"
+            "step %d indeterminate: "
+            "half bounds %s and %s plus tail %s do not beat threshold %s"
             % (
                 step,
-                rounds,
                 format_fraction(bounds[0]),
                 format_fraction(bounds[1]),
                 format_fraction(tail),
@@ -151,34 +147,18 @@ class Certificate:
 
 
 def _component_rows(family: BadFamily, chosen: Interval, copy_budget: int) -> tuple:
-    rows = []
-    for comp in family.components:
-        if hasattr(comp.outer, "level"):
-            overlap = comp.outer.intersect_measure(chosen.lo, chosen.hi, copy_budget)
-        else:
-            overlap = comp.outer.intersect_measure(chosen.lo, chosen.hi)
-        rows.append(
-            {
-                "label": comp.label,
-                "kind": comp.kind,
-                "members": len(comp.members),
-                "outer_measure": format_fraction(comp.outer.measure()),
-                "chosen_overlap": format_fraction(overlap),
-            }
-        )
-    return tuple(rows)
-
-
-class _FamilyCache:
-    def __init__(self, budget: int):
-        self.budget = budget
-        self._built: dict = {}
-
-    def get(self, index: int, schedule: Schedule, precision: int) -> BadFamily:
-        key = (index, precision)
-        if key not in self._built:
-            self._built[key] = bad_family(index, schedule, precision, self.budget)
-        return self._built[key]
+    return tuple(
+        {
+            "label": comp.label,
+            "kind": comp.kind,
+            "members": len(comp.members),
+            "outer_measure": format_fraction(comp.region.measure()),
+            "chosen_overlap": format_fraction(
+                comp.overlap(chosen.lo, chosen.hi, copy_budget)
+            ),
+        }
+        for comp in family.components
+    )
 
 
 def run_construction(
@@ -187,45 +167,39 @@ def run_construction(
     precision: int = 64,
     budget: int = DEFAULT_EVENT_BUDGET,
     copy_budget: int = 65536,
-    max_refinements: int = DEFAULT_MAX_REFINEMENTS,
 ) -> Certificate:
     """Emit digits with a full audit trail.
 
-    Raises IndeterminateError if some step's halves both stay unresolved
-    after every precision refinement, and propagates BudgetError if a
-    family build would exceed the sweep budget.
+    `precision` is the starting precision of the threshold enclosures; the
+    families themselves are exact and do not depend on it. Raises
+    IndeterminateError if both halves of some step fail the avoidance
+    test, and propagates BudgetError if a family build would exceed the
+    sweep budget.
     """
     if digit_count < 1:
         raise ValueError("digit count must be positive")
-    cache = _FamilyCache(budget)
+    families: dict[int, BadFamily] = {}
     interval = UNIT
     digits = []
     records = []
     for step in range(1, digit_count + 1):
         size_index = schedule.family_index(step)
+        if size_index not in families:
+            families[size_index] = bad_family(size_index, schedule, precision, budget)
+        family = families[size_index]
         tail = tail_mass_bound(size_index, schedule)
         threshold = Fraction(1, 2**step)
         half0, half1 = interval.halves()
-        decision = None
-        prec = precision
-        rounds = 0
-        while True:
-            family = cache.get(size_index, schedule, prec)
-            bound0 = family.outer_intersect_bound(half0.lo, half0.hi, copy_budget)
-            if bound0 + tail < threshold:
-                decision = (0, half0, bound0, None)
-                break
+        bound0 = family.outer_intersect_bound(half0.lo, half0.hi, copy_budget)
+        if bound0 + tail < threshold:
+            digit, chosen, chosen_bound, rejected_bound = 0, half0, bound0, None
+        else:
             bound1 = family.outer_intersect_bound(half1.lo, half1.hi, copy_budget)
-            if bound1 + tail < threshold:
-                decision = (1, half1, bound1, bound0)
-                break
-            if rounds >= max_refinements:
+            if not bound1 + tail < threshold:
                 raise IndeterminateError(
-                    step, interval, (bound0, bound1), tail, threshold, rounds
+                    step, interval, (bound0, bound1), tail, threshold
                 )
-            rounds += 1
-            prec *= 2
-        digit, chosen, chosen_bound, rejected_bound = decision
+            digit, chosen, chosen_bound, rejected_bound = 1, half1, bound1, bound0
         records.append(
             StepRecord(
                 step=step,
@@ -237,7 +211,7 @@ def run_construction(
                 rejected_bound=rejected_bound,
                 tail=tail,
                 threshold=threshold,
-                precision=prec,
+                precision=precision,
                 components=_component_rows(family, chosen, copy_budget),
             )
         )
@@ -268,12 +242,15 @@ def verify_certificate(
 ) -> VerificationReport:
     """Replay a certificate from scratch and recheck every step.
 
-    Families are rebuilt fresh at each step's recorded precision (no state
-    carried from the run being checked), all recorded rationals must match
-    the recomputation exactly, and every avoidance inequality, nesting
-    relation and digit decision is revalidated.
+    One family per size index of the schedule is rebuilt fresh (nothing is
+    taken from the run being checked, not even its recorded size index or
+    precision, since exact families do not depend on precision), all
+    recorded rationals must match the recomputation exactly, and every
+    avoidance inequality, nesting relation and digit decision is
+    revalidated.
     """
     problems: list[str] = []
+    families: dict[int, BadFamily] = {}
     sched = certificate.schedule
     if schedule is not None and schedule.digest() != sched.digest():
         problems.append("schedule digest does not match the supplied schedule")
@@ -299,14 +276,16 @@ def verify_certificate(
         threshold = Fraction(1, 2**position)
         if record.threshold != threshold:
             problems.append("%s: threshold is not 2**-%d" % (label, position))
-        tail = tail_mass_bound(record.size_index, sched)
+        tail = tail_mass_bound(expected_index, sched)
         if record.tail != tail:
             problems.append("%s: recorded tail %s, recomputed %s"
                             % (label, format_fraction(record.tail), format_fraction(tail)))
         if record.digit not in (0, 1):
             problems.append("%s: digit out of range" % label)
         half0, half1 = interval.halves()
-        family = bad_family(record.size_index, sched, record.precision, budget)
+        if expected_index not in families:
+            families[expected_index] = bad_family(expected_index, sched, budget=budget)
+        family = families[expected_index]
         bound0 = family.outer_intersect_bound(half0.lo, half0.hi, copy_budget)
         pass0 = bound0 + tail < threshold
         bound1 = None
@@ -319,7 +298,7 @@ def verify_certificate(
         else:
             expected_digit = None
         if expected_digit is None:
-            problems.append("%s: neither half passes at the recorded precision" % label)
+            problems.append("%s: neither half passes" % label)
         elif record.digit != expected_digit:
             problems.append(
                 "%s: recorded digit %d, replay chooses %d"

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor, gcd
-from typing import Callable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 from .measure import (
     ONE,
@@ -174,10 +174,14 @@ def breakpoints(window: Window, band: BandLike) -> list[Fraction]:
     return sorted(points)
 
 
-def _count_cutoffs(
-    expected: Fraction, threshold: Fraction, strict: bool
+def count_cutoffs(
+    expected: Fraction, threshold: Fraction, strict: bool = False
 ) -> tuple[int, int]:
-    """Counts c qualify iff c <= c_lo or c >= c_hi."""
+    """Integer cutoffs of |c - expected| >= threshold (or > threshold).
+
+    Counts c qualify iff c <= c_lo or c >= c_hi, so the pair decides the
+    deviation region exactly.
+    """
     if strict:
         return ceil(expected - threshold) - 1, floor(expected + threshold) + 1
     return floor(expected - threshold), ceil(expected + threshold)
@@ -213,20 +217,21 @@ def _sweep_events(window: Window, lo: Fraction, hi: Fraction, budget: int):
 
 
 def _regions_from_events(
-    events, denom: int, qualifiers: Sequence[Callable[[int], bool]]
+    events, denom: int, cutoffs: Sequence[tuple[int, int]]
 ) -> list[IntervalSet]:
-    collected: list[list] = [[] for _ in qualifiers]
-    starts: list = [None] * len(qualifiers)
+    """One region {x : count <= c_lo or count >= c_hi} per cutoff pair."""
+    collected: list[list] = [[] for _ in cutoffs]
+    starts: list = [None] * len(cutoffs)
     count = 0
     prev = 0
     i = 0
     total = len(events)
 
-    def emit(position: int) -> None:
-        # the segment [prev, position) carries the current count; a run that
-        # stops qualifying here ended at prev, not at position
-        for idx, qualify in enumerate(qualifiers):
-            if qualify(count):
+    def emit() -> None:
+        # the segment starting at prev carries the current count; a run
+        # that stops qualifying here ended at prev
+        for idx, (c_lo, c_hi) in enumerate(cutoffs):
+            if count <= c_lo or count >= c_hi:
                 if starts[idx] is None:
                     starts[idx] = prev
             elif starts[idx] is not None:
@@ -238,7 +243,7 @@ def _regions_from_events(
     while i < total:
         pos = events[i][0]
         if pos > prev:
-            emit(pos)
+            emit()
             prev = pos
         delta = 0
         while i < total and events[i][0] == pos:
@@ -246,11 +251,11 @@ def _regions_from_events(
             i += 1
         count += delta
     if prev < denom:
-        emit(denom)
+        emit()
         prev = denom
-    for idx, qualify in enumerate(qualifiers):
-        if starts[idx] is not None:
-            collected[idx].append((Fraction(starts[idx], denom), Fraction(prev, denom)))
+    for idx, start in enumerate(starts):
+        if start is not None:
+            collected[idx].append((Fraction(start, denom), Fraction(prev, denom)))
     return [IntervalSet(parts, _canonical=True) for parts in collected]
 
 
@@ -263,34 +268,29 @@ def deviation_regions(
 ) -> list[IntervalSet]:
     """Exact regions {x : deviation >= t} (or > t) for several thresholds.
 
-    One sweep serves all thresholds; each region is a canonical union of
-    half-open intervals whose endpoints share a common power denominator.
+    Each threshold is reduced to its integer count cutoffs; one sweep
+    serves every distinct cutoff pair, and thresholds with equal cutoffs
+    share one region. Each region is a canonical union of half-open
+    intervals whose endpoints share a common power denominator.
     """
     lo, hi = _band_bounds(band)
     length = window.length
     expected = (hi - lo) * length
-    out: list[Optional[IntervalSet]] = [None] * len(thresholds)
-    qualifiers = []
+    cutoffs = [count_cutoffs(expected, as_fraction(t), strict) for t in thresholds]
+    regions: dict[tuple[int, int], IntervalSet] = {}
     live = []
-    for idx, t in enumerate(thresholds):
-        t = as_fraction(t)
-        if (t < 0) or (t == 0 and not strict):
-            out[idx] = IntervalSet.unit()
-            continue
-        c_lo, c_hi = _count_cutoffs(expected, t, strict)
-        if c_lo < 0 and c_hi > length:
-            out[idx] = IntervalSet.empty()
-            continue
-        qualifiers.append(
-            (lambda lo_cut, hi_cut: lambda c: c <= lo_cut or c >= hi_cut)(c_lo, c_hi)
-        )
-        live.append(idx)
+    for c_lo, c_hi in dict.fromkeys(cutoffs):
+        if c_hi <= c_lo + 1:
+            # every integer count qualifies
+            regions[c_lo, c_hi] = IntervalSet.unit()
+        elif c_lo < 0 and c_hi > length:
+            regions[c_lo, c_hi] = IntervalSet.empty()
+        else:
+            live.append((c_lo, c_hi))
     if live:
         events, denom = _sweep_events(window, lo, hi, budget)
-        regions = _regions_from_events(events, denom, qualifiers)
-        for idx, region in zip(live, regions):
-            out[idx] = region
-    return out  # type: ignore[return-value]
+        regions.update(zip(live, _regions_from_events(events, denom, live)))
+    return [regions[pair] for pair in cutoffs]
 
 
 def deviation_region(
@@ -302,19 +302,6 @@ def deviation_region(
 ) -> IntervalSet:
     """Exact region where the windowed deviation reaches the threshold."""
     return deviation_regions(window, band, [threshold], budget, strict)[0]
-
-
-def _uniform_after_burn_in(base: int, cells: int, steps: int) -> list[int]:
-    weights = [1] * cells
-    for _ in range(steps):
-        new = [0] * cells
-        for cell, wt in enumerate(weights):
-            if wt:
-                start = base * cell
-                for r in range(base):
-                    new[(start + r) % cells] += wt
-        weights = new
-    return weights
 
 
 def _tail_weight(
@@ -339,12 +326,14 @@ def _tail_weight(
         is_hit = cell == target
         inc[cell] = 1 if (is_hit == count_hits) else 0
     trans = [[(base * cell + r) % cells for r in range(base)] for cell in range(cells)]
-    start_weights = _uniform_after_burn_in(base, cells, burn_in)
+    # each cell has exactly `base` preimage (cell, digit) pairs, so the
+    # uniform start stays uniform through the burn-in
+    start_weight = base**burn_in
     rows = [[0] * cells for _ in range(cap + 1)]
     for cell in range(cells):
         c0 = inc[cell]
         if c0 <= cap:
-            rows[c0][cell] += start_weights[cell]
+            rows[c0][cell] += start_weight
     for _ in range(length - 1):
         new_rows = [[0] * cells for _ in range(cap + 1)]
         for c, row in enumerate(rows):
@@ -385,7 +374,7 @@ def deviation_measure(
     if threshold < 0 or (threshold == 0 and not strict):
         return Fraction(1)
     expected = Fraction(n, cells)
-    c_lo, c_hi = _count_cutoffs(expected, threshold, strict)
+    c_lo, c_hi = count_cutoffs(expected, threshold, strict)
     if c_lo < 0 and c_hi > n:
         return ZERO
     denom = cells * b ** (window.offset + n - 1)

@@ -10,6 +10,7 @@ from normnum.badsets import (
     HARD_START_FLOOR,
     PRESET_NAMES,
     Schedule,
+    StraddleError,
     bad_family,
     badic_deviation_bound,
     band_depth_triangle_check,
@@ -25,11 +26,27 @@ from normnum.badsets import (
     threshold_scale,
     window_cover_check,
 )
-from normnum.enclose import enclose_exp, enclose_sqrt, enclose_loglog
-from normnum.measure import PeriodicIntervalSet
-from normnum.orbit import Band, Window, f_value
+import normnum.badsets as badsets_module
+from normnum.enclose import Enclosure, enclose_exp, enclose_sqrt, enclose_loglog
+from normnum.measure import IntervalSet, PeriodicIntervalSet
+from normnum.orbit import Band, Window, deviation_region, f_value
 
 F = Fraction
+
+
+def swept_at(piece, end):
+    """The deviation region of a piece's window core at one threshold end."""
+    core_window = Window(piece.window.base, 0, piece.window.length)
+    return deviation_region(core_window, piece.band, end)
+
+
+def assert_region_exact(piece):
+    # the region is the sweep at either end of the threshold enclosure
+    region = piece.region
+    if isinstance(region, PeriodicIntervalSet):
+        region = region.core
+    assert region == swept_at(piece, piece.threshold.lo)
+    assert region == swept_at(piece, piece.threshold.hi)
 
 
 # -- window scale index -----------------------------------------------------
@@ -166,7 +183,7 @@ def test_block_bad_set_basic_shape():
     piece = block_bad_set(2, 4, 0, 1, s)
     assert piece.window == Window(2, 0, 16)
     assert piece.band == Band(0, 2)  # depth h+1 below the ceiling
-    assert piece.inner.is_subset_of(piece.outer)
+    assert_region_exact(piece)
     assert piece.threshold.lo <= piece.threshold.hi
 
 
@@ -194,22 +211,42 @@ def test_block_membership_matches_f_value():
     for _ in range(200):
         x = F(rng.randrange(0, 2**18), 2**18) + F(1, 2**19)
         fv = f_value(x, w, band)
-        if piece.outer.contains(x) != piece.inner.contains(x):
-            continue  # threshold enclosure straddles this point's value
-        assert piece.outer.contains(x) == (fv >= piece.threshold.hi) or (
-            piece.outer.contains(x) == (fv >= piece.threshold.lo)
-        )
+        assert piece.region.contains(x) == (fv >= piece.threshold.lo)
+        assert piece.region.contains(x) == (fv >= piece.threshold.hi)
+
+
+def test_tail_membership_matches_f_value():
+    s = preset("toy-sparse")
+    piece = tail_bad_set(2, 4, 0, 1, 4, 1, s)
+    assert not piece.is_empty()
+    rng = random.Random(6)
+    w, band = piece.window, piece.band
+    core_lo, core_hi = piece.region.core.pairs[0]
+    hits = 0
+    for i in range(200):
+        # y = frac(2**32 * x) starts the window; every other y lies in the core
+        y = F(rng.randrange(1, 1000003), 1000003)
+        if i % 2:
+            y = core_lo + (core_hi - core_lo) * y
+        x = (rng.randrange(2**32) + y) / 2**32
+        fv = f_value(x, w, band)
+        inside = piece.region.contains(x)
+        hits += inside
+        assert inside == (fv >= piece.threshold.lo)
+        assert inside == (fv >= piece.threshold.hi)
+    assert 100 <= hits < 200
 
 
 def test_tail_bad_set_shape_and_periodicity():
     s = preset("toy-sparse")
     piece = tail_bad_set(2, 4, 0, 2, 4, 1, s)
     assert piece.window == Window(2, 32, 8)
-    assert isinstance(piece.outer, PeriodicIntervalSet)
-    assert piece.outer.level == 32
+    assert isinstance(piece.region, PeriodicIntervalSet)
+    assert piece.region.level == 32
+    assert_region_exact(piece)
     # membership respects the shift: x and x + 1/2**32 agree
     x = F(1, 2**40)
-    assert piece.outer.contains(x) == piece.outer.contains(x + F(1, 2**32))
+    assert piece.region.contains(x) == piece.region.contains(x + F(1, 2**32))
 
 
 def test_tail_bad_set_validation():
@@ -231,9 +268,14 @@ def test_toy_sparse_block_structure():
     assert F(86, 10) < scale.lo < scale.hi < F(87, 10)
     union = block_bad_union(2, 4, s)
     assert union is not None
-    assert union.outer.measure() == F(369, 32768)
-    assert union.inner.measure() == F(369, 32768)
+    assert union.region.measure() == F(369, 32768)
     assert len(union.members) == 4
+    pieces = [block_bad_set(2, 4, a, h, s) for h in (1, 2, 3) for a in range(2**h)]
+    for end in ("lo", "hi"):
+        swept = IntervalSet.empty()
+        for piece in pieces:
+            swept = swept.union(swept_at(piece, getattr(piece.threshold, end)))
+        assert union.region == swept
 
 
 def test_toy_sparse_tail_structure():
@@ -242,12 +284,18 @@ def test_toy_sparse_tail_structure():
     unions = tail_bad_union(2, 4, s)
     assert len(unions) == 1
     comp = unions[0]
-    assert comp.outer.level == 32
-    assert comp.outer.measure() == F(1, 256)
+    assert comp.region.level == 32
+    assert comp.region.measure() == F(1, 256)
     assert len(comp.members) == 3
     # the two extreme digit patterns under the longest window
-    flat = comp.outer.core
+    flat = comp.region.core
     assert flat.pairs == ((F(0), F(1, 512)), (F(511, 512), F(1)))
+    pieces = [tail_bad_set(2, 4, a, h, 4, 1, s) for h in (1, 2) for a in range(2**h)]
+    for end in ("lo", "hi"):
+        swept = IntervalSet.empty()
+        for piece in pieces:
+            swept = swept.union(swept_at(piece, getattr(piece.threshold, end)))
+        assert flat == swept
 
 
 def test_toy_sparse_short_windows_are_empty():
@@ -257,6 +305,7 @@ def test_toy_sparse_short_windows_are_empty():
             for a in range(2**h):
                 piece = tail_bad_set(2, 4, a, h, l, 1, s)
                 assert piece.is_empty()
+                assert_region_exact(piece)
 
 
 def test_toy_family_assembly():
@@ -266,8 +315,46 @@ def test_toy_family_assembly():
     kinds = sorted(c.kind for c in fam.components)
     assert kinds == ["block", "tail"]
     assert fam.outer_measure_bound() == F(369, 32768) + F(1, 256)
+    # the largest single component
     assert fam.inner_measure_bound() == F(369, 32768)
+    assert [c.region for c in fam.components] == [
+        block_bad_union(2, 4, s).region,
+        tail_bad_union(2, 4, s)[0].region,
+    ]
     assert tail_mass_bound(4, s) == 0
+
+
+def straddling(prec_decided):
+    """A threshold stand-in whose enclosure straddles the 12-hit cutoff of a
+    16-point window, quarter band, until the precision reaches prec_decided."""
+
+    def fake(length, base, delta, exponent, precision):
+        if precision >= prec_decided:
+            return Enclosure(F(8) - F(1, 2**precision), F(8))
+        return Enclosure(F(8) - F(1, 2**precision), F(8) + F(1, 2**precision))
+
+    return fake
+
+
+def test_threshold_refined_until_cutoffs_agree(monkeypatch):
+    calls = []
+    fake = straddling(256)
+
+    def spy(length, base, delta, exponent, precision):
+        calls.append(precision)
+        return fake(length, base, delta, exponent, precision)
+
+    monkeypatch.setattr(badsets_module, "_tilted_threshold", spy)
+    piece = block_bad_set(2, 4, 0, 1, preset("toy-sparse"))
+    assert calls == [64, 128, 256]
+    assert piece.threshold.hi == 8
+    assert_region_exact(piece)
+
+
+def test_threshold_straddle_raises(monkeypatch):
+    monkeypatch.setattr(badsets_module, "_tilted_threshold", straddling(10**9))
+    with pytest.raises(StraddleError, match="straddles"):
+        block_bad_set(2, 4, 0, 1, preset("toy-sparse"))
 
 
 def test_toy_seeded_adds_obstacle():
@@ -275,7 +362,7 @@ def test_toy_seeded_adds_obstacle():
     kinds = sorted(c.kind for c in fam.components)
     assert kinds == ["block", "obstacle", "tail"]
     obstacle = [c for c in fam.components if c.kind == "obstacle"][0]
-    assert obstacle.outer.measure() == F(1, 2)
+    assert obstacle.region.measure() == F(1, 2)
     assert fam.contains(F(1, 4))
 
 

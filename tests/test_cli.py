@@ -7,6 +7,7 @@ import pytest
 
 from normnum.cli import main
 from normnum.constructor import read_digit_file
+from normnum.enclose import Enclosure
 
 
 def run(capsys, *argv):
@@ -166,6 +167,87 @@ def test_tampered_certificate_exits_five(capsys, tmp_path):
     code = main(["verify", str(cert_path)])
     assert code == 5
     capsys.readouterr()
+
+
+MALFORMED_CONFIGS = {
+    "missing-eta": {"tag": "bad", "delta": "-2/5"},
+    "string-p-const": {
+        "tag": "bad",
+        "delta": "-2/5",
+        "eta": "1/8",
+        "z_table": {"2": 4},
+        "p_const": "4",
+        "base_cap": 2,
+        "index_cap": 4,
+    },
+    "not-an-object": [1, 2],
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_CONFIGS))
+def test_malformed_config_exits_two(capsys, tmp_path, name):
+    config = tmp_path / "bad.json"
+    config.write_text(json.dumps(MALFORMED_CONFIGS[name]))
+    assert main(["digits", "--config", str(config), "--count", "1"]) == 2
+    assert "error" in capsys.readouterr().err
+
+
+def tampered_certificate(capsys, tmp_path, mutate):
+    cert_path = tmp_path / "cert.json"
+    code, _, _ = run(
+        capsys,
+        "digits",
+        "--preset",
+        "toy-sparse",
+        "--count",
+        "2",
+        "--cert-out",
+        str(cert_path),
+    )
+    assert code == 0
+    data = json.loads(cert_path.read_text())
+    mutate(data["steps"][0])
+    cert_path.write_text(json.dumps(data))
+    return str(cert_path)
+
+
+@pytest.mark.parametrize("size_index", [0, -1])
+def test_tampered_size_index_exits_five(capsys, tmp_path, size_index):
+    # the verifier builds each family at the schedule's size index, so a
+    # forged index is a listed problem, not a usage error
+    path = tampered_certificate(
+        capsys, tmp_path, lambda step: step.update(size_index=size_index)
+    )
+    code, verdict, _ = run(capsys, "verify", path)
+    assert code == 5
+    assert "step 1: size index %d, schedule says 4" % size_index in verdict["problems"]
+
+
+def test_tampered_precision_does_not_change_verification(capsys, tmp_path):
+    # exact families do not depend on precision, so a huge recorded value
+    # neither costs work nor changes the replay
+    path = tampered_certificate(
+        capsys, tmp_path, lambda step: step.update(precision=2**20)
+    )
+    code, verdict, _ = run(capsys, "verify", path)
+    assert code == 0
+    assert verdict["ok"] is True
+    assert verdict["digits"] == "00"
+
+
+def test_threshold_straddle_exits_four(capsys, monkeypatch):
+    import normnum.badsets
+
+    def straddling(length, base, delta, exponent, precision):
+        # brackets 8, which sits on the 12-hit cutoff of the block window
+        eps = F(1, 2**precision)
+        return Enclosure(F(8) - eps, F(8) + eps)
+
+    monkeypatch.setattr(normnum.badsets, "_tilted_threshold", straddling)
+    argv = ["badset", "--preset", "toy-sparse", "--which", "block", "--index", "4"]
+    code = main(argv + ["--band-scale", "1"])
+    assert code == 4
+    assert "straddles" in capsys.readouterr().err
 
 
 # -- badset ------------------------------------------------------------------

@@ -104,10 +104,10 @@ def test_report_json_shape():
 
 def test_block_component_measure():
     comp = block_bad_union(2, 4, preset("toy-sparse"))
-    lo = measure_of(comp.inner)
-    hi = measure_of(comp.outer)
     report = estimate_measure(
-        comp.outer.contains, SamplerSpec(7, 2000), Enclosure(lo, hi)
+        comp.region.contains,
+        SamplerSpec(7, 2000),
+        Enclosure.exact(measure_of(comp.region)),
     )
     assert report.verdict == "consistent"
     assert report.hits > 0
@@ -117,10 +117,10 @@ def test_tail_component_measure():
     # periodic membership must agree with the core measure, which the
     # per-period copies preserve
     tail = tail_bad_union(2, 4, preset("toy-sparse"))[0]
-    lo = measure_of(tail.inner.core)
-    hi = measure_of(tail.outer.core)
     report = estimate_measure(
-        tail.outer.contains, SamplerSpec(13, 4000), Enclosure(lo, hi)
+        tail.region.contains,
+        SamplerSpec(13, 4000),
+        Enclosure.exact(measure_of(tail.region.core)),
     )
     assert report.verdict == "consistent"
     assert report.hits > 0

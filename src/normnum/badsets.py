@@ -380,7 +380,7 @@ def block_bad_set(
     """
     if n < 4:
         raise ValueError("size index must be at least 4")
-    length = 2**n
+    length = 1 << n
     limit = depth_limit(length)
     if not 1 <= h <= limit:
         raise ValueError("band scale h must lie in [1, %d]" % limit)
@@ -420,9 +420,9 @@ def tail_bad_set(
         raise ValueError("size index must be at least 4")
     if not (n + 1) // 2 <= l <= n:
         raise ValueError("window scale l must lie in [%d, %d]" % ((n + 1) // 2, n))
-    if not 1 <= m <= 2 ** (n - l):
-        raise ValueError("window slot m must lie in [1, %d]" % 2 ** (n - l))
-    length = 2 ** (l - 1)
+    if not 1 <= m <= 1 << (n - l):
+        raise ValueError("window slot m must lie in [1, %d]" % (1 << (n - l)))
+    length = 1 << (l - 1)
     limit = depth_limit(length)
     if not 1 <= h <= limit:
         raise ValueError(
@@ -432,9 +432,9 @@ def tail_bad_set(
         raise ValueError("band index out of range")
     return _bad_set(
         "tail b=%d n=%d h=%d a=%d l=%d m=%d" % (base, n, h, a, l, m),
-        Window(base, 2**n + m * 2**l, length),
+        Window(base, (1 << n) + (m << l), length),
         _band_for(h, limit, a),
-        2**n,
+        1 << n,
         Fraction(-h, 8) + Fraction(l - n - 3, 6),
         schedule,
         precision,
@@ -471,7 +471,7 @@ def block_bad_union(
     """Exact union of all block bad sets for one base and size index."""
     region = IntervalSet.empty()
     members = []
-    limit = depth_limit(2**n)
+    limit = depth_limit(1 << n)
     for h in range(1, limit + 1):
         for a in range(2**h):
             piece = block_bad_set(base, n, a, h, schedule, precision, budget)
@@ -497,7 +497,7 @@ def tail_bad_union(
     """
     by_offset: dict[int, tuple[IntervalSet, list]] = {}
     for l in range((n + 1) // 2, n + 1):
-        limit = depth_limit(2 ** (l - 1))
+        limit = depth_limit(1 << (l - 1))
         for h in range(1, limit + 1):
             for a in range(2**h):
                 # the core region does not depend on the slot, sweep it once
@@ -505,8 +505,8 @@ def tail_bad_union(
                 if probe.is_empty():
                     continue
                 assert isinstance(probe.region, PeriodicIntervalSet)
-                for m in range(1, 2 ** (n - l) + 1):
-                    offset = 2**n + m * 2**l
+                for m in range(1, (1 << (n - l)) + 1):
+                    offset = (1 << n) + (m << l)
                     core, members = by_offset.get(offset, (IntervalSet.empty(), []))
                     by_offset[offset] = (
                         core.union(probe.region.core),

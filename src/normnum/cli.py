@@ -61,11 +61,25 @@ from .mc import SamplerSpec, sample_integers
 
 DEFAULT_SEED = 20260819
 
+# Working precision, in bits, above which --precision is refused: every
+# enclosure is evaluated at (at least) this many bits plus guard bits, so
+# an unbounded value means unbounded work.
+MAX_PRECISION = 4096
+
 
 def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError("must be a positive integer")
+    return value
+
+
+def _precision_arg(text: str) -> int:
+    value = int(text)
+    if not 1 <= value <= MAX_PRECISION:
+        raise argparse.ArgumentTypeError(
+            "must be an integer in [1, %d] bits" % MAX_PRECISION
+        )
     return value
 
 
@@ -469,7 +483,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p, with_budget=True):
         p.add_argument("--preset", default="paper", choices=PRESET_NAMES)
         p.add_argument("--config", help="JSON schedule file overriding --preset")
-        p.add_argument("--precision", type=_positive_int, default=64)
+        p.add_argument("--precision", type=_precision_arg, default=64)
         if with_budget:
             p.add_argument(
                 "--budget", type=_positive_int, default=DEFAULT_EVENT_BUDGET
@@ -502,7 +516,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_disc.add_argument("--base", type=_positive_int, default=2)
     p_disc.add_argument("--count", type=_positive_int, required=True)
     p_disc.add_argument("--ratio", action="store_true")
-    p_disc.add_argument("--precision", type=_positive_int, default=64)
+    p_disc.add_argument("--precision", type=_precision_arg, default=64)
     p_disc.set_defaults(func=_cmd_discrepancy)
 
     p_verify = sub.add_parser("verify", help="replay and recheck a certificate")
@@ -514,12 +528,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_lemma.add_argument("--which", choices=sorted(_LEMMA_HANDLERS), required=True)
     p_lemma.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p_lemma.add_argument("--start", type=_positive_int, default=9)
-    p_lemma.add_argument("--precision", type=_positive_int, default=64)
+    p_lemma.add_argument("--precision", type=_precision_arg, default=64)
     p_lemma.set_defaults(func=_cmd_lemma)
 
     p_cost = sub.add_parser("cost", help="log2 state count of the naive scan")
     p_cost.add_argument("--n", type=_positive_int, required=True)
-    p_cost.add_argument("--precision", type=_positive_int, default=96)
+    p_cost.add_argument("--precision", type=_precision_arg, default=96)
     p_cost.set_defaults(func=_cmd_cost)
 
     return parser

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, floor, gcd
+from math import ceil, floor, lcm
 from typing import Optional, Sequence, Union
 
 from .measure import (
@@ -187,76 +187,72 @@ def count_cutoffs(
     return floor(expected - threshold), ceil(expected + threshold)
 
 
-def _sweep_events(window: Window, lo: Fraction, hi: Fraction, budget: int):
-    """All preimage endpoints over a common denominator, as (numerator, delta).
+def _sweep_regions(
+    window: Window,
+    lo: Fraction,
+    hi: Fraction,
+    cutoffs: Sequence[tuple[int, int]],
+    budget: int,
+) -> list[IntervalSet]:
+    """One region {x : count <= c_lo or count >= c_hi} per cutoff pair.
 
-    delta is +1 where the band indicator of some orbit index turns on and
-    -1 where it turns off; the running prefix sum equals the hit count.
+    Every preimage endpoint is an integer over the common denominator
+    q * base**(end - 1): orbit index j turns the band indicator on at
+    lo_num * s + m * q * s and off at hi_num * s + m * q * s, with
+    s = base**(end - 1 - j) and 0 <= m < base**j. One int64 sort of those
+    positions, with equal positions merged, gives the hit count of every
+    segment as a prefix sum of the +1/-1 deltas; each cutoff pair's
+    qualifying runs are read off that count vector.
     """
     sweep_cost(window, budget)
     b = window.base
-    q = lo.denominator * hi.denominator // gcd(lo.denominator, hi.denominator)
+    q = lcm(lo.denominator, hi.denominator)
     top = window.end - 1
     denom = q * b**top
+    # every position lies in [0, denom], so int64 holds them all exactly
+    if denom >= 1 << 63:
+        raise BudgetError(
+            "sweep denominator of %d bits does not fit in int64"
+            % denom.bit_length()
+        )
+    import numpy as np  # deferred: commands that never sweep skip the import
+
     lo_num = lo.numerator * (q // lo.denominator)
     hi_num = hi.numerator * (q // hi.denominator)
-    events = []
-    append = events.append
+    on = []
+    off = []
     for j in range(window.offset, window.end):
         scale = b ** (top - j)
-        lo_scaled = lo_num * scale
-        hi_scaled = hi_num * scale
-        step = q * scale
-        pos = 0
-        for _ in range(b**j):
-            append((pos + lo_scaled, 1))
-            append((pos + hi_scaled, -1))
-            pos += step
-    events.sort()
-    return events, denom
-
-
-def _regions_from_events(
-    events, denom: int, cutoffs: Sequence[tuple[int, int]]
-) -> list[IntervalSet]:
-    """One region {x : count <= c_lo or count >= c_hi} per cutoff pair."""
-    collected: list[list] = [[] for _ in cutoffs]
-    starts: list = [None] * len(cutoffs)
-    count = 0
-    prev = 0
-    i = 0
-    total = len(events)
-
-    def emit() -> None:
-        # the segment starting at prev carries the current count; a run
-        # that stops qualifying here ended at prev
-        for idx, (c_lo, c_hi) in enumerate(cutoffs):
-            if count <= c_lo or count >= c_hi:
-                if starts[idx] is None:
-                    starts[idx] = prev
-            elif starts[idx] is not None:
-                collected[idx].append(
-                    (Fraction(starts[idx], denom), Fraction(prev, denom))
-                )
-                starts[idx] = None
-
-    while i < total:
-        pos = events[i][0]
-        if pos > prev:
-            emit()
-            prev = pos
-        delta = 0
-        while i < total and events[i][0] == pos:
-            delta += events[i][1]
-            i += 1
-        count += delta
-    if prev < denom:
-        emit()
-        prev = denom
-    for idx, start in enumerate(starts):
-        if start is not None:
-            collected[idx].append((Fraction(start, denom), Fraction(prev, denom)))
-    return [IntervalSet(parts, _canonical=True) for parts in collected]
+        steps = np.arange(b**j, dtype=np.int64) * (q * scale)
+        on.append(steps + lo_num * scale)
+        off.append(steps + hi_num * scale)
+    on = np.concatenate(on)
+    off = np.concatenate(off)
+    # the sentinels 0 and denom carry no delta; they pin the first and
+    # last segment edges
+    positions = np.concatenate((on, off, np.array([0, denom], dtype=np.int64)))
+    deltas = np.repeat(np.array([1, -1, 0], dtype=np.int64), (len(on), len(off), 2))
+    order = np.argsort(positions)
+    positions = positions[order]
+    firsts = np.flatnonzero(np.diff(positions, prepend=-1))
+    edges = positions[firsts]
+    # counts[i] holds on the segment [edges[i], edges[i + 1])
+    counts = np.cumsum(np.add.reduceat(deltas[order], firsts))[:-1]
+    regions = []
+    for c_lo, c_hi in cutoffs:
+        mask = (counts <= c_lo) | (counts >= c_hi)
+        flips = np.flatnonzero(np.diff(mask, prepend=False, append=False))
+        ends = edges[flips].tolist()
+        regions.append(
+            IntervalSet(
+                [
+                    (Fraction(start, denom), Fraction(stop, denom))
+                    for start, stop in zip(ends[::2], ends[1::2])
+                ],
+                _canonical=True,
+            )
+        )
+    return regions
 
 
 def deviation_regions(
@@ -288,8 +284,7 @@ def deviation_regions(
         else:
             live.append((c_lo, c_hi))
     if live:
-        events, denom = _sweep_events(window, lo, hi, budget)
-        regions.update(zip(live, _regions_from_events(events, denom, live)))
+        regions.update(zip(live, _sweep_regions(window, lo, hi, live, budget)))
     return [regions[pair] for pair in cutoffs]
 
 

@@ -1,11 +1,17 @@
 """Command line surface: exit codes, JSON reports, file pipelines."""
 
 import json
+import os
+import subprocess
+import sys
+import time
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
-from normnum.cli import main
+import normnum
+from normnum.cli import MAX_PRECISION, main
 from normnum.constructor import read_digit_file
 from normnum.enclose import Enclosure
 
@@ -97,6 +103,51 @@ def test_usage_errors_exit_two(capsys):
     capsys.readouterr()
     assert main(["digits", "--count", "0"]) == 2
     capsys.readouterr()
+
+
+BLOCK_PIECE = (
+    "badset", "--preset", "toy-sparse", "--which", "block", "--index", "4",
+    "--band-scale", "1",
+)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("digits", "--count", "1"),
+        BLOCK_PIECE,
+        ("discrepancy", "--x", "1/3", "--count", "4"),
+        ("lemma", "--which", "chain"),
+        ("cost", "--n", "1"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_precision_above_bound_exits_two(capsys, argv):
+    start = time.perf_counter()
+    code = main(list(argv) + ["--precision", str(MAX_PRECISION + 1)])
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert str(MAX_PRECISION) in capsys.readouterr().err
+
+
+def test_precision_at_bound_runs(capsys):
+    code, report, _ = run(capsys, *BLOCK_PIECE, "--precision", str(MAX_PRECISION))
+    assert code == 0
+    assert report["label"] == "block b=2 n=4 h=1 a=0"
+    # the region is exact, so the working precision cannot move it
+    code, default, _ = run(capsys, *BLOCK_PIECE)
+    assert code == 0
+    assert report["outer_measure"] == default["outer_measure"]
+
+
+def test_cli_import_skips_numpy():
+    # only the region sweep needs numpy; importing it at module level
+    # would tax every command that never sweeps
+    src = str(Path(normnum.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import normnum.cli, sys; sys.exit('numpy' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", code], env=env, timeout=60)
+    assert result.returncode == 0
 
 
 def test_help_exits_zero(capsys):

@@ -1,7 +1,9 @@
 """Windowed orbit statistics: exact counts, sweeps, and the cell DP."""
 
 import random
+import tracemalloc
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -10,6 +12,7 @@ from normnum.orbit import (
     Band,
     Window,
     breakpoints,
+    count_cutoffs,
     deviation_measure,
     deviation_measure_band,
     deviation_region,
@@ -173,6 +176,102 @@ def test_deviation_regions_shared_sweep_consistency():
     # antitone in the threshold
     for bigger, smaller in zip(regions, regions[1:]):
         assert smaller.is_subset_of(bigger)
+
+
+def reference_regions(window, lo, hi, cutoffs):
+    """Per-event sweep loop: the pure-Python form of the region kernel.
+
+    Walks the sorted (position, +1/-1) events over the common denominator
+    and closes a run of each cutoff pair whenever the count stops
+    qualifying.
+    """
+    b = window.base
+    q = lcm(lo.denominator, hi.denominator)
+    top = window.end - 1
+    denom = q * b**top
+    lo_num = lo.numerator * (q // lo.denominator)
+    hi_num = hi.numerator * (q // hi.denominator)
+    events = []
+    for j in range(window.offset, window.end):
+        scale = b ** (top - j)
+        for m in range(b**j):
+            events.append(((m * q + lo_num) * scale, 1))
+            events.append(((m * q + hi_num) * scale, -1))
+    events.sort()
+    collected = [[] for _ in cutoffs]
+    starts = [None] * len(cutoffs)
+    count = prev = i = 0
+
+    def emit():
+        # the segment starting at prev carries the current count
+        for idx, (c_lo, c_hi) in enumerate(cutoffs):
+            if count <= c_lo or count >= c_hi:
+                if starts[idx] is None:
+                    starts[idx] = prev
+            elif starts[idx] is not None:
+                collected[idx].append((F(starts[idx], denom), F(prev, denom)))
+                starts[idx] = None
+
+    while i < len(events):
+        pos = events[i][0]
+        if pos > prev:
+            emit()
+            prev = pos
+        while i < len(events) and events[i][0] == pos:
+            count += events[i][1]
+            i += 1
+    if prev < denom:
+        emit()
+        prev = denom
+    for idx, start in enumerate(starts):
+        if start is not None:
+            collected[idx].append((F(start, denom), F(prev, denom)))
+    return [IntervalSet(parts) for parts in collected]
+
+
+KERNEL_BANDS = {
+    "whole": (F(0), F(1)),  # on and off events coincide everywhere
+    "a0": (F(0), F(1, 4)),  # an on event at 0
+    "hi1": (F(3, 4), F(1)),  # an off event at the denominator
+    "sixth": (F(0), F(1, 6)),  # a non-dyadic common denominator
+    "third_to_1": (F(1, 3), F(1)),
+}
+KERNEL_LENGTHS = {2: 5, 3: 3, 5: 2}
+
+
+@pytest.mark.parametrize("strict", [False, True])
+@pytest.mark.parametrize("band", sorted(KERNEL_BANDS))
+@pytest.mark.parametrize("offset", range(4))
+@pytest.mark.parametrize("base", sorted(KERNEL_LENGTHS))
+def test_region_kernel_matches_reference_loop(base, offset, band, strict):
+    w = Window(base, offset, KERNEL_LENGTHS[base])
+    lo, hi = KERNEL_BANDS[band]
+    # every threshold from 0 past the window length: unit, live and empty
+    # cutoff pairs, several of them swept at once
+    ts = [F(i, 4) for i in range(4 * w.length + 5)]
+    cutoffs = [count_cutoffs((hi - lo) * w.length, t, strict) for t in ts]
+    regions = deviation_regions(w, (lo, hi), ts, strict=strict)
+    assert regions == reference_regions(w, lo, hi, cutoffs)
+
+
+def test_sweep_denominator_guard():
+    # 2**61 * 2**1 = 2**62 still fits int64
+    w = Window(2, 0, 2)
+    band = (F(0), F(1, 2**61))
+    pairs = [count_cutoffs(band[1] * 2, F(1))]
+    assert deviation_regions(w, band, [F(1)]) == reference_regions(w, *band, pairs)
+    with pytest.raises(BudgetError):
+        deviation_region(w, (F(0), F(1, 2**62)), F(1))
+    # a 2**63 denominator over 524286 events is refused before any array
+    # (about 4 MB each) is built
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetError):
+            deviation_region(Window(2, 0, 18), (F(0), F(1, 2**46)), F(1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_sweep_budget_guard():

@@ -66,6 +66,11 @@ DEFAULT_SEED = 20260819
 # an unbounded value means unbounded work.
 MAX_PRECISION = 4096
 
+# Orbit length above which `discrepancy --count` is refused before any
+# point is computed: each point is an exact Fraction, so an unbounded count
+# means unbounded work and memory.
+MAX_ORBIT_POINTS = 1 << 16
+
 
 def _positive_int(text: str) -> int:
     value = int(text)
@@ -209,6 +214,11 @@ def _cmd_badset(args) -> int:
 def _cmd_discrepancy(args) -> int:
     if (args.x is None) == (args.digits_file is None):
         raise ValueError("give exactly one of --x or --digits-file")
+    if args.count > MAX_ORBIT_POINTS:
+        raise BudgetError(
+            "--count %d exceeds the bound of %d orbit points"
+            % (args.count, MAX_ORBIT_POINTS)
+        )
     if args.x is not None:
         x = args.x
         source = format_fraction(x)
@@ -219,8 +229,11 @@ def _cmd_discrepancy(args) -> int:
     if not 0 <= x < 1:
         raise ValueError("the point must lie in [0, 1)")
     points = orbit_points(x, args.base, args.count)
-    extreme = extreme_discrepancy(points)
     star = star_discrepancy(points)
+    if args.ratio:
+        extreme, ratio = normality_ratio(x, args.base, args.count, args.precision)
+    else:
+        extreme = extreme_discrepancy(points)
     report = {
         "schema": "normnum.discrepancy/1",
         "source": source,
@@ -232,7 +245,6 @@ def _cmd_discrepancy(args) -> int:
         "star_approx": _approx(star),
     }
     if args.ratio:
-        _disc, ratio = normality_ratio(x, args.base, args.count, args.precision)
         report["ratio"] = ratio.to_json()
         report["ratio_approx"] = _approx(ratio)
     _emit(report)

@@ -1,21 +1,26 @@
 """Exact discrepancy of finite rational point sets and orbit prefixes.
 
-Both discrepancy flavors are suprema over interval families. For a finite
-point set the supremum is attained in a limit of intervals pinned to the
-points (or to the domain ends), so enumerating those critical positions
-with exact counts gives the exact value: no search, no rounding.
+Both discrepancy flavors are suprema over interval families, and for a
+finite point set both have closed forms over the sorted points
+x_(1) <= ... <= x_(N) (Kuipers-Niederreiter, Uniform Distribution of
+Sequences, ch. 2, Thms 1.4-1.5):
+
+    D_N  = 1/N + max(i/N - x_(i)) - min(i/N - x_(i))
+    D*_N = 1/(2N) + max |x_(i) - (2i-1)/(2N)|
+
+Each is one pass over the sorted points in exact rationals, so the cost is
+the O(N log N) sort: no search, no rounding.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from typing import Sequence
 
 from mpmath import iv
 
 from .enclose import Enclosure, eval_iv_tight, iv_fraction
-from .measure import ONE, ZERO, RationalLike, as_fraction
+from .measure import RationalLike, as_fraction
 
 
 def orbit_points(x: RationalLike, base: int, count: int) -> list[Fraction]:
@@ -42,55 +47,29 @@ def _prepare(points: Sequence[RationalLike]) -> list[Fraction]:
         raise ValueError("points must lie in [0, 1)")
     return values
 
+
 def extreme_discrepancy(points: Sequence[RationalLike]) -> Fraction:
     """Exact two-sided interval discrepancy of a finite point multiset.
 
-    The overfilled side is maximized by closed intervals spanning point
-    pairs (single points included); the underfilled side by open intervals
-    between consecutive critical positions, with the domain ends allowed.
-    Both families are enumerated with exact rational counts.
+    D_N = 1/N + max(i/N - x_(i)) - min(i/N - x_(i)) over the sorted points
+    x_(1) <= ... <= x_(N), repeats counted with multiplicity.
     """
     pts = _prepare(points)
     n = len(pts)
-    distinct = sorted(set(pts))
-    best = ZERO
-    # closed [u, v] with both ends at points: count crowded above length
-    for i, u in enumerate(distinct):
-        for v in distinct[i:]:
-            inside = bisect_right(pts, v) - bisect_left(pts, u)
-            value = Fraction(inside, n) - (v - u)
-            if value > best:
-                best = value
-    # open (u, v): length above inner count; 0 and 1 act as closed ends
-    lowers = [(ZERO, True)] + [(p, False) for p in distinct]
-    uppers = [(p, False) for p in distinct] + [(ONE, True)]
-    for u, u_closed in lowers:
-        for v, v_closed in uppers:
-            if v <= u:
-                continue
-            left = bisect_left(pts, u) if u_closed else bisect_right(pts, u)
-            right = bisect_right(pts, v) if v_closed else bisect_left(pts, v)
-            value = (v - u) - Fraction(right - left, n)
-            if value > best:
-                best = value
-    return best
+    gaps = [Fraction(i, n) - x for i, x in enumerate(pts, 1)]
+    return Fraction(1, n) + max(gaps) - min(gaps)
 
 
 def star_discrepancy(points: Sequence[RationalLike]) -> Fraction:
-    """Exact anchored discrepancy sup over [0, v), 0 < v <= 1."""
+    """Exact anchored discrepancy sup over [0, v), 0 < v <= 1.
+
+    D*_N = 1/(2N) + max |x_(i) - (2i-1)/(2N)| over the sorted points.
+    """
     pts = _prepare(points)
     n = len(pts)
-    best = ZERO
-    for v in sorted(set(pts)) + [ONE]:
-        below = bisect_left(pts, v)
-        through = bisect_right(pts, v)
-        value = abs(Fraction(below, n) - v)
-        if value > best:
-            best = value
-        value = abs(Fraction(through, n) - v)
-        if value > best:
-            best = value
-    return best
+    return Fraction(1, 2 * n) + max(
+        abs(x - Fraction(2 * i - 1, 2 * n)) for i, x in enumerate(pts, 1)
+    )
 
 
 def normality_ratio(

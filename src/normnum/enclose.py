@@ -49,9 +49,6 @@ class Enclosure:
         v = as_fraction(value)
         return self.lo <= v <= self.hi
 
-    def is_inside(self, other: "Enclosure") -> bool:
-        return other.lo <= self.lo and self.hi <= other.hi
-
     def midpoint(self) -> Fraction:
         return (self.lo + self.hi) / 2
 
@@ -80,12 +77,6 @@ class Enclosure:
         if lo > hi:
             raise ValueError("enclosures are disjoint")
         return Enclosure(lo, hi)
-
-    def entirely_below(self, value: RationalLike) -> bool:
-        return self.hi < as_fraction(value)
-
-    def entirely_above(self, value: RationalLike) -> bool:
-        return self.lo > as_fraction(value)
 
     def to_json(self) -> list:
         return [format_fraction(self.lo), format_fraction(self.hi)]

@@ -16,7 +16,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -252,9 +252,6 @@ class IntervalSet:
             if seg_hi > seg_lo:
                 total += seg_hi - seg_lo
         return total
-
-    def materialize(self, budget: Optional[int] = None) -> "IntervalSet":
-        return self
 
     def to_json(self) -> list:
         return [[format_fraction(lo), format_fraction(hi)] for lo, hi in self._parts]

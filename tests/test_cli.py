@@ -11,7 +11,9 @@ from pathlib import Path
 import pytest
 
 import normnum
-from normnum.cli import MAX_PRECISION, main
+import normnum.cli
+import normnum.discrepancy
+from normnum.cli import MAX_ORBIT_POINTS, MAX_PRECISION, main
 from normnum.constructor import read_digit_file
 from normnum.enclose import Enclosure
 
@@ -412,6 +414,60 @@ def test_discrepancy_ratio(capsys):
     lo, hi = (F(part) for part in report["ratio"])
     assert lo < hi
     assert abs(report["ratio_approx"] - 2.640676) < 1e-4
+
+
+@pytest.mark.parametrize("ratio", [(), ("--ratio",)], ids=["plain", "ratio"])
+def test_discrepancy_computed_once(capsys, monkeypatch, ratio):
+    calls = []
+    original = normnum.discrepancy.extreme_discrepancy
+
+    def counted(points):
+        calls.append(len(points))
+        return original(points)
+
+    # the CLI holds its own binding; normality_ratio looks up the module's
+    monkeypatch.setattr(normnum.cli, "extreme_discrepancy", counted)
+    monkeypatch.setattr(normnum.discrepancy, "extreme_discrepancy", counted)
+    code, report, _ = run(
+        capsys, "discrepancy", "--x", "1/3", "--count", "16", *ratio
+    )
+    assert code == 0
+    assert report["extreme"] == "2/3"
+    assert calls == [16]
+
+
+@pytest.mark.parametrize("ratio", [(), ("--ratio",)], ids=["plain", "ratio"])
+@pytest.mark.parametrize("source", ["x", "digits-file"])
+def test_discrepancy_count_above_bound_exits_three(
+    capsys, monkeypatch, tmp_path, source, ratio
+):
+    def refuse(*args):
+        raise AssertionError("orbit computed past the bound")
+
+    monkeypatch.setattr(normnum.cli, "orbit_points", refuse)
+    monkeypatch.setattr(normnum.discrepancy, "orbit_points", refuse)
+    if source == "x":
+        argv = ["discrepancy", "--x", "1/3"]
+    else:
+        digit_path = tmp_path / "digits.txt"
+        digit_path.write_text("101\n")
+        argv = ["discrepancy", "--digits-file", str(digit_path)]
+    start = time.perf_counter()
+    code = main(argv + ["--count", str(MAX_ORBIT_POINTS + 1), *ratio])
+    assert time.perf_counter() - start < 1.0
+    assert code == 3
+    assert str(MAX_ORBIT_POINTS) in capsys.readouterr().err
+
+
+def test_discrepancy_count_at_bound_runs(capsys):
+    code, report, _ = run(
+        capsys, "discrepancy", "--x", "1/3", "--count", str(MAX_ORBIT_POINTS)
+    )
+    assert code == 0
+    assert report["count"] == MAX_ORBIT_POINTS
+    # the closed interval [1/3, 2/3] holds the whole period-2 orbit
+    assert report["extreme"] == "2/3"
+    assert report["star"] == "1/3"
 
 
 def test_discrepancy_source_validation(capsys):

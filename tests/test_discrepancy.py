@@ -127,10 +127,18 @@ def test_orbit_points_examples():
 def test_matches_brute_force_enumeration():
     rng = random.Random(20260819)
     denominators = [2, 3, 4, 6, 8, 9, 12, 16, 24, 27, 32]
+    samples = []
     for _ in range(200):
         n = rng.randrange(1, 13)
         den = rng.choice(denominators)
-        pts = [F(rng.randrange(den), den) for _ in range(n)]
+        samples.append([F(rng.randrange(den), den) for _ in range(n)])
+    # orbit prefixes of short-period rationals: each point repeats many times
+    for _ in range(60):
+        q = rng.randrange(2, 32)
+        x = F(rng.randrange(q), q)
+        samples.append(orbit_points(x, rng.choice([2, 3, 5]), rng.randrange(1, 41)))
+    for pts in samples:
+        n = len(pts)
         fast = extreme_discrepancy(pts)
         star = star_discrepancy(pts)
         assert fast == brute_interval_discrepancy(pts)

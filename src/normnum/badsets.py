@@ -22,6 +22,7 @@ import hashlib
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
 from math import isqrt
 from typing import Mapping, Optional
@@ -454,11 +455,10 @@ class FamilyComponent:
     def is_empty(self) -> bool:
         return self.region.is_empty()
 
-    def overlap(self, lo: RationalLike, hi: RationalLike, copy_budget: int) -> Fraction:
-        """Exact measure of the region inside [lo, hi)."""
-        if isinstance(self.region, PeriodicIntervalSet):
-            return self.region.intersect_measure(lo, hi, copy_budget)
-        return self.region.intersect_measure(lo, hi)
+    @cached_property
+    def measure(self) -> Fraction:
+        """Exact measure of the region, summed once per component."""
+        return self.region.measure()
 
 
 def block_bad_union(
@@ -541,15 +541,17 @@ class BadFamily:
         return len(self.components)
 
     def outer_measure_bound(self) -> Fraction:
-        return sum((comp.region.measure() for comp in self.components), ZERO)
+        return sum((comp.measure for comp in self.components), ZERO)
 
     def inner_measure_bound(self) -> Fraction:
-        return max((comp.region.measure() for comp in self.components), default=ZERO)
+        return max((comp.measure for comp in self.components), default=ZERO)
 
-    def outer_intersect_bound(
-        self, lo: RationalLike, hi: RationalLike, copy_budget: int = 65536
-    ) -> Fraction:
-        return sum((comp.overlap(lo, hi, copy_budget) for comp in self.components), ZERO)
+    def overlaps(self, lo: RationalLike, hi: RationalLike) -> tuple[Fraction, ...]:
+        """Exact measure of each component's region inside [lo, hi)."""
+        return tuple(comp.region.intersect_measure(lo, hi) for comp in self.components)
+
+    def outer_intersect_bound(self, lo: RationalLike, hi: RationalLike) -> Fraction:
+        return sum(self.overlaps(lo, hi), ZERO)
 
     def contains(self, x: RationalLike) -> bool:
         """Membership in the region of some component."""

@@ -3,8 +3,9 @@
 Each step halves the current interval and keeps the first half whose
 certified bad-mass bound (materialized overlap plus residual tail) stays
 under the step's shrinking threshold. Every step is recorded in a
-certificate with exact rational figures, and an independent verifier
-rebuilds the families from scratch to replay and recheck every inequality.
+certificate with exact rational figures. The verifier rebuilds the
+families from scratch, replays every step through the same step rule and
+compares each recorded field with the replay.
 """
 
 from __future__ import annotations
@@ -130,8 +131,9 @@ class Certificate:
 
     @classmethod
     def from_json(cls, data: dict) -> "Certificate":
-        if data.get("schema") != CERTIFICATE_SCHEMA:
-            raise ValueError("unrecognized certificate schema %r" % data.get("schema"))
+        schema = data.get("schema") if isinstance(data, dict) else None
+        if schema != CERTIFICATE_SCHEMA:
+            raise ValueError("unrecognized certificate schema %r" % schema)
         return cls(
             schedule=Schedule.from_json(data["schedule"]),
             digits=str(data["digits"]),
@@ -146,18 +148,52 @@ class Certificate:
         return cls.from_json(json.loads(text))
 
 
-def _component_rows(family: BadFamily, chosen: Interval, copy_budget: int) -> tuple:
-    return tuple(
-        {
-            "label": comp.label,
-            "kind": comp.kind,
-            "members": len(comp.members),
-            "outer_measure": format_fraction(comp.region.measure()),
-            "chosen_overlap": format_fraction(
-                comp.overlap(chosen.lo, chosen.hi, copy_budget)
-            ),
-        }
-        for comp in family.components
+def _step(
+    family: BadFamily,
+    tail: Fraction,
+    step: int,
+    size_index: int,
+    interval: Interval,
+    precision: int,
+) -> StepRecord:
+    """One digit decision: keep the first half of `interval` whose summed
+    component overlaps plus `tail` stay under 2**-step.
+
+    Raises IndeterminateError when neither half passes.
+    """
+    threshold = Fraction(1, 2**step)
+    half0, half1 = interval.halves()
+    overlaps = family.overlaps(half0.lo, half0.hi)
+    bound0 = sum(overlaps, ZERO)
+    if bound0 + tail < threshold:
+        digit, chosen, chosen_bound, rejected_bound = 0, half0, bound0, None
+    else:
+        overlaps = family.overlaps(half1.lo, half1.hi)
+        bound1 = sum(overlaps, ZERO)
+        if not bound1 + tail < threshold:
+            raise IndeterminateError(step, interval, (bound0, bound1), tail, threshold)
+        digit, chosen, chosen_bound, rejected_bound = 1, half1, bound1, bound0
+    return StepRecord(
+        step=step,
+        size_index=size_index,
+        interval=interval,
+        digit=digit,
+        chosen=chosen,
+        chosen_bound=chosen_bound,
+        rejected_bound=rejected_bound,
+        tail=tail,
+        threshold=threshold,
+        precision=precision,
+        components=tuple(
+            {
+                "label": comp.label,
+                "kind": comp.kind,
+                "members": len(comp.members),
+                "outer_measure": format_fraction(comp.measure),
+                "chosen_overlap": format_fraction(overlap),
+            }
+            for comp, overlap in zip(family.components, overlaps)
+        ),
     )
 
 
@@ -166,7 +202,6 @@ def run_construction(
     digit_count: int,
     precision: int = 64,
     budget: int = DEFAULT_EVENT_BUDGET,
-    copy_budget: int = 65536,
 ) -> Certificate:
     """Emit digits with a full audit trail.
 
@@ -180,44 +215,17 @@ def run_construction(
         raise ValueError("digit count must be positive")
     families: dict[int, BadFamily] = {}
     interval = UNIT
-    digits = []
     records = []
     for step in range(1, digit_count + 1):
         size_index = schedule.family_index(step)
         if size_index not in families:
             families[size_index] = bad_family(size_index, schedule, precision, budget)
-        family = families[size_index]
         tail = tail_mass_bound(size_index, schedule)
-        threshold = Fraction(1, 2**step)
-        half0, half1 = interval.halves()
-        bound0 = family.outer_intersect_bound(half0.lo, half0.hi, copy_budget)
-        if bound0 + tail < threshold:
-            digit, chosen, chosen_bound, rejected_bound = 0, half0, bound0, None
-        else:
-            bound1 = family.outer_intersect_bound(half1.lo, half1.hi, copy_budget)
-            if not bound1 + tail < threshold:
-                raise IndeterminateError(
-                    step, interval, (bound0, bound1), tail, threshold
-                )
-            digit, chosen, chosen_bound, rejected_bound = 1, half1, bound1, bound0
-        records.append(
-            StepRecord(
-                step=step,
-                size_index=size_index,
-                interval=interval,
-                digit=digit,
-                chosen=chosen,
-                chosen_bound=chosen_bound,
-                rejected_bound=rejected_bound,
-                tail=tail,
-                threshold=threshold,
-                precision=precision,
-                components=_component_rows(family, chosen, copy_budget),
-            )
-        )
-        digits.append(str(digit))
-        interval = chosen
-    return Certificate(schedule, "".join(digits), tuple(records))
+        record = _step(families[size_index], tail, step, size_index, interval, precision)
+        records.append(record)
+        interval = record.chosen
+    digits = "".join(str(record.digit) for record in records)
+    return Certificate(schedule, digits, tuple(records))
 
 
 @dataclass(frozen=True)
@@ -234,20 +242,52 @@ class VerificationReport:
         }
 
 
+def _shown(value) -> str:
+    return value if isinstance(value, str) else json.dumps(value)
+
+
+def _mismatches(prefix: str, recorded: dict, replayed: dict) -> list[str]:
+    """One problem per key whose recorded value differs from the replay's."""
+    return [
+        "%s%s %s, schedule says %s"
+        % (prefix, key.replace("_", " "), _shown(recorded.get(key)), _shown(replayed.get(key)))
+        for key in sorted(set(recorded) | set(replayed))
+        if recorded.get(key) != replayed.get(key)
+    ]
+
+
+def _differences(label: str, record: StepRecord, replay: StepRecord) -> list[str]:
+    """Every field of `record`, component rows included, that the replay
+    does not reproduce. The replay is handed the recorded precision, which
+    does no work (families do not depend on it), so it cannot differ.
+    """
+    recorded, replayed = record.to_json(), replay.to_json()
+    rows, expected_rows = recorded.pop("components"), replayed.pop("components")
+    problems = _mismatches(label + ": ", recorded, replayed)
+    if len(rows) != len(expected_rows):
+        problems.append(
+            "%s: component count %d, schedule says %d"
+            % (label, len(rows), len(expected_rows))
+        )
+    for row, expected in zip(rows, expected_rows):
+        problems += _mismatches(
+            "%s: component %s: " % (label, expected["label"]), row, expected
+        )
+    return problems
+
+
 def verify_certificate(
     certificate: Certificate,
     schedule: Optional[Schedule] = None,
     budget: int = DEFAULT_EVENT_BUDGET,
-    copy_budget: int = 65536,
 ) -> VerificationReport:
-    """Replay a certificate from scratch and recheck every step.
+    """Replay every step of a certificate and compare it field by field.
 
-    One family per size index of the schedule is rebuilt fresh (nothing is
-    taken from the run being checked, not even its recorded size index or
-    precision, since exact families do not depend on precision), all
-    recorded rationals must match the recomputation exactly, and every
-    avoidance inequality, nesting relation and digit decision is
-    revalidated.
+    One family per size index of the schedule is rebuilt fresh; nothing is
+    taken from the run being checked but each step's own interval, which
+    must continue the chain of chosen halves. Each step is replayed by the
+    construction's own step rule and every recorded field, component rows
+    included, must equal the replay's exactly.
     """
     problems: list[str] = []
     families: dict[int, BadFamily] = {}
@@ -255,90 +295,27 @@ def verify_certificate(
     if schedule is not None and schedule.digest() != sched.digest():
         problems.append("schedule digest does not match the supplied schedule")
         sched = schedule
-    if len(certificate.digits) != len(certificate.steps):
-        problems.append("digit string length differs from step count")
+    if certificate.digits != "".join(str(record.digit) for record in certificate.steps):
+        problems.append("digit string differs from the steps' digits")
     interval = UNIT
-    checked = 0
     for position, record in enumerate(certificate.steps, start=1):
         label = "step %d" % position
-        checked += 1
-        if record.step != position:
-            problems.append("%s: record is numbered %d" % (label, record.step))
         if record.interval != interval:
             problems.append("%s: interval chain broken" % label)
-            interval = record.interval
-        expected_index = sched.family_index(position)
-        if record.size_index != expected_index:
-            problems.append(
-                "%s: size index %d, schedule says %d"
-                % (label, record.size_index, expected_index)
+        size_index = sched.family_index(position)
+        if size_index not in families:
+            families[size_index] = bad_family(size_index, sched, budget=budget)
+        tail = tail_mass_bound(size_index, sched)
+        try:
+            replay = _step(
+                families[size_index], tail, position, size_index, record.interval, record.precision
             )
-        threshold = Fraction(1, 2**position)
-        if record.threshold != threshold:
-            problems.append("%s: threshold is not 2**-%d" % (label, position))
-        tail = tail_mass_bound(expected_index, sched)
-        if record.tail != tail:
-            problems.append("%s: recorded tail %s, recomputed %s"
-                            % (label, format_fraction(record.tail), format_fraction(tail)))
-        if record.digit not in (0, 1):
-            problems.append("%s: digit out of range" % label)
-        half0, half1 = interval.halves()
-        if expected_index not in families:
-            families[expected_index] = bad_family(expected_index, sched, budget=budget)
-        family = families[expected_index]
-        bound0 = family.outer_intersect_bound(half0.lo, half0.hi, copy_budget)
-        pass0 = bound0 + tail < threshold
-        bound1 = None
-        if not pass0 or record.digit == 1:
-            bound1 = family.outer_intersect_bound(half1.lo, half1.hi, copy_budget)
-        if pass0:
-            expected_digit = 0
-        elif bound1 + tail < threshold:
-            expected_digit = 1
-        else:
-            expected_digit = None
-        if expected_digit is None:
+        except IndeterminateError:
             problems.append("%s: neither half passes" % label)
-        elif record.digit != expected_digit:
-            problems.append(
-                "%s: recorded digit %d, replay chooses %d"
-                % (label, record.digit, expected_digit)
-            )
-        recomputed = bound0 if record.digit == 0 else bound1
-        expected_half = half0 if record.digit == 0 else half1
-        if record.digit == 1:
-            if record.rejected_bound is None:
-                problems.append("%s: digit 1 lacks the rejected half's bound" % label)
-            elif record.rejected_bound != bound0:
-                problems.append(
-                    "%s: rejected bound %s, recomputed %s"
-                    % (label, format_fraction(record.rejected_bound), format_fraction(bound0))
-                )
-        if record.chosen_bound != recomputed:
-            problems.append(
-                "%s: recorded bound %s, recomputed %s"
-                % (label, format_fraction(record.chosen_bound), format_fraction(recomputed))
-            )
-        if not record.chosen_bound + record.tail < record.threshold:
-            problems.append("%s: avoidance inequality fails" % label)
-        if record.chosen != expected_half:
-            problems.append("%s: chosen interval is not the digit's half" % label)
-        if record.chosen.length != threshold:
-            problems.append("%s: chosen interval has wrong length" % label)
-        if not (interval.lo <= record.chosen.lo and record.chosen.hi <= interval.hi):
-            problems.append("%s: chosen interval escapes its parent" % label)
-        if position <= len(certificate.digits) and certificate.digits[position - 1] != str(record.digit):
-            problems.append("%s: digit string mismatch" % label)
-        if len(record.components) != family.component_count():
-            problems.append("%s: component count mismatch" % label)
         else:
-            total = ZERO
-            for row in record.components:
-                total += parse_fraction(row["chosen_overlap"])
-            if total != recomputed:
-                problems.append("%s: component overlaps do not sum to the bound" % label)
+            problems.extend(_differences(label, record, replay))
         interval = record.chosen
-    return VerificationReport(not problems, checked, tuple(problems))
+    return VerificationReport(not problems, len(certificate.steps), tuple(problems))
 
 
 def chain_margin_check(schedule: Schedule, max_step: int = 20) -> dict:

@@ -45,11 +45,15 @@ def format_fraction(value: RationalLike) -> str:
 
 
 def parse_fraction(text: str) -> Fraction:
+    """Parse "num/den" or an integer; anything else raises ValueError."""
+    if not isinstance(text, str):
+        raise ValueError("expected a fraction string, got %r" % (text,))
     text = text.strip()
-    if "/" in text:
-        num, den = text.split("/", 1)
-        return Fraction(int(num), int(den))
-    return Fraction(int(text))
+    num, den = text.split("/", 1) if "/" in text else (text, "1")
+    denominator = int(den)
+    if denominator == 0:
+        raise ValueError("zero denominator in %r" % text)
+    return Fraction(int(num), denominator)
 
 
 def floor_fraction(x: Fraction) -> int:
@@ -97,7 +101,8 @@ class Interval:
 
     @classmethod
     def from_json(cls, data: Sequence[str]) -> "Interval":
-        return cls(parse_fraction(data[0]), parse_fraction(data[1]))
+        lo, hi = data
+        return cls(parse_fraction(lo), parse_fraction(hi))
 
 
 UNIT = Interval(ZERO, ONE)
@@ -269,7 +274,7 @@ class PeriodicIntervalSet:
     far too large for the copies to be expanded.
     """
 
-    __slots__ = ("core", "base", "level")
+    __slots__ = ("core", "base", "level", "_measure")
 
     def __init__(self, core: IntervalSet, base: int, level: int):
         if base < 2:
@@ -279,6 +284,7 @@ class PeriodicIntervalSet:
         self.core = core
         self.base = base
         self.level = level
+        self._measure = None
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -302,8 +308,11 @@ class PeriodicIntervalSet:
         return self.core.is_empty()
 
     def measure(self) -> Fraction:
-        # each of the base**level copies has measure core/base**level
-        return self.core.measure()
+        # each of the base**level copies has measure core/base**level; the
+        # core never changes, so its measure is summed once
+        if self._measure is None:
+            self._measure = self.core.measure()
+        return self._measure
 
     def contains(self, x: RationalLike) -> bool:
         y = as_fraction(x) * self.base**self.level
@@ -331,7 +340,7 @@ class PeriodicIntervalSet:
         b = hi * scale
         if a.denominator == 1 and b.denominator == 1:
             # whole copies only
-            return (hi - lo) * self.core.measure()
+            return (hi - lo) * self.measure()
         first = floor_fraction(a)
         last = ceil_fraction(b)
         if last - first > budget:

@@ -12,8 +12,9 @@ import pytest
 
 import normnum
 import normnum.cli
+import normnum.constructor
 import normnum.discrepancy
-from normnum.cli import MAX_ORBIT_POINTS, MAX_PRECISION, main
+from normnum.cli import MAX_DIGIT_COUNT, MAX_ORBIT_POINTS, MAX_PRECISION, main
 from normnum.constructor import read_digit_file
 from normnum.enclose import Enclosure
 
@@ -216,10 +217,11 @@ def test_tampered_certificate_exits_five(capsys, tmp_path):
     assert verdict["ok"] is False
     assert verdict["problems"]
 
-    cert_path.write_text("not json at all")
-    code = main(["verify", str(cert_path)])
-    assert code == 5
-    capsys.readouterr()
+    for text in ("not json at all", "[1, 2]"):
+        cert_path.write_text(text)
+        code = main(["verify", str(cert_path)])
+        assert code == 5
+        capsys.readouterr()
 
 
 MALFORMED_CONFIGS = {
@@ -234,6 +236,7 @@ MALFORMED_CONFIGS = {
         "index_cap": 4,
     },
     "not-an-object": [1, 2],
+    "zero-denominator-eta": {"tag": "bad", "delta": "-2/5", "eta": "1/0"},
 }
 
 
@@ -286,6 +289,67 @@ def test_tampered_precision_does_not_change_verification(capsys, tmp_path):
     assert code == 0
     assert verdict["ok"] is True
     assert verdict["digits"] == "00"
+
+
+def drop_first_overlap(step):
+    del step["components"][0]["chosen_overlap"]
+
+
+# each must exit 5 without a traceback: a field parsed at load is a
+# malformed certificate, a component row is compared with the replay
+HOSTILE_STEPS = {
+    "bound-zero-denominator": lambda step: step.update(chosen_bound="1/0"),
+    "tail-zero-denominator": lambda step: step.update(tail="1/0"),
+    "bound-number": lambda step: step.update(chosen_bound=5),
+    "interval-empty": lambda step: step.update(interval=[]),
+    "overlap-zero-denominator": lambda step: step["components"][0].update(
+        chosen_overlap="1/0"
+    ),
+    "overlap-number": lambda step: step["components"][0].update(chosen_overlap=5),
+    "overlap-missing": drop_first_overlap,
+}
+
+
+@pytest.mark.parametrize("name", sorted(HOSTILE_STEPS))
+def test_hostile_certificate_values_exit_five(capsys, tmp_path, name):
+    path = tampered_certificate(capsys, tmp_path, HOSTILE_STEPS[name])
+    code, verdict, err = run(capsys, "verify", path)
+    assert code == 5
+    if name.startswith("overlap"):
+        assert verdict["ok"] is False
+        assert any(
+            p.startswith("step 1: component block b=2 n=4: chosen overlap ")
+            for p in verdict["problems"]
+        ), verdict["problems"]
+    else:
+        assert "malformed certificate" in err
+
+
+def test_digit_count_above_bound_exits_three(capsys, monkeypatch, tmp_path):
+    cert_path = tmp_path / "cert.json"
+    code, _, _ = run(
+        capsys, "digits", "--preset", "toy-sparse", "--count", "2",
+        "--cert-out", str(cert_path),
+    )
+    assert code == 0
+    data = json.loads(cert_path.read_text())
+    data["steps"] = data["steps"][:1] * (MAX_DIGIT_COUNT + 1)
+    data["digits"] = "0" * (MAX_DIGIT_COUNT + 1)
+    cert_path.write_text(json.dumps(data))
+
+    def refuse(*args):
+        raise AssertionError("family built past the bound")
+
+    monkeypatch.setattr(normnum.constructor, "bad_family", refuse)
+    for argv in (
+        ["digits", "--preset", "toy-sparse", "--count", str(MAX_DIGIT_COUNT + 1)],
+        ["verify", str(cert_path)],
+    ):
+        start = time.perf_counter()
+        code = main(argv)
+        assert time.perf_counter() - start < 1.0
+        assert code == 3
+        assert str(MAX_DIGIT_COUNT) in capsys.readouterr().err
 
 
 def test_threshold_straddle_exits_four(capsys, monkeypatch):

@@ -18,7 +18,7 @@ from normnum.constructor import (
     write_digit_file,
 )
 from normnum.enclose import Enclosure
-from normnum.measure import BudgetError
+from normnum.measure import BudgetError, IntervalSet
 from normnum.orbit import f_value
 
 F = Fraction
@@ -140,6 +140,20 @@ def test_witness_f_values_stay_below_thresholds():
         assert value < piece.threshold.lo, piece.label
 
 
+def test_component_measures_summed_once(monkeypatch):
+    # every step's rows carry each component's measure; it is summed once
+    calls = []
+    summed = IntervalSet.measure
+
+    def counting(self):
+        calls.append(self)
+        return summed(self)
+
+    monkeypatch.setattr(IntervalSet, "measure", counting)
+    cert = run_construction(preset("toy-seeded"), 50)
+    assert 0 < len(calls) <= len(cert.steps[0].components) == 3
+
+
 # -- failure modes -------------------------------------------------------------
 
 
@@ -210,6 +224,74 @@ def test_verify_catches_truncated_digits():
     data["digits"] = data["digits"][:-1]
     report = verify_certificate(Certificate.from_json(data))
     assert not report.ok
+
+
+def swap_overlaps(step):
+    block, tail = step["components"][1:]
+    block["chosen_overlap"], tail["chosen_overlap"] = (
+        tail["chosen_overlap"],
+        block["chosen_overlap"],
+    )
+
+
+def forge_row(position, **fields):
+    return lambda step: step["components"][position].update(fields)
+
+
+# step index, forgery, and the exact problems verify must list; toy-seeded
+# step 1 picks digit 1 over rows obstacle, block and tail, step 2 digit 0
+SEEDED_FORGERIES = {
+    "label": (
+        0,
+        forge_row(1, label="block b=2 n=5"),
+        ["step 1: component block b=2 n=4: label block b=2 n=5, "
+         "schedule says block b=2 n=4"],
+    ),
+    "kind": (
+        0,
+        forge_row(1, kind="tail"),
+        ["step 1: component block b=2 n=4: kind tail, schedule says block"],
+    ),
+    "members": (
+        0,
+        forge_row(2, members=4),
+        ["step 1: component tail b=2 n=4 offset=32: members 4, schedule says 3"],
+    ),
+    "outer_measure": (
+        0,
+        forge_row(0, outer_measure="1/4"),
+        ["step 1: component obstacle: outer measure 1/4, schedule says 1/2"],
+    ),
+    "swapped_overlaps": (
+        0,
+        swap_overlaps,
+        ["step 1: component block b=2 n=4: chosen overlap 1/512, "
+         "schedule says 369/65536",
+         "step 1: component tail b=2 n=4 offset=32: chosen overlap 369/65536, "
+         "schedule says 1/512"],
+    ),
+    "rejected_bound": (
+        1,
+        lambda step: step.update(rejected_bound="1/2"),
+        ["step 2: rejected bound 1/2, schedule says null"],
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def seeded_two_steps():
+    return run_construction(preset("toy-seeded"), 2)
+
+
+@pytest.mark.parametrize("name", sorted(SEEDED_FORGERIES))
+def test_verify_names_every_forged_field(seeded_two_steps, name):
+    index, forge, expected = SEEDED_FORGERIES[name]
+    assert seeded_two_steps.digits == "10"
+    report = verify_certificate(
+        tampered(seeded_two_steps, lambda data: forge(data["steps"][index]))
+    )
+    assert not report.ok
+    assert list(report.problems) == expected
 
 
 # -- serialization ----------------------------------------------------------------

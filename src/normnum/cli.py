@@ -44,7 +44,7 @@ from .constructor import (
 from .discrepancy import (
     extreme_discrepancy,
     fukuyama_constant,
-    normality_ratio,
+    normalized_ratio,
     orbit_points,
     philipp_constant,
     star_discrepancy,
@@ -242,10 +242,7 @@ def _cmd_discrepancy(args) -> int:
         raise ValueError("the point must lie in [0, 1)")
     points = orbit_points(x, args.base, args.count)
     star = star_discrepancy(points)
-    if args.ratio:
-        extreme, ratio = normality_ratio(x, args.base, args.count, args.precision)
-    else:
-        extreme = extreme_discrepancy(points)
+    extreme = extreme_discrepancy(points)
     report = {
         "schema": "normnum.discrepancy/1",
         "source": source,
@@ -257,6 +254,7 @@ def _cmd_discrepancy(args) -> int:
         "star_approx": _approx(star),
     }
     if args.ratio:
+        ratio = normalized_ratio(extreme, args.count, args.precision)
         report["ratio"] = ratio.to_json()
         report["ratio_approx"] = _approx(ratio)
     _emit(report)
@@ -277,69 +275,58 @@ def _cmd_verify(args) -> int:
     return 0 if report.ok else 5
 
 
-def _lemma_badic(args) -> tuple[list[dict], bool]:
+# Each deviation grid checks a lemma's measure bound against the worst cell
+# of its grid points (base, scale, length, eps): the bound function, the
+# cell count of a scale, whether the deviation must exceed eps * length
+# strictly, and the report key of the scale.
+_DEVIATION_GRIDS = {
+    "badic": (
+        badic_deviation_bound,
+        lambda base, m: base**m,
+        True,
+        "band_scale",
+        [
+            (2, 1, 64, Fraction(1, 4)),
+            (2, 1, 128, Fraction(1, 2)),
+            (2, 2, 256, Fraction(1, 4)),
+            (3, 1, 64, Fraction(1, 4)),
+            (3, 2, 512, Fraction(1, 9)),
+        ],
+    ),
+    "dyadic": (
+        dyadic_deviation_bound,
+        lambda base, k: 2**k,
+        False,
+        "band_depth",
+        [
+            (2, 1, 256, Fraction(1, 2)),
+            (2, 2, 256, Fraction(1, 2)),
+            (3, 1, 128, Fraction(1, 2)),
+        ],
+    ),
+}
+
+
+def _lemma_deviation_grid(args) -> tuple[list[dict], bool]:
+    bound_of, cells_of, strict, scale_key, grid = _DEVIATION_GRIDS[args.which]
     rows = []
     ok = True
-    grid = [
-        (2, 1, 64, Fraction(1, 4)),
-        (2, 1, 128, Fraction(1, 2)),
-        (2, 2, 256, Fraction(1, 4)),
-        (3, 1, 64, Fraction(1, 4)),
-        (3, 2, 512, Fraction(1, 9)),
-    ]
-    for base, m, length, eps in grid:
-        bound = badic_deviation_bound(base, m, length, eps, args.precision)
-        cells = base**m
-        worst = Fraction(0)
-        for a in range(cells):
-            value = deviation_measure(
-                Window(base, 0, length), cells, a, eps * length, strict=True
+    for base, scale, length, eps in grid:
+        bound = bound_of(base, scale, length, eps, args.precision)
+        cells = cells_of(base, scale)
+        worst = max(
+            deviation_measure(
+                Window(base, 0, length), cells, a, eps * length, strict=strict
             )
-            if value > worst:
-                worst = value
-        vacuous = bound.lo >= 1
-        holds = vacuous or worst <= bound.hi
-        ok = ok and holds
-        rows.append(
-            {
-                "base": base,
-                "band_scale": m,
-                "length": length,
-                "eps": format_fraction(eps),
-                "bound": bound.to_json(),
-                "worst_measure": format_fraction(worst),
-                "vacuous": vacuous,
-                "holds": holds,
-            }
+            for a in range(cells)
         )
-    return rows, ok
-
-
-def _lemma_dyadic(args) -> tuple[list[dict], bool]:
-    rows = []
-    ok = True
-    grid = [
-        (2, 1, 256, Fraction(1, 2)),
-        (2, 2, 256, Fraction(1, 2)),
-        (3, 1, 128, Fraction(1, 2)),
-    ]
-    for base, k, length, eps in grid:
-        bound = dyadic_deviation_bound(base, k, length, eps, args.precision)
-        cells = 2**k
-        worst = Fraction(0)
-        for a in range(cells):
-            value = deviation_measure(
-                Window(base, 0, length), cells, a, eps * length, strict=False
-            )
-            if value > worst:
-                worst = value
         vacuous = bound.lo >= 1
         holds = vacuous or worst <= bound.hi
         ok = ok and holds
         rows.append(
             {
                 "base": base,
-                "band_depth": k,
+                scale_key: scale,
                 "length": length,
                 "eps": format_fraction(eps),
                 "bound": bound.to_json(),
@@ -445,8 +432,8 @@ def _lemma_masstail(args) -> tuple[list[dict], bool]:
 
 
 _LEMMA_HANDLERS = {
-    "badic": _lemma_badic,
-    "dyadic": _lemma_dyadic,
+    "badic": _lemma_deviation_grid,
+    "dyadic": _lemma_deviation_grid,
     "depth": _lemma_depth,
     "cover": _lemma_cover,
     "chain": _lemma_chain,

@@ -90,11 +90,14 @@ class StepRecord:
 
     @classmethod
     def from_json(cls, data: dict) -> "StepRecord":
+        for key in ("step", "size_index", "digit", "precision"):
+            if type(data[key]) is not int:
+                raise ValueError("step field %r must be an integer" % key)
         return cls(
-            step=int(data["step"]),
-            size_index=int(data["size_index"]),
+            step=data["step"],
+            size_index=data["size_index"],
             interval=Interval.from_json(data["interval"]),
-            digit=int(data["digit"]),
+            digit=data["digit"],
             chosen=Interval.from_json(data["chosen"]),
             chosen_bound=parse_fraction(data["chosen_bound"]),
             rejected_bound=(
@@ -104,7 +107,7 @@ class StepRecord:
             ),
             tail=parse_fraction(data["tail"]),
             threshold=parse_fraction(data["threshold"]),
-            precision=int(data["precision"]),
+            precision=data["precision"],
             components=tuple(
                 dict(entry) for entry in data.get("components", ())
             ),

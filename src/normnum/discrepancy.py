@@ -75,21 +75,27 @@ def star_discrepancy(points: Sequence[RationalLike]) -> Fraction:
 def normality_ratio(
     x: RationalLike, base: int, count: int, precision: int = 64
 ) -> tuple[Fraction, Enclosure]:
-    """Exact orbit discrepancy and its growth-normalized ratio.
+    """Exact orbit discrepancy and its normalized_ratio."""
+    disc = extreme_discrepancy(orbit_points(x, base, count))
+    return disc, normalized_ratio(disc, count, precision)
 
-    The ratio divides by sqrt(count * loglog count), the scale against
-    which the construction's thresholds are calibrated; count must be at
-    least 16 so the inner logarithm is safely positive.
+
+def normalized_ratio(
+    disc: Fraction, count: int, precision: int = 64
+) -> Enclosure:
+    """Enclosure of disc * sqrt(count / loglog count).
+
+    That divides a discrepancy by sqrt(count * loglog count) / count, the
+    scale against which the construction's thresholds are calibrated;
+    count must be at least 16 so the inner logarithm is safely positive.
     """
     if count < 16:
         raise ValueError("normalized ratio needs count >= 16")
-    disc = extreme_discrepancy(orbit_points(x, base, count))
-    ratio = eval_iv_tight(
+    return eval_iv_tight(
         precision,
         lambda: iv_fraction(disc)
         * iv.sqrt(iv.mpf(count) / iv.log(iv.log(iv.mpf(count)))),
     )
-    return disc, ratio
 
 
 def philipp_constant(base: int, precision: int = 64) -> Enclosure:

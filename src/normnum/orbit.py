@@ -9,9 +9,10 @@ ways, each exact:
 * pointwise, by walking the orbit of a rational;
 * as a region {x : deviation meets a threshold}, by sweeping the sorted
   preimage breakpoints over a common power denominator;
-* as a measure alone, by a cell-chain dynamic program over the digit
-  process, which stays feasible when windows are far too long for the
-  region itself to be materialized.
+* as a measure alone, from the exact distribution of the window's hit
+  count along the cell chain of the digit process, with each cell's count
+  polynomial packed into one integer; this stays feasible when windows
+  are far too long for the region itself to be materialized.
 """
 
 from __future__ import annotations
@@ -299,48 +300,35 @@ def deviation_region(
     return deviation_regions(window, band, [threshold], budget, strict)[0]
 
 
-def _tail_weight(
-    base: int,
-    burn_in: int,
-    length: int,
-    cells: int,
-    target: int,
-    cap: int,
-    count_hits: bool,
-) -> int:
-    """Weight of digit paths whose hit (or miss) count stays at most cap.
+def _count_distribution(
+    base: int, burn_in: int, length: int, cells: int, target: int
+) -> list[int]:
+    """Weights of the window hit counts 0..length over the cell chain.
 
     Weighted over the uniform initial cell distribution; the implied
-    denominator is cells * base**(burn_in + length - 1). Paths are absorbed
-    the moment the tracked count exceeds cap.
+    denominator is cells * base**(burn_in + length - 1). Each cell carries
+    its hit-count polynomial sum_c w_c z**c packed into one int, with slot
+    c at bit c * width (Kronecker substitution). The width holds the total
+    weight, which bounds every slot, so slots never carry into each other:
+    a step is one big-int add per (cell, digit) and one shift by width
+    for the target cell.
     """
-    if cap < 0:
-        return 0
-    inc = [0] * cells
-    for cell in range(cells):
-        is_hit = cell == target
-        inc[cell] = 1 if (is_hit == count_hits) else 0
-    trans = [[(base * cell + r) % cells for r in range(base)] for cell in range(cells)]
+    width = (cells * base ** (burn_in + length - 1)).bit_length()
+    succ = [[(base * cell + r) % cells for r in range(base)] for cell in range(cells)]
     # each cell has exactly `base` preimage (cell, digit) pairs, so the
     # uniform start stays uniform through the burn-in
-    start_weight = base**burn_in
-    rows = [[0] * cells for _ in range(cap + 1)]
-    for cell in range(cells):
-        c0 = inc[cell]
-        if c0 <= cap:
-            rows[c0][cell] += start_weight
+    polys = [base**burn_in] * cells
+    polys[target] <<= width
     for _ in range(length - 1):
-        new_rows = [[0] * cells for _ in range(cap + 1)]
-        for c, row in enumerate(rows):
-            for cell in range(cells):
-                wt = row[cell]
-                if wt:
-                    for nxt in trans[cell]:
-                        nc = c + inc[nxt]
-                        if nc <= cap:
-                            new_rows[nc][nxt] += wt
-        rows = new_rows
-    return sum(sum(row) for row in rows)
+        new = [0] * cells
+        for cell, poly in enumerate(polys):
+            for nxt in succ[cell]:
+                new[nxt] += poly
+        new[target] <<= width
+        polys = new
+    total = sum(polys)
+    mask = (1 << width) - 1
+    return [(total >> (c * width)) & mask for c in range(length + 1)]
 
 
 def deviation_measure(
@@ -356,8 +344,9 @@ def deviation_measure(
     into `cells` pieces. Multiplication by the base maps cell boundaries to
     cell boundaries, so under Lebesgue measure the cell index of
     frac(base**j * x) is a Markov chain in j, uniform within cells at every
-    step. The dynamic program tracks (cell, tail count) with absorption
-    outside the qualifying tail, in exact integer arithmetic throughout.
+    step. The chain gives the exact distribution of the window's hit count
+    in integer arithmetic, and the measure is the weight of the counts
+    outside the threshold's cutoffs.
     """
     if cells < 1:
         raise ValueError("cell count must be positive")
@@ -372,29 +361,8 @@ def deviation_measure(
     c_lo, c_hi = count_cutoffs(expected, threshold, strict)
     if c_lo < 0 and c_hi > n:
         return ZERO
-    denom = cells * b ** (window.offset + n - 1)
-    total = 0
-    if c_lo >= 0:
-        # few-hits tail, directly or as the complement of a few-misses tail
-        if c_lo <= n - c_lo - 1:
-            total += _tail_weight(b, window.offset, n, cells, target, c_lo, True)
-        else:
-            total += denom - _tail_weight(
-                b, window.offset, n, cells, target, n - c_lo - 1, False
-            )
-    if c_hi <= n:
-        # many-hits tail is the few-misses tail
-        if n - c_hi <= c_hi - 1:
-            total += _tail_weight(b, window.offset, n, cells, target, n - c_hi, False)
-        else:
-            total += denom - _tail_weight(
-                b, window.offset, n, cells, target, c_hi - 1, True
-            )
-    return Fraction(total, denom)
-
-
-def deviation_measure_band(
-    window: Window, band: Band, threshold: RationalLike, strict: bool = False
-) -> Fraction:
-    """Measure of the deviation region for a dyadic band via the cell chain."""
-    return deviation_measure(window, 2**band.k, band.a, threshold, strict)
+    weights = _count_distribution(b, window.offset, n, cells, target)
+    return Fraction(
+        sum(w for c, w in enumerate(weights) if c <= c_lo or c >= c_hi),
+        cells * b ** (window.offset + n - 1),
+    )

@@ -307,6 +307,11 @@ HOSTILE_STEPS = {
     ),
     "overlap-number": lambda step: step["components"][0].update(chosen_overlap=5),
     "overlap-missing": drop_first_overlap,
+    # step 1 records digit 0: each would verify if coerced with int()
+    "digit-float": lambda step: step.update(digit=0.7),
+    "digit-string": lambda step: step.update(digit="0"),
+    "digit-bool": lambda step: step.update(digit=False),
+    "step-float": lambda step: step.update(step=1.0),
 }
 
 
@@ -483,21 +488,30 @@ def test_discrepancy_ratio(capsys):
 @pytest.mark.parametrize("ratio", [(), ("--ratio",)], ids=["plain", "ratio"])
 def test_discrepancy_computed_once(capsys, monkeypatch, ratio):
     calls = []
+    orbits = []
     original = normnum.discrepancy.extreme_discrepancy
+    original_orbit = normnum.discrepancy.orbit_points
 
     def counted(points):
         calls.append(len(points))
         return original(points)
 
-    # the CLI holds its own binding; normality_ratio looks up the module's
+    def counted_orbit(x, base, count):
+        orbits.append(count)
+        return original_orbit(x, base, count)
+
+    # the CLI holds its own bindings; normality_ratio would use the module's
     monkeypatch.setattr(normnum.cli, "extreme_discrepancy", counted)
     monkeypatch.setattr(normnum.discrepancy, "extreme_discrepancy", counted)
+    monkeypatch.setattr(normnum.cli, "orbit_points", counted_orbit)
+    monkeypatch.setattr(normnum.discrepancy, "orbit_points", counted_orbit)
     code, report, _ = run(
         capsys, "discrepancy", "--x", "1/3", "--count", "16", *ratio
     )
     assert code == 0
     assert report["extreme"] == "2/3"
     assert calls == [16]
+    assert orbits == [16]
 
 
 @pytest.mark.parametrize("ratio", [(), ("--ratio",)], ids=["plain", "ratio"])

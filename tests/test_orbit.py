@@ -14,7 +14,6 @@ from normnum.orbit import (
     breakpoints,
     count_cutoffs,
     deviation_measure,
-    deviation_measure_band,
     deviation_region,
     deviation_regions,
     f_value,
@@ -300,11 +299,110 @@ def test_deviation_measure_matches_sweep():
         assert counted == swept, (base, offset, length, k, a, t, strict)
 
 
-def test_deviation_measure_band_wrapper():
-    w = Window(3, 1, 4)
-    assert deviation_measure_band(w, Band(1, 2), F(1, 2)) == deviation_measure(
-        w, 4, 1, F(1, 2)
-    )
+def reference_tail_weight(base, burn_in, length, cells, target, cap, count_hits):
+    """Weight of digit paths whose hit (or miss) count stays at most cap.
+
+    The capped (step, count, cell, digit) loop with absorption: an
+    independent form of the cell-chain DP, one add per state. Weighted
+    over the uniform initial cell distribution; the implied denominator is
+    cells * base**(burn_in + length - 1). Paths are absorbed the moment the
+    tracked count exceeds cap.
+    """
+    if cap < 0:
+        return 0
+    inc = [1 if (cell == target) == count_hits else 0 for cell in range(cells)]
+    trans = [[(base * cell + r) % cells for r in range(base)] for cell in range(cells)]
+    rows = [[0] * cells for _ in range(cap + 1)]
+    for cell in range(cells):
+        if inc[cell] <= cap:
+            rows[inc[cell]][cell] += base**burn_in
+    for _ in range(length - 1):
+        new_rows = [[0] * cells for _ in range(cap + 1)]
+        for c, row in enumerate(rows):
+            for cell in range(cells):
+                wt = row[cell]
+                if wt:
+                    for nxt in trans[cell]:
+                        nc = c + inc[nxt]
+                        if nc <= cap:
+                            new_rows[nc][nxt] += wt
+        rows = new_rows
+    return sum(sum(row) for row in rows)
+
+
+def reference_deviation_measure(window, cells, target, threshold, strict):
+    """deviation_measure through capped tails, each taken directly or as
+    the complement of the opposite tail, whichever tracks fewer counts."""
+    b, n, burn_in = window.base, window.length, window.offset
+    if threshold < 0 or (threshold == 0 and not strict):
+        return F(1)
+    c_lo, c_hi = count_cutoffs(F(n, cells), threshold, strict)
+    denom = cells * b ** (burn_in + n - 1)
+    total = 0
+    if c_lo >= 0:
+        # few-hits tail, directly or as the complement of a few-misses tail
+        if c_lo <= n - c_lo - 1:
+            total += reference_tail_weight(b, burn_in, n, cells, target, c_lo, True)
+        else:
+            total += denom - reference_tail_weight(
+                b, burn_in, n, cells, target, n - c_lo - 1, False
+            )
+    if c_hi <= n:
+        # many-hits tail is the few-misses tail
+        if n - c_hi <= c_hi - 1:
+            total += reference_tail_weight(b, burn_in, n, cells, target, n - c_hi, False)
+        else:
+            total += denom - reference_tail_weight(
+                b, burn_in, n, cells, target, c_hi - 1, True
+            )
+    return F(total, denom)
+
+
+def critical_thresholds(length, cells):
+    """Every threshold at which a count cutoff moves, plus one beyond all
+    counts: |c - expected| for each count c, where strict and non-strict
+    thresholds differ."""
+    expected = F(length, cells)
+    return sorted({abs(c - expected) for c in range(length + 1)} | {F(length + 1)})
+
+
+# the short windows run through every base, cell count 1-9 and offset 0-3;
+# the long windows (length 256 and past) together take all four direct and
+# complement branches of the reference
+SHORT_LENGTHS = (1, 2, 3, 5, 8)
+LONG_WINDOWS = [
+    (2, 1, 0, 256),
+    (2, 2, 3, 256),
+    (3, 3, 1, 256),
+    (5, 4, 2, 257),
+    (2, 7, 0, 300),
+    (3, 9, 3, 256),
+]
+
+
+def test_count_distribution_matches_reference_dp():
+    cases = [
+        (base, cells, offset, length, critical_thresholds(length, cells))
+        for base in (2, 3, 5)
+        for cells in range(1, 10)
+        for offset in range(4)
+        for length in SHORT_LENGTHS
+    ]
+    cases += [
+        # every 32nd cutoff move, across both tails and both branch flips
+        (base, cells, offset, length, critical_thresholds(length, cells)[::32])
+        for base, cells, offset, length in LONG_WINDOWS
+    ]
+    for base, cells, offset, length, thresholds in cases:
+        w = Window(base, offset, length)
+        target = (offset + length) % cells
+        for t in thresholds:
+            for strict in (False, True):
+                assert deviation_measure(
+                    w, cells, target, t, strict
+                ) == reference_deviation_measure(w, cells, target, t, strict), (
+                    base, cells, offset, length, target, t, strict
+                )
 
 
 def test_deviation_measure_burn_in_invariance():

@@ -21,7 +21,6 @@ from .orbit import (
     Window,
     deviation_measure,
     deviation_region,
-    deviation_regions,
     f_value,
     hit_count,
     orbit_point,
@@ -49,11 +48,10 @@ from .constructor import (
 )
 from .discrepancy import (
     extreme_discrepancy,
-    normality_ratio,
     orbit_points,
     star_discrepancy,
 )
-from .mc import SamplerSpec, check_bound, estimate_measure
+from .mc import SamplerSpec, estimate_measure
 
 __version__ = "0.1.0"
 
@@ -71,7 +69,6 @@ __all__ = [
     "Window",
     "deviation_measure",
     "deviation_region",
-    "deviation_regions",
     "f_value",
     "hit_count",
     "orbit_point",
@@ -93,11 +90,9 @@ __all__ = [
     "run_construction",
     "verify_certificate",
     "extreme_discrepancy",
-    "normality_ratio",
     "orbit_points",
     "star_discrepancy",
     "SamplerSpec",
-    "check_bound",
     "estimate_measure",
     "__version__",
 ]

@@ -33,6 +33,7 @@ from .enclose import Enclosure, eval_iv_tight, iv_fraction
 from .measure import (
     ONE,
     ZERO,
+    BudgetError,
     IntervalSet,
     PeriodicIntervalSet,
     RationalLike,
@@ -46,7 +47,7 @@ from .orbit import (
     Band,
     Window,
     count_cutoffs,
-    deviation_region,
+    cutoff_region,
     f_value,
     sweep_cost,
 )
@@ -66,6 +67,10 @@ _REFINEMENT_ROUNDS = 8
 
 # Least integer exceeding exp(12 / ln 2); start indices never sit below it.
 HARD_START_FLOOR = 33010640
+
+# Terms above which an exact finite tail sum is refused: the sum's
+# denominator grows with every term, so a huge index_cap means unbounded work.
+MAX_TAIL_TERMS = 1 << 12
 
 
 def depth_limit(length: int) -> int:
@@ -105,12 +110,26 @@ class Schedule:
             raise ValueError("delta must keep 1 + 2*delta positive")
         if self.z_table is not None:
             table = tuple(sorted((int(b), int(z)) for b, z in dict(self.z_table).items()))
-            for b, z in table:
-                if b < 2 or z < 2:
-                    raise ValueError("start table entries must be at least 2")
-            object.__setattr__(self, "z_table", table)
             if self.base_cap is None:
                 raise ValueError("an explicit start table requires base_cap")
+            for b, z in table:
+                if b < 2:
+                    raise ValueError("start table bases must be at least 2")
+                if z < 4:
+                    raise ValueError(
+                        "start table entries must be at least 4, the smallest "
+                        "size index with a bad set"
+                    )
+            bases = {b for b, _ in table}
+            # the first missing base is at most len(table) + 2, so the scan
+            # stays short whatever base_cap says
+            for b in range(2, self.base_cap + 1):
+                if b not in bases:
+                    raise ValueError(
+                        "start table has no entry for base %d of base_cap %d"
+                        % (b, self.base_cap)
+                    )
+            object.__setattr__(self, "z_table", table)
         if self.p_const is not None and self.p_const < 1:
             raise ValueError("p_const must be positive")
         if self.base_cap is not None and self.base_cap < 2:
@@ -270,29 +289,15 @@ def _scale_expr(length: int, base: int, delta: Fraction):
     return coef * iv.sqrt(n * iv.log(iv.log(n)))
 
 
-def threshold_scale(
-    length: int, base: int, delta: RationalLike, precision: int = 64
-) -> Enclosure:
-    """Enclosure of the window-length threshold scale.
-
-    Grows like the square root of length times its iterated logarithm;
-    lengths below 16 are rejected so the inner logarithm stays safely
-    positive.
-    """
-    if length < 16:
-        raise DomainError("threshold scale needs window length >= 16")
-    if base < 2:
-        raise ValueError("base must be at least 2")
-    delta = as_fraction(delta)
-    if 1 + 2 * delta <= 0:
-        raise DomainError("threshold scale needs 1 + 2*delta > 0")
-    return eval_iv_tight(precision, lambda: _scale_expr(length, base, delta))
-
-
 def _tilted_threshold(
     length: int, base: int, delta: Fraction, exponent: Fraction, precision: int
 ) -> Enclosure:
-    """Enclosure of 2**exponent times the threshold scale, in one expression."""
+    """Enclosure of 2**exponent times the threshold scale, in one expression.
+
+    The scale grows like the square root of length times its iterated
+    logarithm; lengths below 16 are rejected so the inner logarithm stays
+    safely positive.
+    """
     if length < 16:
         raise DomainError("threshold scale needs window length >= 16")
     return eval_iv_tight(
@@ -338,7 +343,7 @@ def _bad_set(
     cutoffs. It is empty once the low end's cutoffs lie outside the window,
     since higher thresholds only widen them; otherwise the precision
     doubles until both ends of the enclosure give the same cutoffs, and
-    the region is swept at the low end.
+    the region of those cutoffs is swept.
     """
     core_window = Window(window.base, 0, window.length)
     expected = band.length * window.length
@@ -350,7 +355,7 @@ def _bad_set(
         if c_lo < 0 and c_hi > window.length:
             return SetEnclosure(label, window, band, threshold, IntervalSet.empty())
         if (c_lo, c_hi) == count_cutoffs(expected, threshold.hi):
-            region = deviation_region(core_window, band, threshold.lo, budget)
+            region = cutoff_region(core_window, band, c_lo, c_hi, budget)
             if window.offset:
                 region = PeriodicIntervalSet(region, window.base, window.offset)
             return SetEnclosure(label, window, band, threshold, region)
@@ -451,9 +456,6 @@ class FamilyComponent:
     kind: str
     region: RegionLike
     members: tuple = ()
-
-    def is_empty(self) -> bool:
-        return self.region.is_empty()
 
     @cached_property
     def measure(self) -> Fraction:
@@ -584,12 +586,17 @@ def square_sum_tail(start: int, stop: Optional[int] = None) -> Fraction:
     """Sum of k**-2 for k from start to stop; certified bound when infinite.
 
     The infinite tail is bounded by 1/(start-1), which strictly dominates
-    it; finite ranges are summed exactly.
+    it; finite ranges are summed exactly, up to MAX_TAIL_TERMS terms.
     """
     if stop is None:
         if start < 2:
             raise ValueError("infinite tail bound needs start >= 2")
         return Fraction(1, start - 1)
+    if stop - start >= MAX_TAIL_TERMS:
+        raise BudgetError(
+            "exact tail sum from index %d needs more than %d terms"
+            % (start, MAX_TAIL_TERMS)
+        )
     total = ZERO
     for k in range(start, stop + 1):
         total += Fraction(1, k * k)

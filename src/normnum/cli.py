@@ -47,6 +47,7 @@ from .discrepancy import (
     normalized_ratio,
     orbit_points,
     philipp_constant,
+    sorted_points,
     star_discrepancy,
 )
 from .enclose import Enclosure
@@ -240,7 +241,7 @@ def _cmd_discrepancy(args) -> int:
         source = args.digits_file
     if not 0 <= x < 1:
         raise ValueError("the point must lie in [0, 1)")
-    points = orbit_points(x, args.base, args.count)
+    points = sorted_points(orbit_points(x, args.base, args.count))
     star = star_discrepancy(points)
     extreme = extreme_discrepancy(points)
     report = {

@@ -93,6 +93,9 @@ class StepRecord:
         for key in ("step", "size_index", "digit", "precision"):
             if type(data[key]) is not int:
                 raise ValueError("step field %r must be an integer" % key)
+        components = data.get("components", [])
+        if type(components) is not list or any(type(row) is not dict for row in components):
+            raise ValueError("step field 'components' must be a list of objects")
         return cls(
             step=data["step"],
             size_index=data["size_index"],
@@ -108,9 +111,7 @@ class StepRecord:
             tail=parse_fraction(data["tail"]),
             threshold=parse_fraction(data["threshold"]),
             precision=data["precision"],
-            components=tuple(
-                dict(entry) for entry in data.get("components", ())
-            ),
+            components=tuple(dict(row) for row in components),
         )
 
 
@@ -119,9 +120,6 @@ class Certificate:
     schedule: Schedule
     digits: str
     steps: tuple[StepRecord, ...]
-
-    def final_interval(self) -> Interval:
-        return self.steps[-1].chosen if self.steps else UNIT
 
     def to_json(self) -> dict:
         return {
@@ -137,8 +135,15 @@ class Certificate:
         schema = data.get("schema") if isinstance(data, dict) else None
         if schema != CERTIFICATE_SCHEMA:
             raise ValueError("unrecognized certificate schema %r" % schema)
+        schedule = Schedule.from_json(data["schedule"])
+        digest = schedule.digest()
+        if data.get("schedule_digest") != digest:
+            raise ValueError(
+                "schedule_digest does not match the recorded schedule, whose "
+                "digest is %s" % digest
+            )
         return cls(
-            schedule=Schedule.from_json(data["schedule"]),
+            schedule=schedule,
             digits=str(data["digits"]),
             steps=tuple(StepRecord.from_json(entry) for entry in data["steps"]),
         )

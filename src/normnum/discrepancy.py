@@ -9,7 +9,7 @@ Sequences, ch. 2, Thms 1.4-1.5):
     D*_N = 1/(2N) + max |x_(i) - (2i-1)/(2N)|
 
 Each is one pass over the sorted points in exact rationals, so the cost is
-the O(N log N) sort: no search, no rounding.
+the O(N log N) sort, done once for both: no search, no rounding.
 """
 
 from __future__ import annotations
@@ -39,13 +39,22 @@ def orbit_points(x: RationalLike, base: int, count: int) -> list[Fraction]:
     return points
 
 
-def _prepare(points: Sequence[RationalLike]) -> list[Fraction]:
+class _SortedPoints(tuple):
+    """Points already checked and sorted by `sorted_points`."""
+
+
+def sorted_points(points: Sequence[RationalLike]) -> Sequence[Fraction]:
+    """The points as exact rationals in ascending order, checked to lie in
+    [0, 1). Both discrepancy functions take the result as it is, so one
+    sort serves both."""
+    if isinstance(points, _SortedPoints):
+        return points
     if not points:
         raise ValueError("discrepancy needs at least one point")
     values = sorted(as_fraction(p) for p in points)
     if values[0] < 0 or values[-1] >= 1:
         raise ValueError("points must lie in [0, 1)")
-    return values
+    return _SortedPoints(values)
 
 
 def extreme_discrepancy(points: Sequence[RationalLike]) -> Fraction:
@@ -54,7 +63,7 @@ def extreme_discrepancy(points: Sequence[RationalLike]) -> Fraction:
     D_N = 1/N + max(i/N - x_(i)) - min(i/N - x_(i)) over the sorted points
     x_(1) <= ... <= x_(N), repeats counted with multiplicity.
     """
-    pts = _prepare(points)
+    pts = sorted_points(points)
     n = len(pts)
     gaps = [Fraction(i, n) - x for i, x in enumerate(pts, 1)]
     return Fraction(1, n) + max(gaps) - min(gaps)
@@ -65,19 +74,11 @@ def star_discrepancy(points: Sequence[RationalLike]) -> Fraction:
 
     D*_N = 1/(2N) + max |x_(i) - (2i-1)/(2N)| over the sorted points.
     """
-    pts = _prepare(points)
+    pts = sorted_points(points)
     n = len(pts)
     return Fraction(1, 2 * n) + max(
         abs(x - Fraction(2 * i - 1, 2 * n)) for i, x in enumerate(pts, 1)
     )
-
-
-def normality_ratio(
-    x: RationalLike, base: int, count: int, precision: int = 64
-) -> tuple[Fraction, Enclosure]:
-    """Exact orbit discrepancy and its normalized_ratio."""
-    disc = extreme_discrepancy(orbit_points(x, base, count))
-    return disc, normalized_ratio(disc, count, precision)
 
 
 def normalized_ratio(

@@ -3,9 +3,8 @@
 Sampling is a counter-mode hash construction: point i of a stream is
 derived from blake2b(seed, counter, i), so streams are reproducible
 bit for bit, splittable by counter, and independent of Python's RNG
-state. Points have 128 fractional bits; membership tests against exact
-regions and orbit statistics use pure integer arithmetic on those bits,
-so estimates inherit no rounding at all.
+state. Points have 128 fractional bits and are exact rationals, so
+membership tests against exact regions inherit no rounding at all.
 """
 
 from __future__ import annotations
@@ -16,9 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Union
 
-from .badsets import badic_deviation_bound, dyadic_deviation_bound
 from .enclose import Enclosure
-from .measure import RationalLike, ZERO, as_fraction, format_fraction
+from .measure import RationalLike, as_fraction, format_fraction
 
 RESOLUTION_BITS = 128
 _SCALE = 2**RESOLUTION_BITS
@@ -122,98 +120,3 @@ def estimate_measure(
         verdict = "consistent" if ok else "inconsistent"
     return EstimateReport(spec, hits, estimate, variance, ref_enc, verdict)
 
-
-def check_bound(
-    kind: str,
-    base: int,
-    depth: int,
-    length: int,
-    eps: RationalLike,
-    spec: SamplerSpec,
-    offset: int = 0,
-    precision: int = 64,
-) -> dict:
-    """Monte Carlo audit of a closed-form deviation bound.
-
-    kind "badic" checks the strict-event bound for base-power bands (depth
-    is the band's base exponent); kind "dyadic" checks the at-least-event
-    bound for dyadic bands. The sampled event takes the worst band at the
-    given depth, which dominates every single-band event the bound covers.
-    Verdict "vacuous" when the bound's whole enclosure is at least 1;
-    otherwise "pass" when the estimate sits at or below the bound within
-    four sigma, else "violation". Windows needing more base digits than
-    the samples' 128 fractional bits are rejected.
-    """
-    eps = as_fraction(eps)
-    steps = offset + length
-    # beyond 128 fractional digits the lattice orbits collapse to zero and
-    # stop emulating Lebesgue measure, so refuse instead of mis-sampling
-    if steps > RESOLUTION_BITS or base**steps > _SCALE:
-        raise ValueError(
-            "window needs %d base-%d digits, samples carry only %d bits"
-            % (steps, base, RESOLUTION_BITS)
-        )
-    if kind == "badic":
-        bound = badic_deviation_bound(base, depth, length, eps, precision)
-        cells = base**depth
-        strict = True
-    elif kind == "dyadic":
-        bound = dyadic_deviation_bound(base, depth, length, eps, precision)
-        cells = 2**depth
-        strict = False
-    else:
-        raise ValueError("kind must be 'badic' or 'dyadic'")
-    threshold = eps * length
-    hits = 0
-    worst_estimate = ZERO
-    per_band_hits = [0] * cells
-    for point_bits in sample_integers(spec):
-        counts = _count_cells(point_bits, base, cells, length, offset)
-        qualified = False
-        for a in range(cells):
-            deviation = abs(Fraction(counts[a], 1) - Fraction(length, cells))
-            exceeded = deviation > threshold if strict else deviation >= threshold
-            if exceeded:
-                per_band_hits[a] += 1
-                qualified = True
-        if qualified:
-            hits += 1
-    estimate = Fraction(hits, spec.count)
-    variance = estimate * (1 - estimate) / spec.count
-    for a in range(cells):
-        band_est = Fraction(per_band_hits[a], spec.count)
-        if band_est > worst_estimate:
-            worst_estimate = band_est
-    if bound.lo >= 1:
-        verdict = "vacuous"
-    else:
-        # the bound covers each single band, so test the worst band
-        gap = worst_estimate - bound.hi
-        band_var = worst_estimate * (1 - worst_estimate) / spec.count
-        if worst_estimate <= bound.hi or gap * gap <= 16 * band_var:
-            verdict = "pass"
-        else:
-            verdict = "violation"
-    return {
-        "kind": kind,
-        "base": base,
-        "depth": depth,
-        "length": length,
-        "offset": offset,
-        "eps": format_fraction(eps),
-        "bound": bound.to_json(),
-        "any_band_estimate": format_fraction(estimate),
-        "worst_band_estimate": format_fraction(worst_estimate),
-        "samples": spec.count,
-        "verdict": verdict,
-    }
-
-
-def _count_cells(point_bits: int, base: int, cells: int, length: int, offset: int) -> list[int]:
-    """Hits of every cell of the uniform `cells` partition along a window."""
-    counts = [0] * cells
-    y = (point_bits * pow(base, offset, _SCALE)) % _SCALE
-    for _ in range(length):
-        counts[(y * cells) >> RESOLUTION_BITS] += 1
-        y = (y * base) % _SCALE
-    return counts

@@ -16,7 +16,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterable, Sequence, Union
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -150,10 +150,6 @@ class IntervalSet:
         return cls(((ZERO, ONE),), _canonical=True)
 
     @property
-    def parts(self) -> tuple[Interval, ...]:
-        return tuple(Interval(lo, hi) for lo, hi in self._parts)
-
-    @property
     def pairs(self) -> tuple:
         return self._parts
 
@@ -190,11 +186,6 @@ class IntervalSet:
         i = bisect_right(self._parts, x, key=lambda p: p[0]) - 1
         return i >= 0 and self._parts[i][0] <= x < self._parts[i][1]
 
-    def boundaries(self) -> Iterator[Fraction]:
-        for lo, hi in self._parts:
-            yield lo
-            yield hi
-
     def union(self, other: "IntervalSet") -> "IntervalSet":
         if not self._parts:
             return other
@@ -218,30 +209,6 @@ class IntervalSet:
         # pieces inherit the gaps of both inputs, so the result is canonical
         return IntervalSet(out, _canonical=True)
 
-    def complement_in_unit(self) -> "IntervalSet":
-        out = []
-        prev = ZERO
-        for lo, hi in self._parts:
-            if lo > prev:
-                out.append((prev, lo))
-            prev = hi
-        if prev < ONE:
-            out.append((prev, ONE))
-        return IntervalSet(out, _canonical=True)
-
-    def difference(self, other: "IntervalSet") -> "IntervalSet":
-        return self.intersect(other.complement_in_unit())
-
-    def is_subset_of(self, other: "IntervalSet") -> bool:
-        return self.intersect(other) == self
-
-    def intersect_interval(self, lo: RationalLike, hi: RationalLike) -> "IntervalSet":
-        lo = as_fraction(lo)
-        hi = as_fraction(hi)
-        if hi <= lo:
-            return IntervalSet.empty()
-        return self.intersect(IntervalSet(((lo, hi),), _canonical=True))
-
     def intersect_measure(self, lo: RationalLike, hi: RationalLike) -> Fraction:
         """Exact measure of the intersection with [lo, hi)."""
         lo = as_fraction(lo)
@@ -260,10 +227,6 @@ class IntervalSet:
 
     def to_json(self) -> list:
         return [[format_fraction(lo), format_fraction(hi)] for lo, hi in self._parts]
-
-    @classmethod
-    def from_json(cls, data: Iterable) -> "IntervalSet":
-        return cls((parse_fraction(lo), parse_fraction(hi)) for lo, hi in data)
 
 
 class PeriodicIntervalSet:
@@ -387,12 +350,3 @@ def region_to_json(region: RegionLike):
         return region.to_json()
     return {"kind": "flat", "parts": region.to_json()}
 
-
-def region_from_json(data) -> RegionLike:
-    if isinstance(data, dict) and data.get("kind") == "periodic":
-        return PeriodicIntervalSet(
-            IntervalSet.from_json(data["core"]), int(data["base"]), int(data["level"])
-        )
-    if isinstance(data, dict):
-        return IntervalSet.from_json(data["parts"])
-    return IntervalSet.from_json(data)

@@ -7,8 +7,9 @@ equidistributed orbit would deposit there. The module computes it three
 ways, each exact:
 
 * pointwise, by walking the orbit of a rational;
-* as a region {x : deviation meets a threshold}, by sweeping the sorted
-  preimage breakpoints over a common power denominator;
+* as a region {x : deviation meets a threshold}, keyed by the threshold's
+  two integer count cutoffs and swept over the sorted preimage breakpoints
+  on a common power denominator;
 * as a measure alone, from the exact distribution of the window's hit
   count along the cell chain of the digit process, with each cell's count
   polynomial packed into one integer; this stays feasible when windows
@@ -20,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor, lcm
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 from .measure import (
     ONE,
@@ -121,29 +122,6 @@ def f_value(x: RationalLike, window: Window, band: BandLike) -> Fraction:
     return abs(hit_count(x, window, (lo, hi)) - expected)
 
 
-def preimage_interval(base: int, j: int, lo: RationalLike, hi: RationalLike) -> IntervalSet:
-    """Exact preimage of [lo, hi) under x -> frac(base**j * x)."""
-    if base < 2:
-        raise ValueError("base must be at least 2")
-    if j < 0:
-        raise ValueError("iterate index must be non-negative")
-    lo = as_fraction(lo)
-    hi = as_fraction(hi)
-    if not (ZERO <= lo < hi <= ONE):
-        raise ValueError("target interval must satisfy 0 <= lo < hi <= 1")
-    scale = base**j
-    pairs = [((m + lo) / scale, (m + hi) / scale) for m in range(scale)]
-    canonical = lo > 0 or hi < 1
-    if canonical:
-        return IntervalSet(pairs, _canonical=True)
-    return IntervalSet(pairs)
-
-
-def preimage_band(base: int, j: int, band: BandLike) -> IntervalSet:
-    lo, hi = _band_bounds(band)
-    return preimage_interval(base, j, lo, hi)
-
-
 def sweep_cost(window: Window, budget: Optional[int] = None) -> int:
     """Number of breakpoint events a region sweep would generate."""
     b = window.base
@@ -162,19 +140,6 @@ def sweep_cost(window: Window, budget: Optional[int] = None) -> int:
     return total
 
 
-def breakpoints(window: Window, band: BandLike) -> list[Fraction]:
-    """Sorted distinct preimage endpoints, with 0 and 1 always included."""
-    lo, hi = _band_bounds(band)
-    points = {ZERO, ONE}
-    for j in range(window.offset, window.end):
-        scale = window.base**j
-        for m in range(scale):
-            points.add((m + lo) / scale)
-            if hi < 1 or m + 1 < scale:
-                points.add((m + hi) / scale)
-    return sorted(points)
-
-
 def count_cutoffs(
     expected: Fraction, threshold: Fraction, strict: bool = False
 ) -> tuple[int, int]:
@@ -188,23 +153,27 @@ def count_cutoffs(
     return floor(expected - threshold), ceil(expected + threshold)
 
 
-def _sweep_regions(
-    window: Window,
-    lo: Fraction,
-    hi: Fraction,
-    cutoffs: Sequence[tuple[int, int]],
-    budget: int,
-) -> list[IntervalSet]:
-    """One region {x : count <= c_lo or count >= c_hi} per cutoff pair.
+def cutoff_region(
+    window: Window, band: BandLike, c_lo: int, c_hi: int, budget: int
+) -> IntervalSet:
+    """Exact region {x : count <= c_lo or count >= c_hi} of the window's
+    hit count in the band.
 
     Every preimage endpoint is an integer over the common denominator
     q * base**(end - 1): orbit index j turns the band indicator on at
     lo_num * s + m * q * s and off at hi_num * s + m * q * s, with
     s = base**(end - 1 - j) and 0 <= m < base**j. One int64 sort of those
     positions, with equal positions merged, gives the hit count of every
-    segment as a prefix sum of the +1/-1 deltas; each cutoff pair's
-    qualifying runs are read off that count vector.
+    segment as a prefix sum of the +1/-1 deltas, and the qualifying runs
+    are read off that count vector. The result is a canonical union of
+    half-open intervals whose endpoints share the common denominator.
     """
+    if c_hi <= c_lo + 1:
+        # every integer count qualifies
+        return IntervalSet.unit()
+    if c_lo < 0 and c_hi > window.length:
+        return IntervalSet.empty()
+    lo, hi = _band_bounds(band)
     sweep_cost(window, budget)
     b = window.base
     q = lcm(lo.denominator, hi.denominator)
@@ -239,54 +208,16 @@ def _sweep_regions(
     edges = positions[firsts]
     # counts[i] holds on the segment [edges[i], edges[i + 1])
     counts = np.cumsum(np.add.reduceat(deltas[order], firsts))[:-1]
-    regions = []
-    for c_lo, c_hi in cutoffs:
-        mask = (counts <= c_lo) | (counts >= c_hi)
-        flips = np.flatnonzero(np.diff(mask, prepend=False, append=False))
-        ends = edges[flips].tolist()
-        regions.append(
-            IntervalSet(
-                [
-                    (Fraction(start, denom), Fraction(stop, denom))
-                    for start, stop in zip(ends[::2], ends[1::2])
-                ],
-                _canonical=True,
-            )
-        )
-    return regions
-
-
-def deviation_regions(
-    window: Window,
-    band: BandLike,
-    thresholds: Sequence[RationalLike],
-    budget: int = DEFAULT_EVENT_BUDGET,
-    strict: bool = False,
-) -> list[IntervalSet]:
-    """Exact regions {x : deviation >= t} (or > t) for several thresholds.
-
-    Each threshold is reduced to its integer count cutoffs; one sweep
-    serves every distinct cutoff pair, and thresholds with equal cutoffs
-    share one region. Each region is a canonical union of half-open
-    intervals whose endpoints share a common power denominator.
-    """
-    lo, hi = _band_bounds(band)
-    length = window.length
-    expected = (hi - lo) * length
-    cutoffs = [count_cutoffs(expected, as_fraction(t), strict) for t in thresholds]
-    regions: dict[tuple[int, int], IntervalSet] = {}
-    live = []
-    for c_lo, c_hi in dict.fromkeys(cutoffs):
-        if c_hi <= c_lo + 1:
-            # every integer count qualifies
-            regions[c_lo, c_hi] = IntervalSet.unit()
-        elif c_lo < 0 and c_hi > length:
-            regions[c_lo, c_hi] = IntervalSet.empty()
-        else:
-            live.append((c_lo, c_hi))
-    if live:
-        regions.update(zip(live, _sweep_regions(window, lo, hi, live, budget)))
-    return [regions[pair] for pair in cutoffs]
+    mask = (counts <= c_lo) | (counts >= c_hi)
+    flips = np.flatnonzero(np.diff(mask, prepend=False, append=False))
+    ends = edges[flips].tolist()
+    return IntervalSet(
+        [
+            (Fraction(start, denom), Fraction(stop, denom))
+            for start, stop in zip(ends[::2], ends[1::2])
+        ],
+        _canonical=True,
+    )
 
 
 def deviation_region(
@@ -297,7 +228,11 @@ def deviation_region(
     strict: bool = False,
 ) -> IntervalSet:
     """Exact region where the windowed deviation reaches the threshold."""
-    return deviation_regions(window, band, [threshold], budget, strict)[0]
+    lo, hi = _band_bounds(band)
+    c_lo, c_hi = count_cutoffs(
+        (hi - lo) * window.length, as_fraction(threshold), strict
+    )
+    return cutoff_region(window, band, c_lo, c_hi, budget)
 
 
 def _count_distribution(

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from mpmath import iv
 
 from normnum.badsets import (
     DomainError,
@@ -11,6 +12,7 @@ from normnum.badsets import (
     PRESET_NAMES,
     Schedule,
     StraddleError,
+    _tilted_threshold,
     bad_family,
     badic_deviation_bound,
     band_depth_triangle_check,
@@ -23,11 +25,10 @@ from normnum.badsets import (
     tail_bad_set,
     tail_bad_union,
     tail_mass_bound,
-    threshold_scale,
     window_cover_check,
 )
 import normnum.badsets as badsets_module
-from normnum.enclose import Enclosure, enclose_exp, enclose_sqrt, enclose_loglog
+from normnum.enclose import Enclosure, eval_iv_tight
 from normnum.measure import IntervalSet, PeriodicIntervalSet
 from normnum.orbit import Band, Window, deviation_region, f_value
 
@@ -155,8 +156,8 @@ def test_toy_universe_is_finite():
 
 def test_threshold_scale_flagship_coefficient():
     # at delta = 1/2 and base 4 the coefficient is exactly 10
-    enc = threshold_scale(64, 4, F(1, 2))
-    root = enclose_sqrt(64 * enclose_loglog(64).lo, 96)
+    enc = _tilted_threshold(64, 4, F(1, 2), F(0), 64)
+    root = eval_iv_tight(96, lambda: iv.sqrt(64 * iv.log(iv.log(iv.mpf(64)))))
     # compare against 10 * sqrt(64 ln ln 64) computed independently
     lo_ref = 10 * root.lo
     assert abs(enc.midpoint() - lo_ref) < F(1, 10**6) * lo_ref
@@ -164,14 +165,14 @@ def test_threshold_scale_flagship_coefficient():
 
 def test_threshold_scale_rejects_short_windows():
     with pytest.raises(DomainError):
-        threshold_scale(15, 2, F(1, 2))
-    threshold_scale(16, 2, F(1, 2))
+        _tilted_threshold(15, 2, F(1, 2), F(0), 64)
+    _tilted_threshold(16, 2, F(1, 2), F(0), 64)
 
 
 def test_threshold_scale_monotone_in_length():
     s = preset("paper")
-    a = threshold_scale(16, 2, s.delta)
-    b = threshold_scale(64, 2, s.delta)
+    a = _tilted_threshold(16, 2, s.delta, F(0), 64)
+    b = _tilted_threshold(64, 2, s.delta, F(0), 64)
     assert a.hi < b.lo
 
 
@@ -264,7 +265,7 @@ def test_tail_bad_set_validation():
 def test_toy_sparse_block_structure():
     # cutoff counts at n = 4: thresholds imply >= 12, >= 10, >= 9 hits
     s = preset("toy-sparse")
-    scale = threshold_scale(16, 2, s.delta)
+    scale = _tilted_threshold(16, 2, s.delta, F(0), 64)
     assert F(86, 10) < scale.lo < scale.hi < F(87, 10)
     union = block_bad_union(2, 4, s)
     assert union is not None
@@ -421,7 +422,7 @@ def test_toy_tail_mass_is_exactly_zero():
 def test_badic_bound_reference_value():
     # base 2, one digit deep, quarter tilt, window 256: bound 2 e^(-16/3)
     bound = badic_deviation_bound(2, 1, 256, F(1, 4))
-    ref = enclose_exp(F(-16, 3), 96).scaled(2)
+    ref = eval_iv_tight(96, lambda: 2 * iv.exp(iv.mpf(-16) / 3))
     assert bound.lo <= ref.hi and ref.lo <= bound.hi
     assert bound.width < F(1, 2**40)
 
@@ -444,7 +445,7 @@ def test_badic_bound_scaling_in_m():
 def test_dyadic_bound_reference_value():
     # depth 1, half tilt, window 32: coefficient 1728, exponent -32/9
     bound = dyadic_deviation_bound(2, 1, 32, F(1, 2))
-    ref = enclose_exp(F(-32, 9), 96).scaled(1728)
+    ref = eval_iv_tight(96, lambda: 1728 * iv.exp(iv.mpf(-32) / 9))
     assert bound.lo <= ref.hi and ref.lo <= bound.hi
 
 

@@ -1,5 +1,10 @@
 """Command line surface: exit codes, JSON reports, file pipelines."""
 
+import contextlib
+import copy
+import functools
+import hashlib
+import io
 import json
 import os
 import subprocess
@@ -9,6 +14,7 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import normnum
 import normnum.cli
@@ -165,6 +171,30 @@ def test_budget_exhaustion_exits_three(capsys):
     assert "budget" in capsys.readouterr().err
 
 
+def test_huge_index_cap_exits_three(capsys, tmp_path):
+    # the exact residual tail from index 5 to index_cap would sum a billion
+    # terms with ever larger denominators
+    config = tmp_path / "cap.json"
+    config.write_text(
+        json.dumps(
+            {
+                "tag": "wide",
+                "delta": "-2/5",
+                "eta": "1/8",
+                "z_table": {"2": 4},
+                "p_const": 4,
+                "base_cap": 2,
+                "index_cap": 10**9,
+            }
+        )
+    )
+    start = time.perf_counter()
+    code = main(["digits", "--config", str(config), "--count", "1"])
+    assert time.perf_counter() - start < 5.0
+    assert code == 3
+    assert "4096 terms" in capsys.readouterr().err
+
+
 def test_indeterminate_exits_four(capsys, tmp_path):
     # an obstacle covering the whole interval starves both halves at the
     # very first step, no matter how far precision is pushed
@@ -237,6 +267,25 @@ MALFORMED_CONFIGS = {
     },
     "not-an-object": [1, 2],
     "zero-denominator-eta": {"tag": "bad", "delta": "-2/5", "eta": "1/0"},
+    # no bad set exists below size index 4
+    "start-below-four": {
+        "tag": "bad",
+        "delta": "-2/5",
+        "eta": "1/8",
+        "z_table": {"2": 3},
+        "p_const": 4,
+        "base_cap": 2,
+        "index_cap": 4,
+    },
+    "start-table-missing-base": {
+        "tag": "bad",
+        "delta": "-2/5",
+        "eta": "1/8",
+        "z_table": {"2": 4},
+        "p_const": 4,
+        "base_cap": 3,
+        "index_cap": 4,
+    },
 }
 
 
@@ -248,7 +297,7 @@ def test_malformed_config_exits_two(capsys, tmp_path, name):
     assert "error" in capsys.readouterr().err
 
 
-def tampered_certificate(capsys, tmp_path, mutate):
+def tampered_certificate(capsys, tmp_path, mutate, part=lambda data: data["steps"][0]):
     cert_path = tmp_path / "cert.json"
     code, _, _ = run(
         capsys,
@@ -262,9 +311,15 @@ def tampered_certificate(capsys, tmp_path, mutate):
     )
     assert code == 0
     data = json.loads(cert_path.read_text())
-    mutate(data["steps"][0])
+    mutate(part(data))
     cert_path.write_text(json.dumps(data))
     return str(cert_path)
+
+
+def resign(data):
+    """Record the digest of the schedule object as written, tampered or not."""
+    payload = json.dumps(data["schedule"], sort_keys=True, separators=(",", ":"))
+    data["schedule_digest"] = hashlib.sha256(payload.encode("ascii")).hexdigest()
 
 
 @pytest.mark.parametrize("size_index", [0, -1])
@@ -312,7 +367,43 @@ HOSTILE_STEPS = {
     "digit-string": lambda step: step.update(digit="0"),
     "digit-bool": lambda step: step.update(digit=False),
     "step-float": lambda step: step.update(step=1.0),
+    # rows must be JSON objects: a row of pairs can carry an integer key,
+    # which does not sort with the replay's string keys
+    "row-pairs": lambda step: step.update(components=[[[1, 2]]]),
 }
+
+
+def tamper_schedule(**fields):
+    def mutate(data):
+        data["schedule"].update(fields)
+        resign(data)
+
+    return mutate
+
+
+def drop_digest(data):
+    del data["schedule_digest"]
+
+
+# whole-certificate tampering, each a malformed certificate (exit 5), with
+# a phrase its message must carry; the first two carry a matching digest
+HOSTILE_CERTIFICATES = {
+    "start-below-four": (tamper_schedule(z_table={"2": 3}), "at least 4"),
+    "start-table-missing-base": (tamper_schedule(base_cap=3), "no entry for base 3"),
+    "digest-wrong": (lambda data: data.update(schedule_digest="deadbeef"), "schedule_digest"),
+    "digest-missing": (drop_digest, "schedule_digest"),
+    "tag-renamed": (lambda data: data["schedule"].update(tag="toy-other"), "schedule_digest"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HOSTILE_CERTIFICATES))
+def test_hostile_certificate_exits_five(capsys, tmp_path, name):
+    mutate, phrase = HOSTILE_CERTIFICATES[name]
+    path = tampered_certificate(capsys, tmp_path, mutate, part=lambda data: data)
+    code, verdict, err = run(capsys, "verify", path)
+    assert code == 5
+    assert verdict is None
+    assert "malformed certificate" in err and phrase in err
 
 
 @pytest.mark.parametrize("name", sorted(HOSTILE_STEPS))
@@ -328,6 +419,122 @@ def test_hostile_certificate_values_exit_five(capsys, tmp_path, name):
         ), verdict["problems"]
     else:
         assert "malformed certificate" in err
+
+
+# -- field-by-field certificate mutation -------------------------------------
+
+SCHEDULE_KEYS = ("tag", "delta", "eta", "z_table", "p_const", "base_cap", "index_cap", "obstacle")
+STEP_KEYS = (
+    "step", "size_index", "interval", "digit", "chosen", "chosen_bound",
+    "rejected_bound", "tail", "threshold", "precision", "components",
+)
+ROW_KEYS = ("label", "kind", "members", "outer_measure", "chosen_overlap")
+
+# a toy-sparse 2-step certificate has two steps of two component rows each
+CERTIFICATE_FIELDS = st.one_of(
+    st.tuples(st.just("schedule"), st.sampled_from(SCHEDULE_KEYS)),
+    st.tuples(st.just("steps"), st.integers(0, 1), st.sampled_from(STEP_KEYS)),
+    st.tuples(
+        st.just("steps"),
+        st.integers(0, 1),
+        st.just("components"),
+        st.integers(0, 1),
+        st.sampled_from(ROW_KEYS),
+    ),
+)
+
+
+class Rewrite:
+    """A mutation made from the field's recorded value."""
+
+    def __init__(self, kind):
+        self.kind = kind
+
+    def __repr__(self):
+        return self.kind.upper()
+
+
+PADDED, UNDERSCORED, HUGE = Rewrite("padded"), Rewrite("underscored"), Rewrite("huge")
+HUGE_TOKEN = "huge-integer-placeholder"
+HUGE_INT = "9" * 5000
+
+SCALARS = st.one_of(
+    st.integers(), st.floats(), st.booleans(), st.none(), st.text(max_size=6)
+)
+MUTATED_VALUES = st.one_of(
+    SCALARS,
+    st.lists(st.one_of(SCALARS, st.lists(SCALARS, max_size=2)), max_size=3),
+    st.dictionaries(st.sampled_from(["2", "3", " 2", "x"]), st.integers(-2, 6), max_size=2),
+    st.sampled_from(["1/0", "0/1", "1/2", PADDED, UNDERSCORED, HUGE]),
+)
+
+
+def rewritten(value, recorded):
+    text = recorded if isinstance(recorded, str) else "10/3"
+    if value is PADDED:
+        return " %s " % text
+    if value is UNDERSCORED:
+        # between the first two adjacent digits, else in front
+        for i in range(len(text) - 1):
+            if text[i].isdigit() and text[i + 1].isdigit():
+                return text[: i + 1] + "_" + text[i + 1 :]
+        return "1_" + text
+    if value is HUGE:
+        return HUGE_TOKEN
+    return value
+
+
+@pytest.fixture(scope="module")
+def sparse_certificate(tmp_path_factory):
+    path = tmp_path_factory.mktemp("mutation") / "cert.json"
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(
+            ["digits", "--preset", "toy-sparse", "--count", "2", "--cert-out", str(path)]
+        )
+    assert code == 0
+    return path, json.loads(path.read_text())
+
+
+@pytest.fixture(scope="module")
+def families_built_once():
+    # a family depends only on (index, schedule, budget), so each distinct
+    # schedule is built once across the examples
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(
+            normnum.constructor,
+            "bad_family",
+            functools.lru_cache(maxsize=None)(normnum.constructor.bad_family),
+        )
+        yield
+
+
+@settings(max_examples=150, deadline=10_000, derandomize=True)
+@given(field=CERTIFICATE_FIELDS, value=MUTATED_VALUES, signed=st.booleans())
+@example(field=("schedule", "z_table"), value={"2": 3}, signed=True)
+@example(field=("schedule", "base_cap"), value=3, signed=True)
+@example(field=("schedule", "tag"), value="toy-other", signed=False)
+@example(field=("steps", 0, "components"), value=[[[1, 2]]], signed=False)
+def test_certificate_field_mutation_exits_cleanly(
+    sparse_certificate, families_built_once, field, value, signed
+):
+    # one field replaced, the schedule digest optionally re-signed: verify
+    # either reproduces the same digits or refuses with exit 3, 4 or 5
+    path, original = sparse_certificate
+    data = copy.deepcopy(original)
+    *parents, key = field
+    holder = data
+    for part in parents:
+        holder = holder[part]
+    holder[key] = rewritten(value, holder[key])
+    if signed:
+        resign(data)
+    path.write_text(json.dumps(data).replace('"%s"' % HUGE_TOKEN, HUGE_INT))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["verify", str(path)])
+    assert code in (0, 3, 4, 5), err.getvalue()
+    if code == 0:
+        assert json.loads(out.getvalue())["digits"] == original["digits"]
 
 
 def test_digit_count_above_bound_exits_three(capsys, monkeypatch, tmp_path):
@@ -489,6 +696,7 @@ def test_discrepancy_ratio(capsys):
 def test_discrepancy_computed_once(capsys, monkeypatch, ratio):
     calls = []
     orbits = []
+    sorts = []
     original = normnum.discrepancy.extreme_discrepancy
     original_orbit = normnum.discrepancy.orbit_points
 
@@ -500,18 +708,27 @@ def test_discrepancy_computed_once(capsys, monkeypatch, ratio):
         orbits.append(count)
         return original_orbit(x, base, count)
 
-    # the CLI holds its own bindings; normality_ratio would use the module's
+    def counted_sort(values):
+        values = sorted(values)
+        sorts.append(len(values))
+        return values
+
+    # the CLI holds its own bindings; the module's cover any internal caller
     monkeypatch.setattr(normnum.cli, "extreme_discrepancy", counted)
     monkeypatch.setattr(normnum.discrepancy, "extreme_discrepancy", counted)
     monkeypatch.setattr(normnum.cli, "orbit_points", counted_orbit)
     monkeypatch.setattr(normnum.discrepancy, "orbit_points", counted_orbit)
+    # the closed forms sort with the builtin, looked up in the module
+    monkeypatch.setattr(normnum.discrepancy, "sorted", counted_sort, raising=False)
     code, report, _ = run(
         capsys, "discrepancy", "--x", "1/3", "--count", "16", *ratio
     )
     assert code == 0
     assert report["extreme"] == "2/3"
+    assert report["star"] == "1/3"
     assert calls == [16]
     assert orbits == [16]
+    assert sorts == [16]
 
 
 @pytest.mark.parametrize("ratio", [(), ("--ratio",)], ids=["plain", "ratio"])

@@ -46,8 +46,8 @@ def test_flagship_eight_digits():
     cert = run_construction(preset("paper"), 8)
     assert cert.digits == "00000000"
     assert all(len(record.components) == 0 for record in cert.steps)
-    assert cert.final_interval().lo == 0
-    assert cert.final_interval().hi == F(1, 256)
+    assert cert.steps[-1].chosen.lo == 0
+    assert cert.steps[-1].chosen.hi == F(1, 256)
 
 
 def test_flagship_ten_digits_verify():
@@ -93,7 +93,7 @@ def test_toy_run_invariants(name):
         assert record.chosen_bound + record.tail < record.threshold
         assert record.tail == 0  # toy universes are finite and fully built
         interval = record.chosen
-    assert digits_to_fraction(cert.digits) == cert.final_interval().lo
+    assert digits_to_fraction(cert.digits) == cert.steps[-1].chosen.lo
     report = verify_certificate(cert, schedule)
     assert report.ok, report.problems
 
@@ -116,7 +116,7 @@ def test_witness_point_escapes_every_component():
     for name in ("toy-sparse", "toy-seeded"):
         schedule = preset(name)
         cert = run_construction(schedule, 6)
-        final = cert.final_interval()
+        final = cert.steps[-1].chosen
         witness = final.lo + final.length / 3
         family = bad_family(4, schedule)
         for comp in family.components:
@@ -129,7 +129,7 @@ def test_witness_f_values_stay_below_thresholds():
 
     schedule = preset("toy-sparse")
     cert = run_construction(schedule, 6)
-    final = cert.final_interval()
+    final = cert.steps[-1].chosen
     witness = final.lo + final.length / 3
     pieces = [block_bad_set(2, 4, a, h, schedule)
               for h in (1, 2, 3) for a in range(2**h)]

@@ -10,7 +10,7 @@ from mpmath.libmp import to_rational
 from normnum.discrepancy import (
     extreme_discrepancy,
     fukuyama_constant,
-    normality_ratio,
+    normalized_ratio,
     orbit_points,
     philipp_constant,
     star_discrepancy,
@@ -171,9 +171,10 @@ def test_band_counts_never_beat_supremum():
 
 def test_normality_ratio_guard_and_value():
     with pytest.raises(ValueError):
-        normality_ratio(F(1, 3), 2, 15)
-    disc, ratio = normality_ratio(F(1, 3), 2, 16)
+        normalized_ratio(extreme_discrepancy(orbit_points(F(1, 3), 2, 15)), 15)
+    disc = extreme_discrepancy(orbit_points(F(1, 3), 2, 16))
     assert disc == F(2, 3)
+    ratio = normalized_ratio(disc, 16)
     # reference value at much higher precision than the enclosure, turned
     # into an exact rational so the containment check cannot round
     mp.prec = 200

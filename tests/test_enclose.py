@@ -3,17 +3,9 @@
 from fractions import Fraction
 
 import pytest
+from mpmath import iv
 
-from normnum.enclose import (
-    Enclosure,
-    enclose_exp,
-    enclose_log,
-    enclose_log2,
-    enclose_loglog,
-    enclose_pow2,
-    enclose_sqrt,
-    eval_iv_tight,
-)
+from normnum.enclose import Enclosure, enclose_log2, eval_iv_tight, iv_fraction
 
 F = Fraction
 
@@ -22,19 +14,8 @@ def test_enclosure_invariants():
     e = Enclosure(F(1, 3), F(1, 2))
     assert e.width == F(1, 6)
     assert not e.is_exact()
-    assert F(2, 5) in e
-    assert F(3, 5) not in e
     with pytest.raises(ValueError):
         Enclosure(F(1, 2), F(1, 3))
-
-
-def test_enclosure_arithmetic():
-    e = Enclosure(F(1, 4), F(1, 2))
-    assert e.scaled(2) == Enclosure(F(1, 2), F(1))
-    assert e.scaled(-1) == Enclosure(F(-1, 2), F(-1, 4))
-    assert e.shifted(1) == Enclosure(F(5, 4), F(3, 2))
-    prod = e.mul(Enclosure(F(-1), F(2)))
-    assert prod.lo == F(-1, 2) and prod.hi == F(1)
 
 
 def test_enclosure_intersect():
@@ -45,18 +26,17 @@ def test_enclosure_intersect():
         a.intersect(Enclosure(F(2, 3), F(3, 4)))
 
 
+def tight_sqrt(x, precision=64):
+    """eval_iv_tight of sqrt(x) from an outward-rounded rational."""
+    return eval_iv_tight(precision, lambda: iv.sqrt(iv_fraction(x)))
+
+
 def test_sqrt_brackets_truth():
     for n in (2, 3, 5, 7, 10, 33):
-        e = enclose_sqrt(n)
+        e = tight_sqrt(n)
         assert e.lo > 0
         assert e.lo**2 <= n <= e.hi**2
         assert e.width <= F(1, 2**60)
-
-
-def test_sqrt_exact_for_squares():
-    assert enclose_sqrt(F(9, 4)).is_exact()
-    assert enclose_sqrt(F(9, 4)).lo == F(3, 2)
-    assert enclose_sqrt(0).lo == 0
 
 
 def test_log2_exact_for_powers_of_two():
@@ -64,38 +44,10 @@ def test_log2_exact_for_powers_of_two():
     assert enclose_log2(F(1, 4)) == Enclosure.exact(-2)
 
 
-def test_log_and_exp_bracket():
-    e = enclose_log(3)
-    # e^lo <= 3 <= e^hi checked through the exp enclosure
-    lo_exp = enclose_exp(e.lo)
-    hi_exp = enclose_exp(e.hi)
-    assert lo_exp.lo <= 3 <= hi_exp.hi
-    assert enclose_exp(0).is_exact() and enclose_exp(0).lo == 1
-
-
-def test_loglog_requires_argument_above_one():
-    with pytest.raises(ValueError):
-        enclose_loglog(1)
-    e = enclose_loglog(16)
-    # ln ln 16 = ln(4 ln 2) is about 1.01978
-    assert F(101, 100) < e.lo < e.hi < F(102, 100)
-
-
-def test_pow2_exact_for_integers():
-    assert enclose_pow2(5) == Enclosure.exact(32)
-    assert enclose_pow2(-3) == Enclosure.exact(F(1, 8))
-
-
-def test_pow2_fractional_brackets():
-    e = enclose_pow2(F(1, 2))
-    s = enclose_sqrt(2)
-    assert e.lo <= s.hi and s.lo <= e.hi
-
-
 def test_refinement_is_nested():
     for target in (2, 7, 97):
-        wide = enclose_sqrt(target, 24)
-        tight = enclose_sqrt(target, 120)
+        wide = tight_sqrt(target, 24)
+        tight = tight_sqrt(target, 120)
         assert wide.lo <= tight.lo <= tight.hi <= wide.hi
         assert tight.width < wide.width or wide.is_exact()
 
@@ -119,7 +71,3 @@ def test_hard_start_floor_value():
     assert e.lo > HARD_START_FLOOR - 1
     assert HARD_START_FLOOR == 33010640
 
-
-def test_json_round_trip():
-    e = enclose_sqrt(5)
-    assert Enclosure.from_json(e.to_json()) == e

@@ -1,4 +1,4 @@
-"""Seeded Monte Carlo estimates against exact measures and closed-form bounds."""
+"""Seeded Monte Carlo estimates against exact measures."""
 
 from fractions import Fraction as F
 
@@ -9,13 +9,12 @@ from normnum.enclose import Enclosure
 from normnum.mc import (
     EstimateReport,
     SamplerSpec,
-    check_bound,
     estimate_measure,
     sample_integers,
     sample_points,
 )
 from normnum.measure import IntervalSet
-from normnum.orbit import Band, Window, deviation_region
+from normnum.orbit import Band, Window, deviation_region, f_value
 
 
 def measure_of(region) -> F:
@@ -126,48 +125,19 @@ def test_tail_component_measure():
     assert report.hits > 0
 
 
-# -- closed-form bound audits ------------------------------------------------
-
-
-def test_check_bound_passes():
-    out = check_bound("badic", 2, 1, 128, F(1, 4), SamplerSpec(5, 400))
-    assert out["verdict"] == "pass"
-    assert F(out["worst_band_estimate"]) == 0
-    out = check_bound("badic", 3, 1, 80, F(1, 4), SamplerSpec(5, 200))
-    assert out["verdict"] == "pass"
-    out = check_bound("dyadic", 2, 1, 128, F(1, 2), SamplerSpec(5, 400))
-    assert out["verdict"] == "pass"
-    assert out["samples"] == 400
-
-
-def test_check_bound_vacuous():
-    # a tiny threshold makes the exponential factor nearly 1 and the
-    # polynomial prefactor pushes the bound far above any probability
-    out = check_bound("dyadic", 2, 1, 8, F(1, 100), SamplerSpec(3, 200))
-    assert out["verdict"] == "vacuous"
-    assert F(out["bound"][0]) >= 1
-
-
-def test_check_bound_rejects_exhausted_resolution():
-    with pytest.raises(ValueError):
-        check_bound("badic", 2, 1, 256, F(1, 4), SamplerSpec(5, 400))
-    with pytest.raises(ValueError):
-        check_bound("badic", 3, 1, 81, F(1, 4), SamplerSpec(5, 200))
-    with pytest.raises(ValueError):
-        check_bound("sideways", 2, 1, 32, F(1, 4), SamplerSpec(5, 200))
-
-
 def test_any_band_estimate_matches_exact_union():
     # two independent routes to the same event: the exact sweep union of
-    # the four depth-2 bands, and hash-lattice sampling of orbit cells
+    # the four depth-2 bands, and sampled points whose orbits are counted
+    # pointwise
     window = Window(2, 0, 6)
     union = IntervalSet.empty()
     for a in range(4):
         union = union.union(deviation_region(window, Band(a, 2), F(3, 2)))
     exact = measure_of(union)
     assert exact == F(43, 64)
-    out = check_bound("dyadic", 2, 2, 6, F(1, 4), SamplerSpec(11, 3000))
-    estimate = F(out["any_band_estimate"])
-    gap = abs(estimate - exact)
-    variance = estimate * (1 - estimate) / out["samples"]
-    assert gap * gap <= 16 * variance
+    report = estimate_measure(
+        lambda x: any(f_value(x, window, Band(a, 2)) >= F(3, 2) for a in range(4)),
+        SamplerSpec(11, 3000),
+        exact,
+    )
+    assert report.verdict == "consistent"

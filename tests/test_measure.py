@@ -13,8 +13,6 @@ from normnum.measure import (
     UNIT,
     format_fraction,
     parse_fraction,
-    region_from_json,
-    region_to_json,
 )
 
 F = Fraction
@@ -121,43 +119,19 @@ def test_contains_is_half_open():
     assert not s.contains(F(0))
 
 
-def test_union_intersect_difference():
+def test_union_and_intersect():
     a = iset((0, F(1, 2)))
     b = iset((F(1, 4), F(3, 4)))
     assert a.union(b).measure() == F(3, 4)
     assert a.intersect(b).pairs == ((F(1, 4), F(1, 2)),)
-    assert a.difference(b).pairs == ((F(0), F(1, 4)),)
-    assert b.difference(a).pairs == ((F(1, 2), F(3, 4)),)
-
-
-def test_complement():
-    s = iset((F(1, 4), F(1, 2)), (F(3, 4), 1))
-    c = s.complement_in_unit()
-    assert c.pairs == ((F(0), F(1, 4)), (F(1, 2), F(3, 4)))
-    assert c.measure() + s.measure() == 1
-
-
-def test_subset_relation():
-    a = iset((F(1, 8), F(1, 4)))
-    b = iset((0, F(1, 2)))
-    assert a.is_subset_of(b)
-    assert not b.is_subset_of(a)
 
 
 def test_intersect_interval_and_measure():
     s = iset((0, F(1, 4)), (F(1, 2), 1))
     assert s.intersect_measure(F(1, 8), F(3, 4)) == F(1, 8) + F(1, 4)
-    clipped = s.intersect_interval(F(1, 8), F(3, 4))
-    assert clipped.pairs == ((F(1, 8), F(1, 4)), (F(1, 2), F(3, 4)))
 
 
-def test_json_round_trip():
-    s = iset((0, F(1, 3)), (F(1, 2), F(2, 3)))
-    assert IntervalSet.from_json(s.to_json()) == s
-    assert region_from_json(region_to_json(s)) == s
-
-
-# -- property tests (hypothesis lives only in this file) ------------------
+# -- property tests ------------------------------------------------------
 
 frac01 = st.fractions(min_value=0, max_value=1, max_denominator=64)
 
@@ -181,18 +155,6 @@ def test_inclusion_exclusion(a, b):
     assert a.union(b).measure() + a.intersect(b).measure() == (
         a.measure() + b.measure()
     )
-
-
-@settings(max_examples=200, deadline=None)
-@given(interval_sets())
-def test_complement_involution(a):
-    assert a.complement_in_unit().complement_in_unit() == a
-
-
-@settings(max_examples=200, deadline=None)
-@given(interval_sets(), interval_sets())
-def test_difference_against_complement(a, b):
-    assert a.difference(b) == a.intersect(b.complement_in_unit())
 
 
 @settings(max_examples=200, deadline=None)
@@ -270,11 +232,3 @@ def test_periodic_materialize_round_trip():
         x = F(2 * k + 1, 128)
         assert flat.contains(x) == p.contains(x)
 
-
-def test_periodic_json_round_trip():
-    core = iset((0, F(1, 4)))
-    p = PeriodicIntervalSet(core, 2, 5)
-    restored = region_from_json(region_to_json(p))
-    assert isinstance(restored, PeriodicIntervalSet)
-    assert restored.core == p.core
-    assert restored.base == p.base and restored.level == p.level

@@ -9,18 +9,16 @@ import pytest
 
 from normnum.measure import BudgetError, IntervalSet
 from normnum.orbit import (
+    DEFAULT_EVENT_BUDGET,
     Band,
     Window,
-    breakpoints,
     count_cutoffs,
+    cutoff_region,
     deviation_measure,
     deviation_region,
-    deviation_regions,
     f_value,
     hit_count,
     orbit_point,
-    preimage_band,
-    preimage_interval,
     sweep_cost,
 )
 
@@ -78,53 +76,7 @@ def test_window_validation():
         Window(2, 0, 0)
 
 
-# -- preimages -------------------------------------------------------------
-
-
-def test_preimage_interval_identity():
-    region = preimage_interval(2, 0, F(1, 4), F(1, 2))
-    assert region.pairs == ((F(1, 4), F(1, 2)),)
-
-
-def test_preimage_interval_one_step():
-    region = preimage_interval(2, 1, F(0), F(1, 2))
-    assert region.pairs == ((F(0), F(1, 4)), (F(1, 2), F(3, 4)))
-
-
-def test_preimage_band_measure_is_preserved():
-    for base in (2, 3):
-        for j in (0, 1, 2, 3):
-            region = preimage_band(base, j, Band(1, 2))
-            assert region.measure() == F(1, 4)
-            assert len(region.pairs) == base**j
-
-
-def test_preimage_membership_matches_orbit():
-    rng = random.Random(123)
-    for _ in range(60):
-        base = rng.choice([2, 3, 5])
-        j = rng.randrange(0, 3)
-        a = rng.randrange(0, 4)
-        band = Band(a, 2)
-        region = preimage_band(base, j, band)
-        x = F(rng.randrange(0, 729), 729)
-        lo, hi = band.bounds()
-        assert region.contains(x) == (lo <= orbit_point(x, base, j) < hi)
-
-
-# -- breakpoints and sweep regions -----------------------------------------
-
-
-def test_breakpoints_cover_unit():
-    pts = breakpoints(Window(2, 0, 2), Band(0, 1))
-    assert pts[0] == 0 and pts[-1] == 1
-    assert pts == sorted(set(pts))
-    # count is constant strictly between breakpoints
-    w = Window(2, 0, 2)
-    for lo, hi in zip(pts, pts[1:]):
-        mid = (lo + hi) / 2
-        third = lo + (hi - lo) / 3
-        assert hit_count(mid, w, Band(0, 1)) == hit_count(third, w, Band(0, 1))
+# -- sweep regions ---------------------------------------------------------
 
 
 def test_deviation_region_trivial_thresholds():
@@ -165,16 +117,12 @@ def test_deviation_region_matches_pointwise_values():
             assert region.contains(x) == hit
 
 
-def test_deviation_regions_shared_sweep_consistency():
+def test_deviation_region_antitone_in_threshold():
     w = Window(2, 0, 6)
     band = Band(0, 2)
-    ts = [F(1, 2), F(3, 2), F(5, 2), F(7, 2)]
-    regions = deviation_regions(w, band, ts)
-    singles = [deviation_region(w, band, t) for t in ts]
-    assert regions == singles
-    # antitone in the threshold
+    regions = [deviation_region(w, band, t) for t in (F(1, 2), F(3, 2), F(5, 2), F(7, 2))]
     for bigger, smaller in zip(regions, regions[1:]):
-        assert smaller.is_subset_of(bigger)
+        assert smaller.intersect(bigger) == smaller
 
 
 def reference_regions(window, lo, hi, cutoffs):
@@ -245,11 +193,18 @@ KERNEL_LENGTHS = {2: 5, 3: 3, 5: 2}
 def test_region_kernel_matches_reference_loop(base, offset, band, strict):
     w = Window(base, offset, KERNEL_LENGTHS[base])
     lo, hi = KERNEL_BANDS[band]
-    # every threshold from 0 past the window length: unit, live and empty
-    # cutoff pairs, several of them swept at once
-    ts = [F(i, 4) for i in range(4 * w.length + 5)]
-    cutoffs = [count_cutoffs((hi - lo) * w.length, t, strict) for t in ts]
-    regions = deviation_regions(w, (lo, hi), ts, strict=strict)
+    # the cutoffs of every threshold from 0 past the window length: unit,
+    # live and empty cutoff pairs
+    cutoffs = list(
+        dict.fromkeys(
+            count_cutoffs((hi - lo) * w.length, F(i, 4), strict)
+            for i in range(4 * w.length + 5)
+        )
+    )
+    regions = [
+        cutoff_region(w, (lo, hi), c_lo, c_hi, DEFAULT_EVENT_BUDGET)
+        for c_lo, c_hi in cutoffs
+    ]
     assert regions == reference_regions(w, lo, hi, cutoffs)
 
 
@@ -258,7 +213,7 @@ def test_sweep_denominator_guard():
     w = Window(2, 0, 2)
     band = (F(0), F(1, 2**61))
     pairs = [count_cutoffs(band[1] * 2, F(1))]
-    assert deviation_regions(w, band, [F(1)]) == reference_regions(w, *band, pairs)
+    assert [deviation_region(w, band, F(1))] == reference_regions(w, *band, pairs)
     with pytest.raises(BudgetError):
         deviation_region(w, (F(0), F(1, 2**62)), F(1))
     # a 2**63 denominator over 524286 events is refused before any array

@@ -72,6 +72,12 @@ HARD_START_FLOOR = 33010640
 # denominator grows with every term, so a huge index_cap means unbounded work.
 MAX_TAIL_TERMS = 1 << 12
 
+# Largest base_cap a schedule may set. Every base up to base_cap adds an
+# exact tail term with a 2**base-sized denominator to every step's residual
+# bound, so an unbounded cap means unbounded work; base 3 is already past
+# any feasible sweep.
+MAX_BASE_CAP = 64
+
 
 def depth_limit(length: int) -> int:
     """Largest band depth tracked for a window of the given length."""
@@ -108,6 +114,8 @@ class Schedule:
             raise ValueError("eta must lie strictly between 0 and 1")
         if 1 + 2 * self.delta <= 0:
             raise ValueError("delta must keep 1 + 2*delta positive")
+        if self.base_cap is not None and not 2 <= self.base_cap <= MAX_BASE_CAP:
+            raise ValueError("base_cap must lie in [2, %d]" % MAX_BASE_CAP)
         if self.z_table is not None:
             table = tuple(sorted((int(b), int(z)) for b, z in dict(self.z_table).items()))
             if self.base_cap is None:
@@ -121,8 +129,6 @@ class Schedule:
                         "size index with a bad set"
                     )
             bases = {b for b, _ in table}
-            # the first missing base is at most len(table) + 2, so the scan
-            # stays short whatever base_cap says
             for b in range(2, self.base_cap + 1):
                 if b not in bases:
                     raise ValueError(
@@ -132,8 +138,6 @@ class Schedule:
             object.__setattr__(self, "z_table", table)
         if self.p_const is not None and self.p_const < 1:
             raise ValueError("p_const must be positive")
-        if self.base_cap is not None and self.base_cap < 2:
-            raise ValueError("base_cap must be at least 2")
         if self.index_cap is not None and self.index_cap < 1:
             raise ValueError("index_cap must be positive")
         if self.obstacle is not None:

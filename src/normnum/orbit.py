@@ -11,9 +11,13 @@ ways, each exact:
   two integer count cutoffs and swept over the sorted preimage breakpoints
   on a common power denominator;
 * as a measure alone, from the exact distribution of the window's hit
-  count along the cell chain of the digit process, with each cell's count
-  polynomial packed into one integer; this stays feasible when windows
-  are far too long for the region itself to be materialized.
+  count along the cell chain of the digit process; this stays feasible
+  when windows are far too long for the region itself to be materialized.
+  The DP runs on the chain's minimal automaton: cells with identical
+  futures merge into classes (for base**m cells, the m + 1 KMP states of
+  the target's digit pattern), each class starts with a weight
+  proportional to its size, and each class's count polynomial is packed
+  into one integer.
 """
 
 from __future__ import annotations
@@ -235,31 +239,69 @@ def deviation_region(
     return cutoff_region(window, band, c_lo, c_hi, budget)
 
 
+def _cell_classes(base: int, cells: int, target: int) -> list[int]:
+    """Class of each cell in the coarsest split with identical futures.
+
+    Moore partition refinement of the cell chain: start from the split
+    {target} / rest and split classes by their tuple of successor classes,
+    one entry per digit, until the split is stable. Cells of one class see
+    the same hit sequence on every digit string, so the hit-count DP can
+    run on the classes. For cells = base**m the classes are the m + 1
+    match-length states of the target pattern's KMP automaton.
+    """
+    classes = [int(cell == target) for cell in range(cells)]
+    count = len(set(classes))
+    while True:
+        ids: dict[tuple, int] = {}
+        refined = [
+            ids.setdefault(
+                (classes[cell],)
+                + tuple(classes[(base * cell + r) % cells] for r in range(base)),
+                len(ids),
+            )
+            for cell in range(cells)
+        ]
+        if len(ids) == count:
+            return refined
+        classes, count = refined, len(ids)
+
+
 def _count_distribution(
     base: int, burn_in: int, length: int, cells: int, target: int
 ) -> list[int]:
     """Weights of the window hit counts 0..length over the cell chain.
 
     Weighted over the uniform initial cell distribution; the implied
-    denominator is cells * base**(burn_in + length - 1). Each cell carries
-    its hit-count polynomial sum_c w_c z**c packed into one int, with slot
-    c at bit c * width (Kronecker substitution). The width holds the total
-    weight, which bounds every slot, so slots never carry into each other:
-    a step is one big-int add per (cell, digit) and one shift by width
-    for the target cell.
+    denominator is cells * base**(burn_in + length - 1). The DP runs on the
+    minimal automaton of the chain (`_cell_classes`): cells with identical
+    futures are merged, the target stays a class of its own, and each class
+    starts with weight base**burn_in times its size. For cells = base**m
+    that is the m + 1 KMP states of the target's digit pattern instead of
+    the base**m cells. Each class carries its hit-count polynomial
+    sum_c w_c z**c packed into one int, with slot c at bit c * width
+    (Kronecker substitution). The width holds the total weight, which
+    bounds every slot, so slots never carry into each other: a step is one
+    big-int add per (class, digit) and one shift by width for the target.
     """
     width = (cells * base ** (burn_in + length - 1)).bit_length()
-    succ = [[(base * cell + r) % cells for r in range(base)] for cell in range(cells)]
+    classes = _cell_classes(base, cells, target)
+    states = max(classes) + 1
+    succ = [None] * states
+    sizes = [0] * states
+    for cell, cls in enumerate(classes):
+        succ[cls] = [classes[(base * cell + r) % cells] for r in range(base)]
+        sizes[cls] += 1
     # each cell has exactly `base` preimage (cell, digit) pairs, so the
     # uniform start stays uniform through the burn-in
-    polys = [base**burn_in] * cells
-    polys[target] <<= width
+    polys = [base**burn_in * size for size in sizes]
+    hit = classes[target]
+    polys[hit] <<= width
     for _ in range(length - 1):
-        new = [0] * cells
-        for cell, poly in enumerate(polys):
-            for nxt in succ[cell]:
+        new = [0] * states
+        for cls, poly in enumerate(polys):
+            for nxt in succ[cls]:
                 new[nxt] += poly
-        new[target] <<= width
+        new[hit] <<= width
         polys = new
     total = sum(polys)
     mask = (1 << width) - 1

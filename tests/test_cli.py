@@ -195,6 +195,26 @@ def test_huge_index_cap_exits_three(capsys, tmp_path):
     assert "4096 terms" in capsys.readouterr().err
 
 
+# every base up to base_cap adds an exact tail term with a 2**base-sized
+# denominator to each step's residual bound
+HUGE_BASE_CAPS = {
+    "with-index-cap": {"base_cap": 10**6, "index_cap": 4},
+    "without-index-cap": {"base_cap": 5000},
+}
+
+
+@pytest.mark.parametrize("name", sorted(HUGE_BASE_CAPS))
+def test_huge_base_cap_exits_two(capsys, tmp_path, name):
+    config = tmp_path / "cap.json"
+    schedule = {"tag": "x", "delta": "-2/5", "eta": "1/8", "p_const": 4}
+    config.write_text(json.dumps({**schedule, **HUGE_BASE_CAPS[name]}))
+    start = time.perf_counter()
+    code = main(["digits", "--config", str(config), "--count", "1"])
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert "base_cap must lie in [2, 64]" in capsys.readouterr().err
+
+
 def test_indeterminate_exits_four(capsys, tmp_path):
     # an obstacle covering the whole interval starves both halves at the
     # very first step, no matter how far precision is pushed
@@ -386,10 +406,11 @@ def drop_digest(data):
 
 
 # whole-certificate tampering, each a malformed certificate (exit 5), with
-# a phrase its message must carry; the first two carry a matching digest
+# a phrase its message must carry; the schedule tampering re-signs the digest
 HOSTILE_CERTIFICATES = {
     "start-below-four": (tamper_schedule(z_table={"2": 3}), "at least 4"),
     "start-table-missing-base": (tamper_schedule(base_cap=3), "no entry for base 3"),
+    "base-cap-huge": (tamper_schedule(base_cap=10**6), "base_cap must lie in [2, 64]"),
     "digest-wrong": (lambda data: data.update(schedule_digest="deadbeef"), "schedule_digest"),
     "digest-missing": (drop_digest, "schedule_digest"),
     "tag-renamed": (lambda data: data["schedule"].update(tag="toy-other"), "schedule_digest"),
@@ -817,6 +838,52 @@ def test_lemma_rows_carry_grid(capsys):
     assert not any(row["vacuous"] for row in report["rows"])
 
 
+# the exact worst measures of the two deviation grids, row by row
+LEMMA_WORST_MEASURES = {
+    "badic": [
+        "224723513577529/9223372036854775808",
+        "0/1",
+        (
+            "11944421553326527324468946030690465453229772038727760854813884178695/2"
+            "3158417847463239084714197001737581570653996933128112807891516801582625"
+            "9279872"
+        ),
+        "21648578111829596051925419/1144561273430837494885949696427",
+        (
+            "4981729734024480446051917512245652297687139479819495680543625369144502"
+            "2672760548708095683703275735940391039254714302975665073487401417319716"
+            "2535677706857922669359886758126382152179384013633389827936079415574055"
+            "19626745379754860570780331/6441116610762971701818022907339860351800488"
+            "5872011095167281792096341555821385123333393131432620097847966941097648"
+            "6203983505116970044431362803268015957621318085351671124246649425935410"
+            "7469124112707014466556080758863930501552995294331757478847147"
+        ),
+    ],
+    "dyadic": [
+        (
+            "1/57896044618658097711785492504343953926634992332820282019728792003956"
+            "564819968"
+        ),
+        (
+            "80557450884649500029103116228921792073584217/2315841784746323908471419"
+            "70017375815706539969331281128078915168015826259279872"
+        ),
+        (
+            "170141183460469231731687303715884105728/393006152591286105717362428713"
+            "7506221892737197425280369698987"
+        ),
+    ],
+}
+
+
+@pytest.mark.parametrize("which", sorted(LEMMA_WORST_MEASURES))
+def test_lemma_grids_pin_worst_measures(capsys, which):
+    code, report, _ = run(capsys, "lemma", "--which", which)
+    assert code == 0
+    worst = [row["worst_measure"] for row in report["rows"]]
+    assert worst == LEMMA_WORST_MEASURES[which]
+
+
 def test_lemma_masstail_boundary(capsys):
     # the strict margin evaporates exactly at start 7
     code, report, _ = run(capsys, "lemma", "--which", "masstail", "--start", "7")
@@ -839,3 +906,20 @@ def test_cost_reports(capsys):
 
     assert main(["cost", "--n", "11"]) == 2
     capsys.readouterr()
+
+
+def test_cost_keeps_int_string_limit(capsys):
+    # the enclosure endpoints at --n 6 run past the default limit of 4300
+    # digits; the raised limit must not outlive the command
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        assert main(["cost", "--n", "6"]) == 0
+        assert sys.get_int_max_str_digits() == 4300
+    finally:
+        sys.set_int_max_str_digits(limit)
+    out = capsys.readouterr().out
+    assert len(out) > 9000
+    assert hashlib.sha256(out.encode("ascii")).hexdigest() == (
+        "c0c31732e90061f52f94740a65dbb133d577f7a0494410b8191afef1274a5760"
+    )

@@ -7,11 +7,13 @@ from math import lcm
 
 import pytest
 
+from normnum import orbit
 from normnum.measure import BudgetError, IntervalSet
 from normnum.orbit import (
     DEFAULT_EVENT_BUDGET,
     Band,
     Window,
+    _cell_classes,
     count_cutoffs,
     cutoff_region,
     deviation_measure,
@@ -348,6 +350,14 @@ def test_count_distribution_matches_reference_dp():
         (base, cells, offset, length, critical_thresholds(length, cells)[::32])
         for base, cells, offset, length in LONG_WINDOWS
     ]
+    cases += [
+        # cells sharing a factor with the base shrink to fewer classes
+        (base, cells, offset, length, critical_thresholds(length, cells))
+        for base in (2, 3, 5)
+        for cells in (12, 16, 25, 27)
+        for offset in range(4)
+        for length in range(1, 9)
+    ]
     for base, cells, offset, length, thresholds in cases:
         w = Window(base, offset, length)
         target = (offset + length) % cells
@@ -358,6 +368,43 @@ def test_count_distribution_matches_reference_dp():
                 ) == reference_deviation_measure(w, cells, target, t, strict), (
                     base, cells, offset, length, target, t, strict
                 )
+
+
+def test_cell_classes_are_kmp_states(monkeypatch):
+    # base**m cells merge into the m + 1 match-length states of the target's
+    # digit pattern; coprime cells keep one class each
+    for base in (2, 3, 5):
+        for m in (1, 2, 3):
+            for target in range(base**m):
+                assert len(set(_cell_classes(base, base**m, target))) == m + 1
+    assert len(set(_cell_classes(2, 12, 5))) == 5
+    assert len(set(_cell_classes(3, 6, 1))) == 3
+    assert len(set(_cell_classes(3, 8, 3))) == 8
+    # and the DP runs on those classes
+    calls = []
+    real = orbit._cell_classes
+    monkeypatch.setattr(
+        orbit, "_cell_classes", lambda *args: calls.append(args) or real(*args)
+    )
+    deviation_measure(Window(3, 1, 16), 9, 4, F(2))
+    assert calls == [(3, 9, 4)]
+
+
+def test_deviation_measure_complement_symmetry():
+    # x -> 1 - x preserves measure and sends cell a to cell cells - 1 - a
+    for base in (2, 3, 5):
+        for cells in range(1, 13):
+            for offset in (0, 2):
+                for length in (1, 2, 5, 8):
+                    w = Window(base, offset, length)
+                    for t in critical_thresholds(length, cells):
+                        for strict in (False, True):
+                            for a in range(cells // 2):
+                                assert deviation_measure(
+                                    w, cells, a, t, strict
+                                ) == deviation_measure(
+                                    w, cells, cells - 1 - a, t, strict
+                                ), (base, cells, offset, length, a, t, strict)
 
 
 def test_deviation_measure_burn_in_invariance():

@@ -72,11 +72,25 @@ HARD_START_FLOOR = 33010640
 # denominator grows with every term, so a huge index_cap means unbounded work.
 MAX_TAIL_TERMS = 1 << 12
 
+# Largest size index whose sets are built. A window at size index n has
+# length 1 << n, an n-bit integer, and so do its thresholds and cutoffs, so
+# an unbounded index means unbounded memory. The bound sits above the
+# paper's first start index, HARD_START_FLOOR, so the paper schedule still
+# runs into its sweep budget first.
+MAX_SIZE_INDEX = 1 << 26
+
 # Largest base_cap a schedule may set. Every base up to base_cap adds an
 # exact tail term with a 2**base-sized denominator to every step's residual
 # bound, so an unbounded cap means unbounded work; base 3 is already past
 # any feasible sweep.
 MAX_BASE_CAP = 64
+
+
+def _check_size_index(n: int) -> None:
+    if n > MAX_SIZE_INDEX:
+        raise BudgetError(
+            "size index %d exceeds the bound of %d" % (n, MAX_SIZE_INDEX)
+        )
 
 
 def depth_limit(length: int) -> int:
@@ -390,6 +404,7 @@ def block_bad_set(
     """
     if n < 4:
         raise ValueError("size index must be at least 4")
+    _check_size_index(n)
     length = 1 << n
     limit = depth_limit(length)
     if not 1 <= h <= limit:
@@ -428,6 +443,7 @@ def tail_bad_set(
     """
     if n < 4:
         raise ValueError("size index must be at least 4")
+    _check_size_index(n)
     if not (n + 1) // 2 <= l <= n:
         raise ValueError("window scale l must lie in [%d, %d]" % ((n + 1) // 2, n))
     if not 1 <= m <= 1 << (n - l):
@@ -475,6 +491,7 @@ def block_bad_union(
     budget: int = DEFAULT_EVENT_BUDGET,
 ) -> Optional[FamilyComponent]:
     """Exact union of all block bad sets for one base and size index."""
+    _check_size_index(n)
     region = IntervalSet.empty()
     members = []
     limit = depth_limit(1 << n)
@@ -501,6 +518,7 @@ def tail_bad_union(
     Pieces sharing an offset are preimages at the same level, so their
     cores union exactly; distinct offsets stay separate components.
     """
+    _check_size_index(n)
     by_offset: dict[int, tuple[IntervalSet, list]] = {}
     for l in range((n + 1) // 2, n + 1):
         limit = depth_limit(1 << (l - 1))
@@ -615,23 +633,18 @@ def tail_mass_bound(index: int, schedule: Schedule) -> Fraction:
     so the bases beyond the size limit contribute at most eta * 2**-limit.
     """
     limit = schedule.base_limit(index)
+    top = limit if schedule.base_cap is None else schedule.base_cap
     total = ZERO
-    in_cap = limit if schedule.base_cap is None else min(limit, schedule.base_cap)
-    for base in range(2, in_cap + 1):
-        start = max(index + 1, schedule.start_index(base))
+    for base in range(2, top + 1):
+        start = schedule.start_index(base)
+        if base <= limit:
+            start = max(index + 1, start)
         stop = schedule.index_cap
         if stop is not None and start > stop:
             continue
         total += square_sum_tail(start, stop)
     if schedule.base_cap is None:
         total += schedule.eta * Fraction(1, 2**limit)
-    else:
-        for base in range(in_cap + 1, schedule.base_cap + 1):
-            start = schedule.start_index(base)
-            stop = schedule.index_cap
-            if stop is not None and start > stop:
-                continue
-            total += square_sum_tail(start, stop)
     return total
 
 

@@ -31,6 +31,7 @@ from .badsets import (
     window_cover_check,
 )
 from .constructor import (
+    MAX_DIGIT_COUNT,
     Certificate,
     IndeterminateError,
     chain_margin_check,
@@ -71,10 +72,6 @@ MAX_PRECISION = 4096
 # point is computed: each point is an exact Fraction, so an unbounded count
 # means unbounded work and memory.
 MAX_ORBIT_POINTS = 1 << 16
-
-# Digit steps above which `digits --count` and `verify` are refused before
-# any family is built: step k carries k-bit denominators in every field.
-MAX_DIGIT_COUNT = 1 << 12
 
 
 def _positive_int(text: str) -> int:
@@ -234,6 +231,10 @@ def _cmd_discrepancy(args) -> int:
         )
     if args.x is not None:
         x = args.x
+        if x.denominator > 1 << MAX_DIGIT_COUNT:
+            raise BudgetError(
+                "--x denominator exceeds the bound of 2**%d" % MAX_DIGIT_COUNT
+            )
         source = format_fraction(x)
     else:
         digits, _meta = read_digit_file(args.digits_file)

@@ -3,9 +3,10 @@
 Each step halves the current interval and keeps the first half whose
 certified bad-mass bound (materialized overlap plus residual tail) stays
 under the step's shrinking threshold. Every step is recorded in a
-certificate with exact rational figures. The verifier rebuilds the
-families from scratch, replays every step through the same step rule and
-compares each recorded field with the replay.
+certificate with exact rational figures. One generator takes every digit
+decision: the emitter collects its records, and the verifier runs it afresh
+from the schedule and compares each recorded field with the fresh step, so
+no recorded value ever enters a computation.
 """
 
 from __future__ import annotations
@@ -13,13 +14,16 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from functools import partial
+from itertools import count, islice
+from typing import Iterator, Optional, Union
 
 from .badsets import BadFamily, Schedule, bad_family, tail_mass_bound
 from .enclose import Enclosure, enclose_log2
 from .measure import (
     UNIT,
     ZERO,
+    BudgetError,
     Interval,
     format_fraction,
     parse_fraction,
@@ -29,6 +33,12 @@ from .orbit import DEFAULT_EVENT_BUDGET
 CERTIFICATE_SCHEMA = "normnum.certificate/1"
 DIGIT_FILE_HEADER = "# normnum digit file v1"
 DIGITS_PER_LINE = 64
+
+# Digit steps above which `digits --count` and `verify` are refused before
+# any family is built, and digits above which a digit file is refused: step
+# k carries k-bit denominators in every field, and a point of k digits has
+# a 2**k denominator that every orbit point carries.
+MAX_DIGIT_COUNT = 1 << 12
 
 
 class IndeterminateError(RuntimeError):
@@ -55,7 +65,7 @@ class IndeterminateError(RuntimeError):
 
 @dataclass(frozen=True)
 class StepRecord:
-    """Everything needed to replay one digit decision."""
+    """Everything recorded about one digit decision."""
 
     step: int
     size_index: int
@@ -156,53 +166,62 @@ class Certificate:
         return cls.from_json(json.loads(text))
 
 
-def _step(
-    family: BadFamily,
-    tail: Fraction,
-    step: int,
-    size_index: int,
-    interval: Interval,
-    precision: int,
-) -> StepRecord:
-    """One digit decision: keep the first half of `interval` whose summed
-    component overlaps plus `tail` stay under 2**-step.
+def _records(
+    schedule: Schedule,
+    precision: int = 64,
+    budget: int = DEFAULT_EVENT_BUDGET,
+) -> Iterator[StepRecord]:
+    """The construction itself: one record per digit step, without end.
 
-    Raises IndeterminateError when neither half passes.
+    One family is built per size index and one tail bound per step. Each
+    step halves the interval the previous step chose and keeps the first
+    half whose summed component overlaps plus the tail stay under
+    2**-step. Raises IndeterminateError at the first step where neither
+    half passes.
     """
-    threshold = Fraction(1, 2**step)
-    half0, half1 = interval.halves()
-    overlaps = family.overlaps(half0.lo, half0.hi)
-    bound0 = sum(overlaps, ZERO)
-    if bound0 + tail < threshold:
-        digit, chosen, chosen_bound, rejected_bound = 0, half0, bound0, None
-    else:
-        overlaps = family.overlaps(half1.lo, half1.hi)
-        bound1 = sum(overlaps, ZERO)
-        if not bound1 + tail < threshold:
-            raise IndeterminateError(step, interval, (bound0, bound1), tail, threshold)
-        digit, chosen, chosen_bound, rejected_bound = 1, half1, bound1, bound0
-    return StepRecord(
-        step=step,
-        size_index=size_index,
-        interval=interval,
-        digit=digit,
-        chosen=chosen,
-        chosen_bound=chosen_bound,
-        rejected_bound=rejected_bound,
-        tail=tail,
-        threshold=threshold,
-        precision=precision,
-        components=tuple(
-            {
-                "label": comp.label,
-                "kind": comp.kind,
-                "members": len(comp.members),
-                "outer_measure": format_fraction(comp.measure),
-                "chosen_overlap": format_fraction(overlap),
-            }
-            for comp, overlap in zip(family.components, overlaps)
-        ),
-    )
+    families: dict[int, BadFamily] = {}
+    interval = UNIT
+    for step in count(1):
+        size_index = schedule.family_index(step)
+        if size_index not in families:
+            families[size_index] = bad_family(size_index, schedule, precision, budget)
+        family = families[size_index]
+        tail = tail_mass_bound(size_index, schedule)
+        threshold = Fraction(1, 2**step)
+        half0, half1 = interval.halves()
+        overlaps = family.overlaps(half0.lo, half0.hi)
+        bound0 = sum(overlaps, ZERO)
+        if bound0 + tail < threshold:
+            digit, chosen, chosen_bound, rejected_bound = 0, half0, bound0, None
+        else:
+            overlaps = family.overlaps(half1.lo, half1.hi)
+            bound1 = sum(overlaps, ZERO)
+            if not bound1 + tail < threshold:
+                raise IndeterminateError(step, interval, (bound0, bound1), tail, threshold)
+            digit, chosen, chosen_bound, rejected_bound = 1, half1, bound1, bound0
+        yield StepRecord(
+            step=step,
+            size_index=size_index,
+            interval=interval,
+            digit=digit,
+            chosen=chosen,
+            chosen_bound=chosen_bound,
+            rejected_bound=rejected_bound,
+            tail=tail,
+            threshold=threshold,
+            precision=precision,
+            components=tuple(
+                {
+                    "label": comp.label,
+                    "kind": comp.kind,
+                    "members": len(comp.members),
+                    "outer_measure": format_fraction(comp.measure),
+                    "chosen_overlap": format_fraction(overlap),
+                }
+                for comp, overlap in zip(family.components, overlaps)
+            ),
+        )
+        interval = chosen
 
 
 def run_construction(
@@ -221,19 +240,9 @@ def run_construction(
     """
     if digit_count < 1:
         raise ValueError("digit count must be positive")
-    families: dict[int, BadFamily] = {}
-    interval = UNIT
-    records = []
-    for step in range(1, digit_count + 1):
-        size_index = schedule.family_index(step)
-        if size_index not in families:
-            families[size_index] = bad_family(size_index, schedule, precision, budget)
-        tail = tail_mass_bound(size_index, schedule)
-        record = _step(families[size_index], tail, step, size_index, interval, precision)
-        records.append(record)
-        interval = record.chosen
+    records = tuple(islice(_records(schedule, precision, budget), digit_count))
     digits = "".join(str(record.digit) for record in records)
-    return Certificate(schedule, digits, tuple(records))
+    return Certificate(schedule, digits, records)
 
 
 @dataclass(frozen=True)
@@ -254,32 +263,33 @@ def _shown(value) -> str:
     return value if isinstance(value, str) else json.dumps(value)
 
 
-def _mismatches(prefix: str, recorded: dict, replayed: dict) -> list[str]:
-    """One problem per key whose recorded value differs from the replay's."""
+def _mismatches(prefix: str, recorded: dict, expected: dict) -> list[str]:
+    """One problem per key whose recorded value differs from the expected one."""
     return [
         "%s%s %s, schedule says %s"
-        % (prefix, key.replace("_", " "), _shown(recorded.get(key)), _shown(replayed.get(key)))
-        for key in sorted(set(recorded) | set(replayed))
-        if recorded.get(key) != replayed.get(key)
+        % (prefix, key.replace("_", " "), _shown(recorded.get(key)), _shown(expected.get(key)))
+        for key in sorted(set(recorded) | set(expected))
+        if recorded.get(key) != expected.get(key)
     ]
 
 
-def _differences(label: str, record: StepRecord, replay: StepRecord) -> list[str]:
-    """Every field of `record`, component rows included, that the replay
-    does not reproduce. The replay is handed the recorded precision, which
-    does no work (families do not depend on it), so it cannot differ.
+def _differences(label: str, record: StepRecord, fresh: StepRecord) -> list[str]:
+    """Every field of `record`, component rows included, that the fresh run
+    does not reproduce. `precision` is left out: it is the start precision
+    of the threshold enclosures, and families do not depend on it.
     """
-    recorded, replayed = record.to_json(), replay.to_json()
-    rows, expected_rows = recorded.pop("components"), replayed.pop("components")
-    problems = _mismatches(label + ": ", recorded, replayed)
+    recorded, expected = record.to_json(), fresh.to_json()
+    del recorded["precision"], expected["precision"]
+    rows, expected_rows = recorded.pop("components"), expected.pop("components")
+    problems = _mismatches(label + ": ", recorded, expected)
     if len(rows) != len(expected_rows):
         problems.append(
             "%s: component count %d, schedule says %d"
             % (label, len(rows), len(expected_rows))
         )
-    for row, expected in zip(rows, expected_rows):
+    for row, expected_row in zip(rows, expected_rows):
         problems += _mismatches(
-            "%s: component %s: " % (label, expected["label"]), row, expected
+            "%s: component %s: " % (label, expected_row["label"]), row, expected_row
         )
     return problems
 
@@ -289,40 +299,32 @@ def verify_certificate(
     schedule: Optional[Schedule] = None,
     budget: int = DEFAULT_EVENT_BUDGET,
 ) -> VerificationReport:
-    """Replay every step of a certificate and compare it field by field.
+    """Run the construction afresh and compare each recorded step with it.
 
-    One family per size index of the schedule is rebuilt fresh; nothing is
-    taken from the run being checked but each step's own interval, which
-    must continue the chain of chosen halves. Each step is replayed by the
-    construction's own step rule and every recorded field, component rows
-    included, must equal the replay's exactly.
+    The schedule (the recorded one, or `schedule` when it is given and its
+    digest differs) drives the same generator `run_construction` uses, for
+    as many steps as the certificate records. Recorded values are only
+    parsed and compared, never computed on: every field, component rows
+    included, must equal the fresh step's exactly. When the fresh run
+    stops because neither half of a step passes, that step is reported and
+    the later steps, which have nothing to be compared with, are not.
     """
     problems: list[str] = []
-    families: dict[int, BadFamily] = {}
     sched = certificate.schedule
     if schedule is not None and schedule.digest() != sched.digest():
         problems.append("schedule digest does not match the supplied schedule")
         sched = schedule
     if certificate.digits != "".join(str(record.digit) for record in certificate.steps):
         problems.append("digit string differs from the steps' digits")
-    interval = UNIT
+    fresh_records = _records(sched, budget=budget)
     for position, record in enumerate(certificate.steps, start=1):
         label = "step %d" % position
-        if record.interval != interval:
-            problems.append("%s: interval chain broken" % label)
-        size_index = sched.family_index(position)
-        if size_index not in families:
-            families[size_index] = bad_family(size_index, sched, budget=budget)
-        tail = tail_mass_bound(size_index, sched)
         try:
-            replay = _step(
-                families[size_index], tail, position, size_index, record.interval, record.precision
-            )
+            fresh = next(fresh_records)
         except IndeterminateError:
             problems.append("%s: neither half passes" % label)
-        else:
-            problems.extend(_differences(label, record, replay))
-        interval = record.chosen
+            break
+        problems.extend(_differences(label, record, fresh))
     return VerificationReport(not problems, len(certificate.steps), tuple(problems))
 
 
@@ -409,15 +411,27 @@ def write_digit_file(path: str, certificate: Certificate) -> None:
 
 
 def read_digit_file(path: str) -> tuple[str, dict]:
-    """Digits plus header metadata; raises ValueError on malformed content."""
+    """Digits plus header metadata; raises ValueError on malformed content.
+
+    More than MAX_DIGIT_COUNT digits raise BudgetError as soon as the
+    digits read pass the bound. Lines are read in pieces of at most
+    MAX_DIGIT_COUNT + 1 characters, so not even one long line is read far
+    past it; a long comment line keeps the metadata of its first piece.
+    """
     meta: dict = {}
     digits = []
+    total = 0
+    in_comment = False  # the previous piece was a comment without its newline
     with open(path, "r", encoding="ascii") as handle:
-        for line in handle:
-            line = line.strip()
+        for piece in iter(partial(handle.readline, MAX_DIGIT_COUNT + 1), ""):
+            if in_comment:
+                in_comment = not piece.endswith("\n")
+                continue
+            line = piece.strip()
             if not line:
                 continue
             if line.startswith("#"):
+                in_comment = not piece.endswith("\n")
                 body = line[1:].strip()
                 if ":" in body:
                     key, value = body.split(":", 1)
@@ -425,6 +439,11 @@ def read_digit_file(path: str) -> tuple[str, dict]:
                 continue
             if set(line) - set("01"):
                 raise ValueError("digit line contains characters outside {0, 1}")
+            total += len(line)
+            if total > MAX_DIGIT_COUNT:
+                raise BudgetError(
+                    "digit file holds more than the bound of %d digits" % MAX_DIGIT_COUNT
+                )
             digits.append(line)
     text = "".join(digits)
     if not text:

@@ -20,6 +20,7 @@ import normnum
 import normnum.cli
 import normnum.constructor
 import normnum.discrepancy
+from normnum.badsets import MAX_SIZE_INDEX
 from normnum.cli import MAX_DIGIT_COUNT, MAX_ORBIT_POINTS, MAX_PRECISION, main
 from normnum.constructor import read_digit_file
 from normnum.enclose import Enclosure
@@ -193,6 +194,34 @@ def test_huge_index_cap_exits_three(capsys, tmp_path):
     assert time.perf_counter() - start < 5.0
     assert code == 3
     assert "4096 terms" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["badset", "digits"])
+def test_huge_size_index_exits_three(capsys, tmp_path, command):
+    # a window at size index n has length 1 << n, so this index would need
+    # half a gigabyte for each such integer
+    if command == "badset":
+        argv = ["badset", "--which", "block", "--index", "4000000000", "--band-scale", "1"]
+    else:
+        config = tmp_path / "index.json"
+        config.write_text(
+            json.dumps(
+                {
+                    "tag": "x",
+                    "delta": "-2/5",
+                    "eta": "1/8",
+                    "z_table": {"2": 4000000000},
+                    "p_const": 4000000000,
+                    "base_cap": 2,
+                }
+            )
+        )
+        argv = ["digits", "--count", "1", "--config", str(config)]
+    start = time.perf_counter()
+    code = main(argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 3
+    assert str(MAX_SIZE_INDEX) in capsys.readouterr().err
 
 
 # every base up to base_cap adds an exact tail term with a 2**base-sized
@@ -535,11 +564,14 @@ def families_built_once():
 @example(field=("schedule", "base_cap"), value=3, signed=True)
 @example(field=("schedule", "tag"), value="toy-other", signed=False)
 @example(field=("steps", 0, "components"), value=[[[1, 2]]], signed=False)
+@example(field=("steps", 1, "interval"), value=["0/1", "1/3"], signed=False)
 def test_certificate_field_mutation_exits_cleanly(
     sparse_certificate, families_built_once, field, value, signed
 ):
     # one field replaced, the schedule digest optionally re-signed: verify
-    # either reproduces the same digits or refuses with exit 3, 4 or 5
+    # either reproduces the same digits or refuses; only a schedule field
+    # drives a computation, so only it may exceed a budget (3) or stop the
+    # construction (4), and a step or row field gives 0 or 5
     path, original = sparse_certificate
     data = copy.deepcopy(original)
     *parents, key = field
@@ -553,7 +585,8 @@ def test_certificate_field_mutation_exits_cleanly(
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(["verify", str(path)])
-    assert code in (0, 3, 4, 5), err.getvalue()
+    allowed = (0, 3, 4, 5) if field[0] == "schedule" else (0, 5)
+    assert code in allowed, err.getvalue()
     if code == 0:
         assert json.loads(out.getvalue())["digits"] == original["digits"]
 
@@ -784,6 +817,46 @@ def test_discrepancy_count_at_bound_runs(capsys):
     # the closed interval [1/3, 2/3] holds the whole period-2 orbit
     assert report["extreme"] == "2/3"
     assert report["star"] == "1/3"
+
+
+@pytest.mark.parametrize("source", ["x", "digits-file"])
+def test_discrepancy_point_above_bound_exits_three(capsys, monkeypatch, tmp_path, source):
+    def refuse(*args):
+        raise AssertionError("orbit computed past the bound")
+
+    monkeypatch.setattr(normnum.cli, "orbit_points", refuse)
+    if source == "x":
+        argv = ["--x", "1/%d" % (2**MAX_DIGIT_COUNT + 1)]
+    else:
+        # the stray 2 sits past the bound on the same line: exit 3, not 2,
+        # shows that reading stops at the bound
+        digit_path = tmp_path / "digits.txt"
+        digit_path.write_text("1" * (MAX_DIGIT_COUNT + 1) + "2\n")
+        argv = ["--digits-file", str(digit_path)]
+    start = time.perf_counter()
+    code = main(["discrepancy", *argv, "--count", "16"])
+    assert time.perf_counter() - start < 1.0
+    assert code == 3
+    assert str(MAX_DIGIT_COUNT) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("source", ["x", "digits-file"])
+def test_discrepancy_point_at_bound_runs(capsys, tmp_path, source):
+    # 0.0101...01 in binary is 1/3 less (1/3) * 2**-MAX_DIGIT_COUNT
+    if source == "x":
+        argv = ["--x", "%d/%d" % (2**MAX_DIGIT_COUNT // 3, 2**MAX_DIGIT_COUNT)]
+    else:
+        digit_path = tmp_path / "digits.txt"
+        digit_path.write_text("01" * (MAX_DIGIT_COUNT // 2) + "\n")
+        argv = ["--digits-file", str(digit_path)]
+    code, report, _ = run(capsys, "discrepancy", *argv, "--count", "16", "--ratio")
+    assert code == 0
+    assert report["count"] == 16
+    # both closed forms move by at most twice the largest shift of a point,
+    # here 2**15 / 3 * 2**-MAX_DIGIT_COUNT, from 1/3's figures 2/3 and 1/3
+    assert abs(F(report["extreme"]) - F(2, 3)) < F(2**16, 2**MAX_DIGIT_COUNT)
+    assert abs(F(report["star"]) - F(1, 3)) < F(2**16, 2**MAX_DIGIT_COUNT)
+    assert F(report["extreme"]) != F(2, 3)
 
 
 def test_discrepancy_source_validation(capsys):

@@ -7,6 +7,7 @@ import pytest
 
 from normnum.badsets import Schedule, bad_family, preset
 from normnum.constructor import (
+    MAX_DIGIT_COUNT,
     Certificate,
     IndeterminateError,
     chain_margin_check,
@@ -275,6 +276,11 @@ SEEDED_FORGERIES = {
         lambda step: step.update(rejected_bound="1/2"),
         ["step 2: rejected bound 1/2, schedule says null"],
     ),
+    "interval": (
+        1,
+        lambda step: step.update(interval=["1/2", "2/3"]),
+        ['step 2: interval ["1/2", "2/3"], schedule says ["1/2", "1/1"]'],
+    ),
 }
 
 
@@ -343,6 +349,15 @@ def test_digit_file_rejects_bad_content(tmp_path):
     path.write_text("# normnum digit file v1\n# count: 4\n011\n")
     with pytest.raises(ValueError):
         read_digit_file(str(path))
+
+
+def test_digit_file_skips_long_comment_lines(tmp_path):
+    # a comment line is read in several pieces; none is taken for digits
+    path = tmp_path / "digits.txt"
+    path.write_text("# preset: %s\n# count: 3\n101\n" % ("x" * 3 * MAX_DIGIT_COUNT))
+    digits, meta = read_digit_file(str(path))
+    assert digits == "101"
+    assert meta["count"] == "3"
 
 
 def test_digits_to_fraction():

@@ -12,8 +12,9 @@ a schedule the module builds, for any base and size index:
 
 Hit counts are integers, so each bad set is decided by the integer count
 cutoffs of its threshold. The threshold enclosure is refined until both of
-its ends give the same cutoffs; the region is then swept exactly, a true
-rational interval set rather than a floating approximation.
+its ends give the same cutoffs. The exact hit-count distribution then
+gives the set's measure, and a set of positive measure is swept exactly, a
+true rational interval set rather than a floating approximation.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ from .orbit import (
     Band,
     Window,
     count_cutoffs,
+    cutoff_measure,
     cutoff_region,
     f_value,
     sweep_cost,
@@ -360,8 +362,9 @@ def _bad_set(
     Hit counts are integers, so the set is decided by the threshold's count
     cutoffs. It is empty once the low end's cutoffs lie outside the window,
     since higher thresholds only widen them; otherwise the precision
-    doubles until both ends of the enclosure give the same cutoffs, and
-    the region of those cutoffs is swept.
+    doubles until both ends of the enclosure give the same cutoffs. The
+    region of those cutoffs is swept only when the exact hit-count
+    distribution gives it a positive measure.
     """
     core_window = Window(window.base, 0, window.length)
     expected = band.length * window.length
@@ -372,14 +375,19 @@ def _bad_set(
         c_lo, c_hi = count_cutoffs(expected, threshold.lo)
         if c_lo < 0 and c_hi > window.length:
             return SetEnclosure(label, window, band, threshold, IntervalSet.empty())
+        # the low end already needs the region: refuse a window beyond the
+        # budget first, which also bounds the length of the DP below
+        sweep_cost(core_window, budget)
         if (c_lo, c_hi) == count_cutoffs(expected, threshold.hi):
-            region = cutoff_region(core_window, band, c_lo, c_hi, budget)
+            # every swept part has positive length, so a zero weight of the
+            # qualifying counts means an empty region, found without a sweep
+            if cutoff_measure(core_window, 2**band.k, band.a, c_lo, c_hi):
+                region = cutoff_region(core_window, band, c_lo, c_hi, budget)
+            else:
+                region = IntervalSet.empty()
             if window.offset:
                 region = PeriodicIntervalSet(region, window.base, window.offset)
             return SetEnclosure(label, window, band, threshold, region)
-        # the low end already needs a sweep: refuse a window beyond the
-        # budget before refining
-        sweep_cost(core_window, budget)
         precision *= 2
     raise StraddleError(
         "threshold enclosure around %.17g still straddles a count cutoff of the "

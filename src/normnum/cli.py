@@ -58,7 +58,12 @@ from .measure import (
     parse_fraction,
     region_to_json,
 )
-from .orbit import DEFAULT_EVENT_BUDGET, Window, deviation_measure
+from .orbit import (
+    DEFAULT_EVENT_BUDGET,
+    MAX_EVENT_BUDGET,
+    Window,
+    deviation_measure,
+)
 from .mc import SamplerSpec, sample_integers
 
 DEFAULT_SEED = 20260819
@@ -86,6 +91,15 @@ def _precision_arg(text: str) -> int:
     if not 1 <= value <= MAX_PRECISION:
         raise argparse.ArgumentTypeError(
             "must be an integer in [1, %d] bits" % MAX_PRECISION
+        )
+    return value
+
+
+def _budget_arg(text: str) -> int:
+    value = int(text)
+    if not 1 <= value <= MAX_EVENT_BUDGET:
+        raise argparse.ArgumentTypeError(
+            "must be an integer in [1, %d] events" % MAX_EVENT_BUDGET
         )
     return value
 
@@ -499,7 +513,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--precision", type=_precision_arg, default=64)
         if with_budget:
             p.add_argument(
-                "--budget", type=_positive_int, default=DEFAULT_EVENT_BUDGET
+                "--budget", type=_budget_arg, default=DEFAULT_EVENT_BUDGET
             )
 
     p_digits = sub.add_parser("digits", help="emit digits with a certificate")
@@ -534,7 +548,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="replay and recheck a certificate")
     p_verify.add_argument("certificate")
-    p_verify.add_argument("--budget", type=_positive_int, default=DEFAULT_EVENT_BUDGET)
+    p_verify.add_argument("--budget", type=_budget_arg, default=DEFAULT_EVENT_BUDGET)
     p_verify.set_defaults(func=_cmd_verify)
 
     p_lemma = sub.add_parser("lemma", help="run bound and decomposition checks")

@@ -16,6 +16,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Sequence, Union
 
 ZERO = Fraction(0)
@@ -187,11 +188,40 @@ class IntervalSet:
         return i >= 0 and self._parts[i][0] <= x < self._parts[i][1]
 
     def union(self, other: "IntervalSet") -> "IntervalSet":
+        """Canonical union, by one merge of the two canonical operands.
+
+        Endpoints are compared as integer numerators over the lcm of the
+        operands' denominators, so no Fraction is compared. That lcm stays
+        small for sets swept on one power denominator; the general
+        constructor keeps Fraction comparisons, since many coprime
+        denominators would make it huge.
+        """
         if not self._parts:
             return other
         if not other._parts:
             return self
-        return IntervalSet(self._parts + other._parts)
+        parts = self._parts + other._parts
+        denom = lcm(*{x.denominator for part in parts for x in part})
+        keyed = [
+            (
+                lo.numerator * (denom // lo.denominator),
+                hi.numerator * (denom // hi.denominator),
+                i,
+            )
+            for i, (lo, hi) in enumerate(parts)
+        ]
+        # the two sorted runs are merged in one pass of the sort
+        keyed.sort()
+        merged = []
+        end = -1
+        for lo_key, hi_key, i in keyed:
+            if lo_key > end:
+                merged.append(parts[i])
+                end = hi_key
+            elif hi_key > end:
+                merged[-1] = (merged[-1][0], parts[i][1])
+                end = hi_key
+        return IntervalSet(merged, _canonical=True)
 
     def intersect(self, other: "IntervalSet") -> "IntervalSet":
         out = []
@@ -213,16 +243,19 @@ class IntervalSet:
         """Exact measure of the intersection with [lo, hi)."""
         lo = as_fraction(lo)
         hi = as_fraction(hi)
+        parts = self._parts
         total = ZERO
-        for plo, phi in self._parts:
-            if phi <= lo:
-                continue
+        # the first part ending after lo
+        i = bisect_right(parts, lo, key=lambda p: p[1])
+        while i < len(parts):
+            plo, phi = parts[i]
             if plo >= hi:
                 break
             seg_lo = plo if plo > lo else lo
             seg_hi = phi if phi < hi else hi
             if seg_hi > seg_lo:
                 total += seg_hi - seg_lo
+            i += 1
         return total
 
     def to_json(self) -> list:

@@ -38,6 +38,11 @@ from .measure import (
 
 DEFAULT_EVENT_BUDGET = 5_000_000
 
+# Largest event budget a caller may grant a sweep. A sweep holds several
+# int64 arrays per event (about 68 bytes per event at its peak), so 2**23
+# events stay near 600 MB; an unbounded budget means unbounded memory.
+MAX_EVENT_BUDGET = 1 << 23
+
 
 @dataclass(frozen=True)
 class Band:
@@ -308,6 +313,30 @@ def _count_distribution(
     return [(total >> (c * width)) & mask for c in range(length + 1)]
 
 
+def cutoff_measure(
+    window: Window, cells: int, target: int, c_lo: int, c_hi: int
+) -> Fraction:
+    """Exact measure of {x : count <= c_lo or count >= c_hi} of the window's
+    hit count in cell `target` of the uniform partition into `cells` pieces.
+
+    The weight of the qualifying counts in the exact hit-count distribution
+    (`_count_distribution`); it equals the measure of `cutoff_region` for
+    the same cutoffs, so a zero weight means an empty region.
+    """
+    n = window.length
+    if c_hi <= c_lo + 1:
+        # every integer count qualifies
+        return ONE
+    if c_lo < 0 and c_hi > n:
+        return ZERO
+    b = window.base
+    weights = _count_distribution(b, window.offset, n, cells, target)
+    return Fraction(
+        sum(w for c, w in enumerate(weights) if c <= c_lo or c >= c_hi),
+        cells * b ** (window.offset + n - 1),
+    )
+
+
 def deviation_measure(
     window: Window,
     cells: int,
@@ -329,17 +358,7 @@ def deviation_measure(
         raise ValueError("cell count must be positive")
     if not 0 <= target < cells:
         raise ValueError("target cell out of range")
-    b = window.base
-    n = window.length
-    threshold = as_fraction(threshold)
-    if threshold < 0 or (threshold == 0 and not strict):
-        return Fraction(1)
-    expected = Fraction(n, cells)
-    c_lo, c_hi = count_cutoffs(expected, threshold, strict)
-    if c_lo < 0 and c_hi > n:
-        return ZERO
-    weights = _count_distribution(b, window.offset, n, cells, target)
-    return Fraction(
-        sum(w for c, w in enumerate(weights) if c <= c_lo or c >= c_hi),
-        cells * b ** (window.offset + n - 1),
+    c_lo, c_hi = count_cutoffs(
+        Fraction(window.length, cells), as_fraction(threshold), strict
     )
+    return cutoff_measure(window, cells, target, c_lo, c_hi)

@@ -24,6 +24,7 @@ from normnum.badsets import MAX_SIZE_INDEX
 from normnum.cli import MAX_DIGIT_COUNT, MAX_ORBIT_POINTS, MAX_PRECISION, main
 from normnum.constructor import read_digit_file
 from normnum.enclose import Enclosure
+from normnum.orbit import MAX_EVENT_BUDGET
 
 
 def run(capsys, *argv):
@@ -170,6 +171,51 @@ def test_budget_exhaustion_exits_three(capsys):
     code = main(["digits", "--preset", "toy-sparse", "--count", "3", "--budget", "50"])
     assert code == 3
     assert "budget" in capsys.readouterr().err
+
+
+def test_budget_gate_runs_before_the_distribution(capsys):
+    # a point in the band [1/4, 1/2) is followed by one past 1/2, so at
+    # most 16 of the 32 points hit it and the hit-count distribution proves
+    # the set (counts of 18 or more) empty; the window is past the budget,
+    # and the refusal comes first
+    code = main(
+        [
+            "badset", "--preset", "toy-mixed", "--which", "block", "--index",
+            "5", "--band-scale", "1", "--band-index", "1",
+        ]
+    )
+    assert code == 3
+    assert capsys.readouterr().err == (
+        "budget exceeded: sweep needs at least 2**(window end) events for a "
+        "window end of 6 bits, budget is 5000000\n"
+    )
+
+
+def budget_argv(command, certificate_path):
+    return {
+        "digits": ("digits", "--preset", "toy-sparse", "--count", "1"),
+        "badset": BLOCK_PIECE,
+        "verify": ("verify", str(certificate_path)),
+    }[command]
+
+
+@pytest.mark.parametrize("command", ["digits", "badset", "verify"])
+def test_budget_above_bound_exits_two(capsys, sparse_certificate, command):
+    argv = budget_argv(command, sparse_certificate[0])
+    start = time.perf_counter()
+    code = main(list(argv) + ["--budget", str(MAX_EVENT_BUDGET + 1)])
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert str(MAX_EVENT_BUDGET) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["digits", "badset", "verify"])
+def test_budget_at_bound_runs(capsys, sparse_certificate, command):
+    argv = budget_argv(command, sparse_certificate[0])
+    code, report, _ = run(capsys, *argv, "--budget", str(MAX_EVENT_BUDGET))
+    assert code == 0
+    if command == "verify":
+        assert report["ok"]
 
 
 def test_huge_index_cap_exits_three(capsys, tmp_path):

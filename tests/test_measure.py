@@ -176,6 +176,51 @@ def test_canonical_parts_are_sorted_disjoint(a):
         assert hi1 < lo2
 
 
+def reference_union(a, b):
+    """The sort-based union: canonicalise the concatenated parts with
+    Fraction comparisons."""
+    return IntervalSet(a.pairs + b.pairs)
+
+
+DENOMINATORS = {
+    "dyadic": (1, 2, 4, 8, 16, 32),
+    "triadic": (1, 3, 9, 27),
+    "mixed": (1, 2, 3, 4, 6, 9, 12, 16, 27),
+}
+
+
+@st.composite
+def set_pairs(draw):
+    """Two sets whose parts share endpoints from one small pool, so parts
+    touch, nest, repeat or stay disjoint across the two operands."""
+    dens = DENOMINATORS[draw(st.sampled_from(sorted(DENOMINATORS)))]
+    point = st.sampled_from(dens).flatmap(
+        lambda d: st.integers(0, d).map(lambda n: F(n, d))
+    )
+    pool = draw(st.lists(point, min_size=1, max_size=8))
+    part = st.tuples(st.sampled_from(pool), st.sampled_from(pool)).map(sorted)
+    return tuple(
+        IntervalSet(draw(st.lists(part, max_size=6))) for _ in range(2)
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(set_pairs())
+def test_union_matches_sort_reference(sets):
+    a, b = sets
+    union = a.union(b)
+    assert union == reference_union(a, b)
+    assert all(type(x) is F for part in union.pairs for x in part)
+
+
+@settings(max_examples=100, deadline=None)
+@given(interval_sets(), frac01, frac01)
+def test_intersect_measure_matches_intersect(a, lo, hi):
+    # reversed or empty queries measure zero
+    query = IntervalSet([(lo, hi)]) if lo < hi else IntervalSet.empty()
+    assert a.intersect_measure(lo, hi) == a.intersect(query).measure()
+
+
 # -- periodic wrappers ----------------------------------------------------
 
 

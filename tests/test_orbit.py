@@ -15,6 +15,7 @@ from normnum.orbit import (
     Window,
     _cell_classes,
     count_cutoffs,
+    cutoff_measure,
     cutoff_region,
     deviation_measure,
     deviation_region,
@@ -208,6 +209,25 @@ def test_region_kernel_matches_reference_loop(base, offset, band, strict):
         for c_lo, c_hi in cutoffs
     ]
     assert regions == reference_regions(w, lo, hi, cutoffs)
+
+
+@pytest.mark.parametrize("offset", range(4))
+@pytest.mark.parametrize("base", sorted(KERNEL_LENGTHS))
+def test_cutoff_measure_matches_swept_region(base, offset):
+    # every band of depth 0-2 and every cutoff pair from unit to empty: the
+    # distribution's weight is the swept measure, so a zero weight means an
+    # empty region
+    w = Window(base, offset, KERNEL_LENGTHS[base])
+    for k in range(3):
+        for a in range(2**k):
+            for c_lo in range(-1, w.length + 1):
+                for c_hi in range(0, w.length + 2):
+                    region = cutoff_region(
+                        w, Band(a, k), c_lo, c_hi, DEFAULT_EVENT_BUDGET
+                    )
+                    measure = cutoff_measure(w, 2**k, a, c_lo, c_hi)
+                    assert measure == region.measure(), (k, a, c_lo, c_hi)
+                    assert (measure == 0) == region.is_empty()
 
 
 def test_sweep_denominator_guard():

@@ -13,8 +13,9 @@ a schedule the module builds, for any base and size index:
 Hit counts are integers, so each bad set is decided by the integer count
 cutoffs of its threshold. The threshold enclosure is refined until both of
 its ends give the same cutoffs. The exact hit-count distribution then
-gives the set's measure, and a set of positive measure is swept exactly, a
-true rational interval set rather than a floating approximation.
+gives the set's measure, and the region of a set of positive measure is
+built exactly by a walk of the same cell chain, a true rational interval
+set rather than a floating approximation.
 """
 
 from __future__ import annotations
@@ -483,7 +484,7 @@ class FamilyComponent:
     label: str
     kind: str
     region: RegionLike
-    members: tuple = ()
+    members: int = 0  # nonempty bad sets merged into the region
 
     @cached_property
     def measure(self) -> Fraction:
@@ -501,17 +502,17 @@ def block_bad_union(
     """Exact union of all block bad sets for one base and size index."""
     _check_size_index(n)
     region = IntervalSet.empty()
-    members = []
+    members = 0
     limit = depth_limit(1 << n)
     for h in range(1, limit + 1):
         for a in range(2**h):
             piece = block_bad_set(base, n, a, h, schedule, precision, budget)
             if not piece.is_empty():
-                members.append(piece.label)
+                members += 1
                 region = region.union(piece.region)
     if not members:
         return None
-    return FamilyComponent("block b=%d n=%d" % (base, n), "block", region, tuple(members))
+    return FamilyComponent("block b=%d n=%d" % (base, n), "block", region, members)
 
 
 def tail_bad_union(
@@ -527,29 +528,26 @@ def tail_bad_union(
     cores union exactly; distinct offsets stay separate components.
     """
     _check_size_index(n)
-    by_offset: dict[int, tuple[IntervalSet, list]] = {}
+    by_offset: dict[int, tuple[IntervalSet, int]] = {}
     for l in range((n + 1) // 2, n + 1):
         limit = depth_limit(1 << (l - 1))
         for h in range(1, limit + 1):
             for a in range(2**h):
-                # the core region does not depend on the slot, sweep it once
+                # the core region does not depend on the slot, build it once
                 probe = tail_bad_set(base, n, a, h, l, 1, schedule, precision, budget)
                 if probe.is_empty():
                     continue
                 assert isinstance(probe.region, PeriodicIntervalSet)
                 for m in range(1, (1 << (n - l)) + 1):
                     offset = (1 << n) + (m << l)
-                    core, members = by_offset.get(offset, (IntervalSet.empty(), []))
-                    by_offset[offset] = (
-                        core.union(probe.region.core),
-                        members + ["tail b=%d n=%d h=%d a=%d l=%d m=%d" % (base, n, h, a, l, m)],
-                    )
+                    core, members = by_offset.get(offset, (IntervalSet.empty(), 0))
+                    by_offset[offset] = (core.union(probe.region.core), members + 1)
     return [
         FamilyComponent(
             "tail b=%d n=%d offset=%d" % (base, n, offset),
             "tail",
             PeriodicIntervalSet(core, base, offset),
-            tuple(members),
+            members,
         )
         for offset, (core, members) in sorted(by_offset.items())
     ]

@@ -214,7 +214,7 @@ def _records(
                 {
                     "label": comp.label,
                     "kind": comp.kind,
-                    "members": len(comp.members),
+                    "members": comp.members,
                     "outer_measure": format_fraction(comp.measure),
                     "chosen_overlap": format_fraction(overlap),
                 }

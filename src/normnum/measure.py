@@ -192,7 +192,7 @@ class IntervalSet:
 
         Endpoints are compared as integer numerators over the lcm of the
         operands' denominators, so no Fraction is compared. That lcm stays
-        small for sets swept on one power denominator; the general
+        small for regions built on one power denominator; the general
         constructor keeps Fraction comparisons, since many coprime
         denominators would make it huge.
         """

@@ -8,8 +8,8 @@ ways, each exact:
 
 * pointwise, by walking the orbit of a rational;
 * as a region {x : deviation meets a threshold}, keyed by the threshold's
-  two integer count cutoffs and swept over the sorted preimage breakpoints
-  on a common power denominator;
+  two integer count cutoffs and built by a pruned depth-first walk of the
+  cell chain of the digit process over a common power denominator;
 * as a measure alone, from the exact distribution of the window's hit
   count along the cell chain of the digit process; this stays feasible
   when windows are far too long for the region itself to be materialized.
@@ -38,9 +38,9 @@ from .measure import (
 
 DEFAULT_EVENT_BUDGET = 5_000_000
 
-# Largest event budget a caller may grant a sweep. A sweep holds several
-# int64 arrays per event (about 68 bytes per event at its peak), so 2**23
-# events stay near 600 MB; an unbounded budget means unbounded memory.
+# Largest event budget a caller may grant a sweep. It bounds the leaves of
+# each cell branch of the region walk, base**(end - 1), and the region's
+# parts, one per two events; an unbounded budget means unbounded memory.
 MAX_EVENT_BUDGET = 1 << 23
 
 
@@ -168,14 +168,14 @@ def cutoff_region(
     """Exact region {x : count <= c_lo or count >= c_hi} of the window's
     hit count in the band.
 
-    Every preimage endpoint is an integer over the common denominator
-    q * base**(end - 1): orbit index j turns the band indicator on at
-    lo_num * s + m * q * s and off at hi_num * s + m * q * s, with
-    s = base**(end - 1 - j) and 0 <= m < base**j. One int64 sort of those
-    positions, with equal positions merged, gives the hit count of every
-    segment as a prefix sum of the +1/-1 deltas, and the qualifying runs
-    are read off that count vector. The result is a canonical union of
-    half-open intervals whose endpoints share the common denominator.
+    Every preimage endpoint is an integer over the grid q * base**(end - 1),
+    q the lcm of the band's denominators. Grid index c0 * base**(end - 1)
+    + t starts in cell c0 of q cells and moves to (base * cell + r) % q on
+    each next digit r of t, the chain `_cell_classes` refines. A depth-first
+    walk in ascending order keeps the hit count so far, emits a node's whole
+    span once count >= c_hi or count plus the indices still to come <= c_lo,
+    and drops a node that can reach neither side. Adjacent spans merge on
+    integers, so the result is canonical.
     """
     if c_hi <= c_lo + 1:
         # every integer count qualifies
@@ -184,42 +184,39 @@ def cutoff_region(
         return IntervalSet.empty()
     lo, hi = _band_bounds(band)
     sweep_cost(window, budget)
-    b = window.base
     q = lcm(lo.denominator, hi.denominator)
-    top = window.end - 1
-    denom = q * b**top
-    # every position lies in [0, denom], so int64 holds them all exactly
-    if denom >= 1 << 63:
+    # the walk starts one branch per cell
+    if q > budget:
         raise BudgetError(
-            "sweep denominator of %d bits does not fit in int64"
-            % denom.bit_length()
+            "region walk starts %d cell branches, budget is %d" % (q, budget)
         )
-    import numpy as np  # deferred: commands that never sweep skip the import
+    b, offset, end = window.base, window.offset, window.end
+    lo_cell = lo.numerator * (q // lo.denominator)
+    hi_cell = hi.numerator * (q // hi.denominator)
+    hits = [int(lo_cell <= cell < hi_cell) for cell in range(q)]
+    # a node at depth d spans spans[d] grid points and rests[d] window
+    # indices after d are still to be counted
+    spans = [b ** (end - 1 - d) for d in range(end)]
+    rests = [end - max(d + 1, offset) for d in range(end)]
+    ends: list[int] = []  # run starts and stops, alternating
 
-    lo_num = lo.numerator * (q // lo.denominator)
-    hi_num = hi.numerator * (q // hi.denominator)
-    on = []
-    off = []
-    for j in range(window.offset, window.end):
-        scale = b ** (top - j)
-        steps = np.arange(b**j, dtype=np.int64) * (q * scale)
-        on.append(steps + lo_num * scale)
-        off.append(steps + hi_num * scale)
-    on = np.concatenate(on)
-    off = np.concatenate(off)
-    # the sentinels 0 and denom carry no delta; they pin the first and
-    # last segment edges
-    positions = np.concatenate((on, off, np.array([0, denom], dtype=np.int64)))
-    deltas = np.repeat(np.array([1, -1, 0], dtype=np.int64), (len(on), len(off), 2))
-    order = np.argsort(positions)
-    positions = positions[order]
-    firsts = np.flatnonzero(np.diff(positions, prepend=-1))
-    edges = positions[firsts]
-    # counts[i] holds on the segment [edges[i], edges[i + 1])
-    counts = np.cumsum(np.add.reduceat(deltas[order], firsts))[:-1]
-    mask = (counts <= c_lo) | (counts >= c_hi)
-    flips = np.flatnonzero(np.diff(mask, prepend=False, append=False))
-    ends = edges[flips].tolist()
+    def walk(pos: int, d: int, cell: int, count: int) -> None:
+        if count >= c_hi or count + rests[d] <= c_lo:
+            if ends and ends[-1] == pos:
+                ends[-1] = pos + spans[d]
+            else:
+                ends.extend((pos, pos + spans[d]))
+        elif count <= c_lo or count + rests[d] >= c_hi:
+            d += 1
+            counted = d >= offset
+            for r in range(b):
+                nxt = (b * cell + r) % q
+                walk(pos, d, nxt, count + hits[nxt] if counted else count)
+                pos += spans[d]
+
+    for cell in range(q):
+        walk(cell * spans[0], 0, cell, hits[cell] if offset == 0 else 0)
+    denom = q * spans[0]
     return IntervalSet(
         [
             (Fraction(start, denom), Fraction(stop, denom))

@@ -270,7 +270,7 @@ def test_toy_sparse_block_structure():
     union = block_bad_union(2, 4, s)
     assert union is not None
     assert union.region.measure() == F(369, 32768)
-    assert len(union.members) == 4
+    assert union.members == 4
     pieces = [block_bad_set(2, 4, a, h, s) for h in (1, 2, 3) for a in range(2**h)]
     for end in ("lo", "hi"):
         swept = IntervalSet.empty()
@@ -287,7 +287,7 @@ def test_toy_sparse_tail_structure():
     comp = unions[0]
     assert comp.region.level == 32
     assert comp.region.measure() == F(1, 256)
-    assert len(comp.members) == 3
+    assert comp.members == 3
     # the two extreme digit patterns under the longest window
     flat = comp.region.core
     assert flat.pairs == ((F(0), F(1, 512)), (F(511, 512), F(1)))

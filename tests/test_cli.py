@@ -151,14 +151,36 @@ def test_precision_at_bound_runs(capsys):
     assert report["outer_measure"] == default["outer_measure"]
 
 
-def test_cli_import_skips_numpy():
-    # only the region sweep needs numpy; importing it at module level
-    # would tax every command that never sweeps
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["digits", "--preset", "toy-sparse", "--count", "2"],
+        [
+            "badset", "--preset", "toy-mixed", "--which", "block", "--index", "4",
+            "--band-scale", "3", "--band-index", "0", "--list-parts",
+        ],
+    ],
+    ids=["digits", "badset"],
+)
+def test_cli_runs_without_numpy(argv):
+    # no command needs numpy, the region walk included: with numpy blocked
+    # the command still succeeds and prints the same report
     src = str(Path(normnum.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src)
-    code = "import normnum.cli, sys; sys.exit('numpy' in sys.modules)"
-    result = subprocess.run([sys.executable, "-c", code], env=env, timeout=60)
-    assert result.returncode == 0
+    code = "import sys; from normnum.cli import main; sys.exit(main(sys.argv[1:]))"
+    blocked, free = (
+        subprocess.run(
+            [sys.executable, "-c", prefix + code, *argv],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        for prefix in ("import sys; sys.modules['numpy'] = None; ", "")
+    )
+    assert blocked.returncode == 0, blocked.stderr
+    assert free.returncode == 0
+    assert blocked.stdout == free.stdout
 
 
 def test_help_exits_zero(capsys):

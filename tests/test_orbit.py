@@ -185,6 +185,7 @@ KERNEL_BANDS = {
     "hi1": (F(3, 4), F(1)),  # an off event at the denominator
     "sixth": (F(0), F(1, 6)),  # a non-dyadic common denominator
     "third_to_1": (F(1, 3), F(1)),
+    "interior": (F(1, 5), F(3, 5)),  # a multi-cell hit range inside (0, 1)
 }
 KERNEL_LENGTHS = {2: 5, 3: 3, 5: 2}
 
@@ -230,16 +231,22 @@ def test_cutoff_measure_matches_swept_region(base, offset):
                     assert (measure == 0) == region.is_empty()
 
 
-def test_sweep_denominator_guard():
-    # 2**61 * 2**1 = 2**62 still fits int64
+def test_region_cell_guard():
+    # the walk starts one branch per cell of the band's grid, so a band
+    # with more cells than the budget is refused
     w = Window(2, 0, 2)
-    band = (F(0), F(1, 2**61))
+    band = (F(0), F(1, 64))
     pairs = [count_cutoffs(band[1] * 2, F(1))]
-    assert [deviation_region(w, band, F(1))] == reference_regions(w, *band, pairs)
+    region = deviation_region(w, band, F(1), budget=64)
+    assert not region.is_empty()
+    assert [region] == reference_regions(w, *band, pairs)
     with pytest.raises(BudgetError):
-        deviation_region(w, (F(0), F(1, 2**62)), F(1))
-    # a 2**63 denominator over 524286 events is refused before any array
-    # (about 4 MB each) is built
+        deviation_region(w, (F(0), F(1, 128)), F(1), budget=64)
+    for k in (61, 62):
+        with pytest.raises(BudgetError):
+            deviation_region(w, (F(0), F(1, 2**k)), F(1))
+    # 2**46 cells over a window of 524286 events are refused before the
+    # per-cell hit table is built
     tracemalloc.start()
     try:
         with pytest.raises(BudgetError):

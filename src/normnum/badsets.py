@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
-from math import isqrt
+from math import isqrt, lcm
 from typing import Mapping, Optional
 
 from mpmath import iv
@@ -87,6 +87,11 @@ MAX_SIZE_INDEX = 1 << 26
 # bound, so an unbounded cap means unbounded work; base 3 is already past
 # any feasible sweep.
 MAX_BASE_CAP = 64
+
+# Largest lcm of the obstacle's endpoint denominators, the bound a
+# `discrepancy --x` denominator has too. The obstacle's region lives on
+# that one integer grid, so an unbounded lcm means unbounded work.
+MAX_OBSTACLE_DENOMINATOR = 1 << 4096
 
 
 def _check_size_index(n: int) -> None:
@@ -161,9 +166,13 @@ class Schedule:
             pairs = tuple(
                 (as_fraction(lo), as_fraction(hi)) for lo, hi in self.obstacle
             )
+            denom = 1
             for lo, hi in pairs:
                 if not (ZERO <= lo < hi <= ONE):
                     raise ValueError("obstacle intervals must sit inside [0, 1]")
+                denom = lcm(denom, lo.denominator, hi.denominator)
+                if denom > MAX_OBSTACLE_DENOMINATOR:
+                    raise ValueError("obstacle denominators have an lcm above 2**4096")
             object.__setattr__(self, "obstacle", pairs)
 
     def start_index(self, base: int) -> int:

@@ -176,14 +176,12 @@ def _cmd_badset(args) -> int:
         }
         if args.list_parts:
             # inner and outer name the one exact region, kept for report stability
-            report["parts"] = [
-                {
-                    "label": comp.label,
-                    "inner": region_to_json(comp.region),
-                    "outer": region_to_json(comp.region),
-                }
-                for comp in family.components
-            ]
+            report["parts"] = []
+            for comp in family.components:
+                region = region_to_json(comp.region)
+                report["parts"].append(
+                    {"label": comp.label, "inner": region, "outer": region}
+                )
         _emit(report)
         return 0
     if args.band_scale is None:

@@ -1,14 +1,16 @@
 """Exact subsets of the unit interval: rational endpoints, canonical unions.
 
-All endpoints are `fractions.Fraction` and every measure is an exact
-rational. An IntervalSet keeps its parts sorted, pairwise disjoint and
-non-adjacent, so set equality is representation equality and every
-operation is oracle-checkable by structural comparison.
+Every measure is an exact rational. An IntervalSet stores its parts as
+strictly increasing integer ends over one denominator, reduced by their
+common factor, so set equality is representation equality and every
+operation is oracle-checkable by structural comparison. Unions, measures
+and membership work on the integers; `Fraction`s are built only for
+output (`pairs`, `to_json`).
 
 PeriodicIntervalSet represents the full preimage of a core set under
 x -> frac(base**level * x), i.e. base**level scaled translates of the
-core, without expanding the translates. Measure queries against
-intervals aligned to the base**level grid stay exact at any level.
+core, without expanding the translates. Measure queries against any
+interval take two core queries at any level.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Sequence, Union
 
 ZERO = Fraction(0)
@@ -59,10 +61,6 @@ def parse_fraction(text: str) -> Fraction:
 
 def floor_fraction(x: Fraction) -> int:
     return x.numerator // x.denominator
-
-
-def ceil_fraction(x: Fraction) -> int:
-    return -((-x.numerator) // x.denominator)
 
 
 @dataclass(frozen=True)
@@ -109,157 +107,171 @@ class Interval:
 UNIT = Interval(ZERO, ONE)
 
 
-def _canonical_pairs(parts: Iterable) -> tuple:
-    pairs = []
-    for part in parts:
-        if isinstance(part, Interval):
-            lo, hi = part.lo, part.hi
+def _merged_ends(runs: list) -> list:
+    """Ends of the union of integer runs (start, stop), start < stop.
+
+    Runs that overlap or touch merge, so the ends strictly increase.
+    """
+    runs.sort()
+    ends: list = []
+    for lo, hi in runs:
+        if ends and lo <= ends[-1]:
+            if hi > ends[-1]:
+                ends[-1] = hi
         else:
-            lo, hi = as_fraction(part[0]), as_fraction(part[1])
-        if hi > lo:
-            pairs.append((lo, hi))
-    pairs.sort()
-    if pairs and (pairs[0][0] < ZERO or max(hi for _, hi in pairs) > ONE):
-        raise ValueError("interval set must stay inside [0, 1]")
-    merged: list = []
-    for lo, hi in pairs:
-        if merged and lo <= merged[-1][1]:
-            if hi > merged[-1][1]:
-                merged[-1] = (merged[-1][0], hi)
-        else:
-            merged.append((lo, hi))
-    return tuple(merged)
+            ends += (lo, hi)
+    return ends
 
 
 class IntervalSet:
-    """Canonical finite union of half-open subintervals of [0, 1)."""
+    """Canonical finite union of half-open subintervals of [0, 1).
 
-    __slots__ = ("_parts",)
+    Stored as integer ends over one denominator: part i is
+    [ends[2i], ends[2i+1]) / denom, the ends strictly increase (parts are
+    sorted, disjoint and non-adjacent) and gcd(denom, *ends) == 1, so set
+    equality is representation equality.
+    """
 
-    def __init__(self, parts: Iterable = (), _canonical: bool = False):
-        if _canonical:
-            self._parts = tuple(parts)
-        else:
-            self._parts = _canonical_pairs(parts)
+    __slots__ = ("denom", "ends")
+
+    def __init__(self, parts: Iterable = ()):
+        pairs = [
+            (lo, hi)
+            for lo, hi in (map(as_fraction, part) for part in parts)
+            if hi > lo
+        ]
+        denom = lcm(*(x.denominator for pair in pairs for x in pair))
+        ends = _merged_ends([(int(lo * denom), int(hi * denom)) for lo, hi in pairs])
+        if ends and (ends[0] < 0 or ends[-1] > denom):
+            raise ValueError("interval set must stay inside [0, 1]")
+        self._reduce(denom, ends)
+
+    def _reduce(self, denom: int, ends) -> None:
+        g = gcd(denom, *ends)
+        self.denom = denom // g
+        self.ends = tuple(ends) if g == 1 else tuple(e // g for e in ends)
+
+    @classmethod
+    def on_grid(cls, denom: int, ends) -> "IntervalSet":
+        """The set with parts [ends[2i], ends[2i+1]) / denom.
+
+        The ends must strictly increase within [0, denom]; they are taken
+        as given, and only reduced by their common factor with denom.
+        """
+        region = cls.__new__(cls)
+        region._reduce(denom, ends)
+        return region
 
     @classmethod
     def empty(cls) -> "IntervalSet":
-        return cls((), _canonical=True)
+        return cls.on_grid(1, ())
 
     @classmethod
     def unit(cls) -> "IntervalSet":
-        return cls(((ZERO, ONE),), _canonical=True)
+        return cls.on_grid(1, (0, 1))
 
     @property
     def pairs(self) -> tuple:
-        return self._parts
+        # consecutive ends pair up as (start, stop)
+        points = iter([Fraction(e, self.denom) for e in self.ends])
+        return tuple(zip(points, points))
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, IntervalSet) and self._parts == other._parts
+        return (
+            isinstance(other, IntervalSet)
+            and self.denom == other.denom
+            and self.ends == other.ends
+        )
 
     def __hash__(self) -> int:
-        return hash(self._parts)
+        return hash((self.denom, self.ends))
 
     def __bool__(self) -> bool:
-        return bool(self._parts)
+        return bool(self.ends)
 
     def __len__(self) -> int:
-        return len(self._parts)
+        return len(self.ends) // 2
 
     def __repr__(self) -> str:
-        if len(self._parts) > 6:
-            shown = ", ".join("[%s, %s)" % (lo, hi) for lo, hi in self._parts[:6])
-            return "IntervalSet(%s, ... %d parts)" % (shown, len(self._parts))
-        shown = ", ".join("[%s, %s)" % (lo, hi) for lo, hi in self._parts)
+        shown = ", ".join("[%s, %s)" % pair for pair in self.pairs[:6])
+        if len(self) > 6:
+            return "IntervalSet(%s, ... %d parts)" % (shown, len(self))
         return "IntervalSet(%s)" % shown
 
     def measure(self) -> Fraction:
-        total = ZERO
-        for lo, hi in self._parts:
-            total += hi - lo
-        return total
+        return Fraction(sum(self.ends[1::2]) - sum(self.ends[::2]), self.denom)
 
     def is_empty(self) -> bool:
-        return not self._parts
+        return not self.ends
+
+    def _rank(self, x: Fraction) -> int:
+        """Number of ends at or below x * denom."""
+        return bisect_right(self.ends, x.numerator * self.denom // x.denominator)
 
     def contains(self, x: RationalLike) -> bool:
-        x = as_fraction(x)
-        i = bisect_right(self._parts, x, key=lambda p: p[0]) - 1
-        return i >= 0 and self._parts[i][0] <= x < self._parts[i][1]
+        # an odd number of ends at or below x puts x inside a part
+        return self._rank(as_fraction(x)) % 2 == 1
+
+    def _runs(self, denom: int) -> list:
+        """The parts as integer runs over a multiple of the denominator."""
+        k = denom // self.denom
+        ends = self.ends
+        return [(lo * k, hi * k) for lo, hi in zip(ends[::2], ends[1::2])]
 
     def union(self, other: "IntervalSet") -> "IntervalSet":
-        """Canonical union, by one merge of the two canonical operands.
-
-        Endpoints are compared as integer numerators over the lcm of the
-        operands' denominators, so no Fraction is compared. That lcm stays
-        small for regions built on one power denominator; the general
-        constructor keeps Fraction comparisons, since many coprime
-        denominators would make it huge.
-        """
-        if not self._parts:
+        """Canonical union, by one merge of both operands' integer runs over
+        the lcm of their denominators."""
+        if not self.ends:
             return other
-        if not other._parts:
+        if not other.ends:
             return self
-        parts = self._parts + other._parts
-        denom = lcm(*{x.denominator for part in parts for x in part})
-        keyed = [
-            (
-                lo.numerator * (denom // lo.denominator),
-                hi.numerator * (denom // hi.denominator),
-                i,
-            )
-            for i, (lo, hi) in enumerate(parts)
-        ]
-        # the two sorted runs are merged in one pass of the sort
-        keyed.sort()
-        merged = []
-        end = -1
-        for lo_key, hi_key, i in keyed:
-            if lo_key > end:
-                merged.append(parts[i])
-                end = hi_key
-            elif hi_key > end:
-                merged[-1] = (merged[-1][0], parts[i][1])
-                end = hi_key
-        return IntervalSet(merged, _canonical=True)
+        denom = lcm(self.denom, other.denom)
+        return IntervalSet.on_grid(
+            denom, _merged_ends(self._runs(denom) + other._runs(denom))
+        )
 
     def intersect(self, other: "IntervalSet") -> "IntervalSet":
-        out = []
-        a, b = self._parts, other._parts
+        denom = lcm(self.denom, other.denom)
+        a, b = self._runs(denom), other._runs(denom)
+        ends = []
         i = j = 0
         while i < len(a) and j < len(b):
             lo = a[i][0] if a[i][0] > b[j][0] else b[j][0]
             hi = a[i][1] if a[i][1] < b[j][1] else b[j][1]
             if hi > lo:
-                out.append((lo, hi))
+                ends += (lo, hi)
             if a[i][1] <= b[j][1]:
                 i += 1
             else:
                 j += 1
         # pieces inherit the gaps of both inputs, so the result is canonical
-        return IntervalSet(out, _canonical=True)
+        return IntervalSet.on_grid(denom, ends)
 
     def intersect_measure(self, lo: RationalLike, hi: RationalLike) -> Fraction:
-        """Exact measure of the intersection with [lo, hi)."""
+        """Exact measure of the intersection with [lo, hi).
+
+        The measure below t is the signed sum of the ends below t * denom
+        (stops minus starts), plus t itself when t lies inside a part; the
+        query is the difference of its values at hi and lo.
+        """
         lo = as_fraction(lo)
         hi = as_fraction(hi)
-        parts = self._parts
-        total = ZERO
-        # the first part ending after lo
-        i = bisect_right(parts, lo, key=lambda p: p[1])
-        while i < len(parts):
-            plo, phi = parts[i]
-            if plo >= hi:
-                break
-            seg_lo = plo if plo > lo else lo
-            seg_hi = phi if phi < hi else hi
-            if seg_hi > seg_lo:
-                total += seg_hi - seg_lo
-            i += 1
+        if hi <= lo:
+            return ZERO
+        ends = self.ends
+        i, j = self._rank(lo), self._rank(hi)
+        # from index i on, odd-indexed ends are stops and even-indexed starts
+        stops = sum(ends[i | 1 : j : 2])
+        starts = sum(ends[i + (i & 1) : j : 2])
+        total = Fraction(stops - starts, self.denom)
+        if j % 2:
+            total += hi
+        if i % 2:
+            total -= lo
         return total
 
     def to_json(self) -> list:
-        return [[format_fraction(lo), format_fraction(hi)] for lo, hi in self._parts]
+        return [[format_fraction(lo), format_fraction(hi)] for lo, hi in self.pairs]
 
 
 class PeriodicIntervalSet:
@@ -315,42 +327,26 @@ class PeriodicIntervalSet:
         y -= y.numerator // y.denominator
         return self.core.contains(y)
 
-    def intersect_measure(
-        self,
-        lo: RationalLike,
-        hi: RationalLike,
-        budget: int = DEFAULT_COPY_BUDGET,
-    ) -> Fraction:
+    def intersect_measure(self, lo: RationalLike, hi: RationalLike) -> Fraction:
         """Exact measure of the intersection with [lo, hi).
 
-        Interval endpoints that are multiples of base**-level need no
-        expansion; anything else walks the overlapped copies and must fit
-        in `budget`.
+        In copy units the measure below t is floor(t) whole copies plus the
+        core's measure below frac(t), so any query takes two core queries
+        whatever the level.
         """
         lo = max(as_fraction(lo), ZERO)
         hi = min(as_fraction(hi), ONE)
         if hi <= lo:
             return ZERO
         scale = self.base**self.level
-        a = lo * scale
-        b = hi * scale
-        if a.denominator == 1 and b.denominator == 1:
-            # whole copies only
-            return (hi - lo) * self.measure()
-        first = floor_fraction(a)
-        last = ceil_fraction(b)
-        if last - first > budget:
-            raise BudgetError(
-                "periodic intersection touches %d copies, budget is %d"
-                % (last - first, budget)
+
+        def below(t: Fraction) -> Fraction:
+            copies = floor_fraction(t)
+            return copies * self.measure() + self.core.intersect_measure(
+                ZERO, t - copies
             )
-        total = ZERO
-        for i in range(first, last):
-            seg_lo = max(a - i, ZERO)
-            seg_hi = min(b - i, ONE)
-            if seg_hi > seg_lo:
-                total += self.core.intersect_measure(seg_lo, seg_hi)
-        return total / scale
+
+        return (below(hi * scale) - below(lo * scale)) / scale
 
     def materialize(self, budget: int = DEFAULT_COPY_BUDGET) -> IntervalSet:
         copies = self.base**self.level

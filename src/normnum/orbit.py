@@ -175,7 +175,7 @@ def cutoff_region(
     walk in ascending order keeps the hit count so far, emits a node's whole
     span once count >= c_hi or count plus the indices still to come <= c_lo,
     and drops a node that can reach neither side. Adjacent spans merge on
-    integers, so the result is canonical.
+    integers, and the run ends go to `IntervalSet.on_grid` as they are.
     """
     if c_hi <= c_lo + 1:
         # every integer count qualifies
@@ -216,14 +216,7 @@ def cutoff_region(
 
     for cell in range(q):
         walk(cell * spans[0], 0, cell, hits[cell] if offset == 0 else 0)
-    denom = q * spans[0]
-    return IntervalSet(
-        [
-            (Fraction(start, denom), Fraction(stop, denom))
-            for start, stop in zip(ends[::2], ends[1::2])
-        ],
-        _canonical=True,
-    )
+    return IntervalSet.on_grid(q * spans[0], ends)
 
 
 def deviation_region(

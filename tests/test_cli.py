@@ -312,6 +312,25 @@ def test_huge_base_cap_exits_two(capsys, tmp_path, name):
     assert "base_cap must lie in [2, 64]" in capsys.readouterr().err
 
 
+# 400 obstacle intervals whose 1000-digit denominators multiply out: the
+# region's one integer grid would need their lcm, so the schedule refuses
+# it once the lcm passes 2**4096
+HUGE_OBSTACLE = [
+    ["1/%d" % (10**999 + i), "2/%d" % (10**999 + i)] for i in range(400)
+]
+
+
+def test_huge_obstacle_denominator_exits_two(capsys, tmp_path):
+    config = tmp_path / "obstacle.json"
+    schedule = {"tag": "x", "delta": "-2/5", "eta": "1/8", "p_const": 4}
+    config.write_text(json.dumps({**schedule, "obstacle": HUGE_OBSTACLE}))
+    start = time.perf_counter()
+    code = main(["digits", "--config", str(config), "--count", "1"])
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert "lcm above 2**4096" in capsys.readouterr().err
+
+
 def test_indeterminate_exits_four(capsys, tmp_path):
     # an obstacle covering the whole interval starves both halves at the
     # very first step, no matter how far precision is pushed
@@ -511,6 +530,7 @@ HOSTILE_CERTIFICATES = {
     "digest-wrong": (lambda data: data.update(schedule_digest="deadbeef"), "schedule_digest"),
     "digest-missing": (drop_digest, "schedule_digest"),
     "tag-renamed": (lambda data: data["schedule"].update(tag="toy-other"), "schedule_digest"),
+    "obstacle-denominators": (tamper_schedule(obstacle=HUGE_OBSTACLE), "lcm above 2**4096"),
 }
 
 
@@ -518,7 +538,9 @@ HOSTILE_CERTIFICATES = {
 def test_hostile_certificate_exits_five(capsys, tmp_path, name):
     mutate, phrase = HOSTILE_CERTIFICATES[name]
     path = tampered_certificate(capsys, tmp_path, mutate, part=lambda data: data)
+    start = time.perf_counter()
     code, verdict, err = run(capsys, "verify", path)
+    assert time.perf_counter() - start < 1.0
     assert code == 5
     assert verdict is None
     assert "malformed certificate" in err and phrase in err

@@ -1,5 +1,7 @@
 """Interval set arithmetic: canonicalization, measure, and periodic wrappers."""
 
+import math
+from bisect import bisect_right
 from fractions import Fraction
 
 import pytest
@@ -109,6 +111,14 @@ def test_order_does_not_matter():
     b = iset((F(1, 4), F(3, 8)), (0, F(1, 8)), (F(1, 2), F(5, 8)))
     assert a == b
     assert hash(a) == hash(b)
+    # the same set given over 8, over 4, and as a union whose merged ends
+    # (2/8, 4/8) share a factor with the lcm 8 of its operands
+    grid = IntervalSet.on_grid(8, (2, 4))
+    given = iset((F(1, 4), F(1, 2)))
+    merged = iset((F(1, 4), F(3, 8))).union(iset((F(3, 8), F(1, 2))))
+    assert grid == given == merged
+    assert hash(grid) == hash(given) == hash(merged)
+    assert (merged.denom, merged.ends) == (4, (1, 2))
 
 
 def test_contains_is_half_open():
@@ -213,6 +223,46 @@ def test_union_matches_sort_reference(sets):
     assert all(type(x) is F for part in union.pairs for x in part)
 
 
+def reference_intersect_measure(a, lo, hi):
+    """Walk the canonical Fraction pairs from the first part ending after lo."""
+    parts = a.pairs
+    total = F(0)
+    i = bisect_right(parts, lo, key=lambda p: p[1])
+    while i < len(parts):
+        plo, phi = parts[i]
+        if plo >= hi:
+            break
+        seg_lo = plo if plo > lo else lo
+        seg_hi = phi if phi < hi else hi
+        if seg_hi > seg_lo:
+            total += seg_hi - seg_lo
+        i += 1
+    return total
+
+
+@st.composite
+def sets_and_points(draw):
+    """Raw parts, their set, and query points on part ends, inside parts,
+    in gaps, and anywhere in [0, 1]."""
+    n = draw(st.integers(min_value=0, max_value=5))
+    raw = [tuple(sorted((draw(frac01), draw(frac01)))) for _ in range(n)]
+    a = IntervalSet(raw)
+    ends = [x for part in a.pairs for x in part]
+    between = [(x + y) / 2 for x, y in zip([F(0)] + ends, ends + [F(1)])]
+    point = st.one_of(st.sampled_from(ends + between), frac01)
+    return raw, a, draw(st.lists(point, min_size=2, max_size=2))
+
+
+@settings(max_examples=300, deadline=None)
+@given(sets_and_points())
+def test_contains_and_intersect_measure_match_references(case):
+    raw, a, (lo, hi) = case
+    for x in (lo, hi):
+        assert a.contains(x) == any(plo <= x < phi for plo, phi in raw)
+    # reversed and empty queries measure zero
+    assert a.intersect_measure(lo, hi) == reference_intersect_measure(a, lo, hi)
+
+
 @settings(max_examples=100, deadline=None)
 @given(interval_sets(), frac01, frac01)
 def test_intersect_measure_matches_intersect(a, lo, hi):
@@ -262,10 +312,45 @@ def test_periodic_unaligned_intersect_measure_matches_materialized():
 def test_periodic_budget_guard():
     core = iset((F(1, 3), F(2, 3)))
     p = PeriodicIntervalSet(core, 2, 24)
-    with pytest.raises(BudgetError):
-        p.intersect_measure(F(1, 7), F(6, 7), budget=100)
+    # 2**24 = 1 mod 7, so [1/7, 6/7) covers 11983724 whole copies and the
+    # last 6/7 and first 6/7 of two more, each holding the whole core
+    assert p.intersect_measure(F(1, 7), F(6, 7)) == F(11983726, 3 * 2**24)
     # aligned query stays cheap no matter the level
-    assert p.intersect_measure(F(1, 4), F(1, 2), budget=100) == F(1, 4) * core.measure()
+    assert p.intersect_measure(F(1, 4), F(1, 2)) == F(1, 4) * core.measure()
+    # expanding the 2**24 copies stays refused
+    with pytest.raises(BudgetError):
+        p.materialize()
+
+
+def reference_periodic_intersect_measure(p, lo, hi):
+    """Sum the core's measure in each copy that [lo, hi) overlaps."""
+    lo, hi = max(lo, F(0)), min(hi, F(1))
+    if hi <= lo:
+        return F(0)
+    scale = p.base**p.level
+    a, b = lo * scale, hi * scale
+    total = F(0)
+    for i in range(math.floor(a), math.ceil(b)):
+        seg_lo = max(a - i, F(0))
+        seg_hi = min(b - i, F(1))
+        if seg_hi > seg_lo:
+            total += p.core.intersect_measure(seg_lo, seg_hi)
+    return total / scale
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    interval_sets(),
+    st.sampled_from((2, 3, 5)),
+    st.integers(min_value=0, max_value=4),
+    frac01,
+    frac01,
+)
+def test_periodic_intersect_measure_matches_copy_loop(core, base, level, lo, hi):
+    p = PeriodicIntervalSet(core, base, level)
+    assert p.intersect_measure(lo, hi) == reference_periodic_intersect_measure(
+        p, lo, hi
+    )
 
 
 def test_periodic_materialize_round_trip():

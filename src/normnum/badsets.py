@@ -29,8 +29,6 @@ from itertools import product
 from math import isqrt, lcm
 from typing import Mapping, Optional
 
-from mpmath import iv
-
 from .enclose import Enclosure, eval_iv_tight, iv_fraction
 from .measure import (
     ONE,
@@ -310,6 +308,8 @@ PRESET_NAMES = tuple(sorted(_PRESETS))
 
 
 def _scale_expr(length: int, base: int, delta: Fraction):
+    from mpmath import iv
+
     n = iv.mpf(length)
     coef = (
         2
@@ -330,6 +330,8 @@ def _tilted_threshold(
     """
     if length < 16:
         raise DomainError("threshold scale needs window length >= 16")
+    from mpmath import iv
+
     return eval_iv_tight(
         precision,
         lambda: iv.exp(iv_fraction(exponent) * iv.log(iv.mpf(2)))
@@ -692,6 +694,8 @@ def badic_deviation_bound(
         )
     coefficient = 2 * base ** (2 * m - 2) * m
     exponent = -(eps * eps) * length * base**m / (6 * m)
+    from mpmath import iv
+
     return eval_iv_tight(
         precision, lambda: coefficient * iv.exp(iv_fraction(exponent))
     )
@@ -715,6 +719,8 @@ def dyadic_deviation_bound(
         raise DomainError("eps must be positive")
     coefficient = 9 * 2 ** (2 * (k + 2)) * (k + 2)
     exponent = -(eps * eps) * length * 2 ** (k + 2) / (6 * (k + 2))
+    from mpmath import iv
+
     return eval_iv_tight(
         precision, lambda: coefficient * iv.exp(iv_fraction(exponent))
     )

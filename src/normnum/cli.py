@@ -63,6 +63,7 @@ from .orbit import (
     MAX_EVENT_BUDGET,
     Window,
     deviation_measure,
+    relabelling_representatives,
 )
 from .mc import SamplerSpec, sample_integers
 
@@ -291,12 +292,18 @@ def _cmd_verify(args) -> int:
 
 # Each deviation grid checks a lemma's measure bound against the worst cell
 # of its grid points (base, scale, length, eps): the bound function, the
-# cell count of a scale, whether the deviation must exceed eps * length
-# strictly, and the report key of the scale.
+# cell count of a scale, the target cells that decide the worst, whether
+# the deviation must exceed eps * length strictly, and the report key of
+# the scale. Cells that a measure-preserving map commuting with the orbit
+# sends onto each other have the same measure, so one cell per class
+# decides: any relabelling of the base digits for the base**m cells; for
+# dyadic cells of a base-3 orbit only the complement x -> 1 - x, which
+# sends cell a to cell cells - 1 - a (up to endpoints, a null set).
 _DEVIATION_GRIDS = {
     "badic": (
         badic_deviation_bound,
         lambda base, m: base**m,
+        relabelling_representatives,
         True,
         "band_scale",
         [
@@ -310,6 +317,7 @@ _DEVIATION_GRIDS = {
     "dyadic": (
         dyadic_deviation_bound,
         lambda base, k: 2**k,
+        lambda base, k: range((2**k + 1) // 2),
         False,
         "band_depth",
         [
@@ -322,21 +330,19 @@ _DEVIATION_GRIDS = {
 
 
 def _lemma_deviation_grid(args) -> tuple[list[dict], bool]:
-    bound_of, cells_of, strict, scale_key, grid = _DEVIATION_GRIDS[args.which]
+    bound_of, cells_of, targets_of, strict, scale_key, grid = _DEVIATION_GRIDS[
+        args.which
+    ]
     rows = []
     ok = True
     for base, scale, length, eps in grid:
         bound = bound_of(base, scale, length, eps, args.precision)
         cells = cells_of(base, scale)
-        # the digit complement x -> 1 - x preserves Lebesgue measure, maps
-        # the cell chain to itself and sends cell a to cell cells - 1 - a
-        # (up to endpoints, a null set), so both cells have the same
-        # measure and half of the targets decide the worst
         worst = max(
             deviation_measure(
                 Window(base, 0, length), cells, a, eps * length, strict=strict
             )
-            for a in range((cells + 1) // 2)
+            for a in targets_of(base, scale)
         )
         vacuous = bound.lo >= 1
         holds = vacuous or worst <= bound.hi

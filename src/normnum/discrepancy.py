@@ -17,8 +17,6 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from mpmath import iv
-
 from .enclose import Enclosure, eval_iv_tight, iv_fraction
 from .measure import RationalLike, as_fraction
 
@@ -92,6 +90,8 @@ def normalized_ratio(
     """
     if count < 16:
         raise ValueError("normalized ratio needs count >= 16")
+    from mpmath import iv
+
     return eval_iv_tight(
         precision,
         lambda: iv_fraction(disc)
@@ -106,6 +106,8 @@ def philipp_constant(base: int, precision: int = 64) -> Enclosure:
     root = _exact_sqrt(Fraction(base))
     if root is not None:
         return Enclosure.exact(166 + Fraction(664, 1) / (root - 1))
+    from mpmath import iv
+
     return eval_iv_tight(
         precision,
         lambda: 166 + 664 / (iv.sqrt(iv.mpf(base)) - 1),
@@ -133,6 +135,8 @@ def fukuyama_constant(theta: int, precision: int = 64) -> Enclosure:
     root = _exact_sqrt(radicand)
     if root is not None:
         return Enclosure.exact(root)
+    from mpmath import iv
+
     return eval_iv_tight(precision, lambda: iv.sqrt(iv_fraction(radicand)))
 
 

@@ -4,6 +4,10 @@ Transcendental evaluation is delegated to mpmath's interval type, which
 rounds outward, so every returned Enclosure genuinely brackets its target.
 Endpoint floats convert to fractions exactly (binary floats are rationals),
 no decimal round trip is involved.
+
+mpmath is imported by the functions that evaluate an interval, not by the
+module: a call that never evaluates one (exact enclosures, powers of two,
+the pointwise and DP checks) never pays for loading it.
 """
 
 from __future__ import annotations
@@ -11,9 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
-
-import mpmath
-from mpmath import iv
 
 from .measure import RationalLike, as_fraction, format_fraction
 
@@ -61,9 +62,11 @@ class Enclosure:
 
 def _mpf_to_fraction(raw) -> Fraction:
     # raw is an mpf value tuple as stored inside an iv endpoint
-    if raw in (mpmath.libmp.finf, mpmath.libmp.fninf, mpmath.libmp.fnan):
+    from mpmath import libmp
+
+    if raw in (libmp.finf, libmp.fninf, libmp.fnan):
         raise ValueError("enclosure endpoint is not finite")
-    num, den = mpmath.libmp.to_rational(raw)
+    num, den = libmp.to_rational(raw)
     return Fraction(int(num), int(den))
 
 
@@ -74,6 +77,8 @@ def from_iv(value) -> Enclosure:
 
 def iv_fraction(x: RationalLike):
     """Interval element enclosing an exact rational (division rounds outward)."""
+    from mpmath import iv
+
     x = as_fraction(x)
     return iv.mpf(x.numerator) / iv.mpf(x.denominator)
 
@@ -83,6 +88,8 @@ def eval_iv(bits: int, fn: Callable[[], object]) -> Enclosure:
 
     The iv context precision is process global; it is restored on exit.
     """
+    from mpmath import iv
+
     old = iv.prec
     iv.prec = max(int(bits), 16)
     try:
@@ -117,6 +124,8 @@ def enclose_log2(x: RationalLike, precision: int = 64) -> Enclosure:
     num, den = x.numerator, x.denominator
     if num & (num - 1) == 0 and den & (den - 1) == 0:
         return Enclosure.exact(num.bit_length() - den.bit_length())
+    from mpmath import iv
+
     return eval_iv_tight(
         precision, lambda: iv.log(iv_fraction(x)) / iv.log(iv.mpf(2))
     )

@@ -5,7 +5,7 @@ strictly increasing integer ends over one denominator, reduced by their
 common factor, so set equality is representation equality and every
 operation is oracle-checkable by structural comparison. Unions, measures
 and membership work on the integers; `Fraction`s are built only for
-output (`pairs`, `to_json`).
+`pairs`, and `to_json` formats the integer ends directly.
 
 PeriodicIntervalSet represents the full preimage of a core set under
 x -> frac(base**level * x), i.e. base**level scaled translates of the
@@ -271,7 +271,15 @@ class IntervalSet:
         return total
 
     def to_json(self) -> list:
-        return [[format_fraction(lo), format_fraction(hi)] for lo, hi in self.pairs]
+        # each end as format_fraction shows it, reduced by its own gcd
+        # with the denominator instead of through a Fraction
+        denom = self.denom
+        shown = []
+        for e in self.ends:
+            g = gcd(e, denom)
+            shown.append("%d/%d" % (e // g, denom // g))
+        points = iter(shown)
+        return [list(pair) for pair in zip(points, points)]
 
 
 class PeriodicIntervalSet:

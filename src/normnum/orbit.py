@@ -113,14 +113,21 @@ def orbit_point(x: RationalLike, base: int, j: int) -> Fraction:
 
 
 def hit_count(x: RationalLike, window: Window, band: BandLike) -> int:
+    """Orbit points of the window in the band, walked on integers.
+
+    With the first point p / q in lowest terms, every later point is
+    (p * base**i mod q) / q, and p / q lies in [lo, hi) iff
+    ceil(lo * q) <= p < ceil(hi * q).
+    """
     lo, hi = _band_bounds(band)
     y = orbit_point(x, window.base, window.offset)
+    p, q, b = y.numerator, y.denominator, window.base
+    p_lo, p_hi = ceil(lo * q), ceil(hi * q)
     count = 0
     for _ in range(window.length):
-        if lo <= y < hi:
+        if p_lo <= p < p_hi:
             count += 1
-        y = y * window.base
-        y -= y.numerator // y.denominator
+        p = p * b % q
     return count
 
 
@@ -352,3 +359,24 @@ def deviation_measure(
         Fraction(window.length, cells), as_fraction(threshold), strict
     )
     return cutoff_measure(window, cells, target, c_lo, c_hi)
+
+
+def relabelling_representatives(base: int, m: int) -> list[int]:
+    """One cell of the base**m cells per digit-relabelling class, ascending.
+
+    A permutation of the base digits, applied to every digit of x, keeps
+    Lebesgue measure and commutes with x -> frac(base * x), so it maps the
+    cell of an m-digit pattern w onto the cell of the relabelled pattern
+    and both cells have the same `deviation_measure` (the complement
+    d -> base - 1 - d is one such relabelling). Each class holds exactly
+    one pattern whose digits first appear in the order 0, 1, 2, ...; there
+    are Bell(m) of them when base >= m.
+    """
+    cells = [(0, 0)]  # (cell of the pattern so far, digits it uses)
+    for _ in range(m):
+        cells = [
+            (base * cell + d, max(used, d + 1))
+            for cell, used in cells
+            for d in range(min(used + 1, base))
+        ]
+    return [cell for cell, _ in cells]

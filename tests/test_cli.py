@@ -151,6 +151,31 @@ def test_precision_at_bound_runs(capsys):
     assert report["outer_measure"] == default["outer_measure"]
 
 
+def run_python(code, *argv):
+    """Run `code` in a fresh interpreter that imports normnum from this tree."""
+    src = str(Path(normnum.__file__).resolve().parent.parent)
+    return subprocess.run(
+        [sys.executable, "-c", "import sys; " + code, *argv],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+
+
+CLI_MAIN = "from normnum.cli import main; sys.exit(main(sys.argv[1:]))"
+
+
+def assert_runs_blocked(module, argv):
+    # with the module blocked the command still succeeds and prints the
+    # same report as a run that may load it
+    blocked = run_python("sys.modules[%r] = None; " % module + CLI_MAIN, *argv)
+    free = run_python(CLI_MAIN, *argv)
+    assert blocked.returncode == 0, blocked.stderr
+    assert free.returncode == 0
+    assert blocked.stdout == free.stdout
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -163,24 +188,54 @@ def test_precision_at_bound_runs(capsys):
     ids=["digits", "badset"],
 )
 def test_cli_runs_without_numpy(argv):
-    # no command needs numpy, the region walk included: with numpy blocked
-    # the command still succeeds and prints the same report
-    src = str(Path(normnum.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=src)
-    code = "import sys; from normnum.cli import main; sys.exit(main(sys.argv[1:]))"
-    blocked, free = (
-        subprocess.run(
-            [sys.executable, "-c", prefix + code, *argv],
-            env=env,
-            capture_output=True,
-            text=True,
-            timeout=120,
-        )
-        for prefix in ("import sys; sys.modules['numpy'] = None; ", "")
+    # no command needs numpy, the region walk included
+    assert_runs_blocked("numpy", argv)
+
+
+def test_cli_import_leaves_mpmath_unloaded():
+    done = run_python("import normnum.cli; print('mpmath' in sys.modules)")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "False\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cost", "--n", "1"],
+        ["lemma", "--which", "chain"],
+        ["lemma", "--which", "masstail"],
+        ["lemma", "--which", "depth"],
+        ["lemma", "--which", "cover"],
+    ],
+    ids=["cost", "chain", "masstail", "depth", "cover"],
+)
+def test_cli_runs_without_mpmath(argv):
+    # these commands evaluate no interval, so they never import mpmath
+    assert_runs_blocked("mpmath", argv)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["lemma", "--which", "dyadic"],
+        ["digits", "--preset", "toy-sparse", "--count", "2"],
+    ],
+    ids=["dyadic", "digits"],
+)
+def test_cli_loads_mpmath_on_first_interval(capsys, argv):
+    # mpmath is absent after the import and loaded by the command's first
+    # interval evaluation; the report matches a run in this process, where
+    # mpmath was loaded up front
+    done = run_python(
+        "from normnum.cli import main; loaded = 'mpmath' in sys.modules; "
+        "code = main(sys.argv[1:]); "
+        "print(loaded, 'mpmath' in sys.modules, file=sys.stderr); sys.exit(code)",
+        *argv,
     )
-    assert blocked.returncode == 0, blocked.stderr
-    assert free.returncode == 0
-    assert blocked.stdout == free.stdout
+    assert done.returncode == 0, done.stderr
+    assert done.stderr.splitlines()[-1] == "False True"
+    assert main(argv) == 0
+    assert done.stdout == capsys.readouterr().out
 
 
 def test_help_exits_zero(capsys):

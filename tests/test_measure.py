@@ -186,6 +186,17 @@ def test_canonical_parts_are_sorted_disjoint(a):
         assert hi1 < lo2
 
 
+@settings(max_examples=300, deadline=None)
+@given(interval_sets(), interval_sets())
+def test_to_json_matches_formatted_pairs(a, b):
+    # the ends of a union sit over the lcm of both denominators, so each
+    # end reduces by a different factor
+    for s in (a, b, a.union(b)):
+        assert s.to_json() == [
+            [format_fraction(lo), format_fraction(hi)] for lo, hi in s.pairs
+        ]
+
+
 def reference_union(a, b):
     """The sort-based union: canonicalise the concatenated parts with
     Fraction comparisons."""

@@ -22,6 +22,7 @@ from normnum.orbit import (
     f_value,
     hit_count,
     orbit_point,
+    relabelling_representatives,
     sweep_cost,
 )
 
@@ -51,6 +52,39 @@ def test_hit_count_with_offset():
     w = Window(2, 2, 3)
     x = F(1, 5)  # orbit: 1/5, 2/5, 4/5, 3/5, 1/5, ...
     assert hit_count(x, w, (F(1, 2), F(1))) == 2  # points 4/5, 3/5, 1/5
+
+
+def reference_hit_count(x, window, band):
+    """The Fraction orbit walk: step y -> frac(base * y) on rationals."""
+    lo, hi = orbit._band_bounds(band)
+    y = orbit_point(x, window.base, window.offset)
+    count = 0
+    for _ in range(window.length):
+        if lo <= y < hi:
+            count += 1
+        y = y * window.base
+        y -= y.numerator // y.denominator
+    return count
+
+
+def test_hit_count_matches_fraction_walk():
+    rng = random.Random(13)
+    edges = [F(0), F(1), F(1, 3), F(2, 7), F(5, 9), F(3, 10), F(1, 2)]
+    for _ in range(400):
+        q = rng.randrange(1, 200)
+        x = F(rng.randrange(q), q)
+        window = Window(rng.randrange(2, 6), rng.randrange(4), rng.randrange(1, 30))
+        if rng.random() < 0.3:
+            # dyadic bands, the first and last touching 0 and 1
+            k = rng.randrange(4)
+            a = rng.choice([0, 2**k - 1, rng.randrange(2**k)])
+            band = Band(a, k)
+        else:
+            lo, hi = sorted(rng.sample(edges + [F(rng.randrange(1, 60), 61)], 2))
+            band = (lo, hi)
+        assert hit_count(x, window, band) == reference_hit_count(x, window, band), (
+            x, window, band
+        )
 
 
 def test_f_value_is_absolute_deviation():
@@ -432,6 +466,46 @@ def test_deviation_measure_complement_symmetry():
                                 ) == deviation_measure(
                                     w, cells, cells - 1 - a, t, strict
                                 ), (base, cells, offset, length, a, t, strict)
+
+
+def relabelled_cell(base, m, a):
+    """Cell of a's m-digit pattern with digits renamed 0, 1, 2, ... in the
+    order they first appear."""
+    label = {}
+    rep = 0
+    for i in reversed(range(m)):
+        d = a // base**i % base
+        rep = base * rep + label.setdefault(d, len(label))
+    return rep
+
+
+def test_deviation_measure_relabelling_symmetry():
+    # permuting the base digits of x preserves measure and commutes with the
+    # orbit, so every cell of base**m measures as its representative
+    counts = {}
+    for base in (2, 3, 5):
+        for m in (1, 2, 3):
+            cells = base**m
+            reps = relabelling_representatives(base, m)
+            assert reps == sorted({relabelled_cell(base, m, a) for a in range(cells)})
+            counts[base, m] = len(reps)
+            for length in (1, 3, 6):
+                w = Window(base, 0, length)
+                for t in critical_thresholds(length, cells):
+                    for strict in (False, True):
+                        by_rep = {
+                            a: deviation_measure(w, cells, a, t, strict) for a in reps
+                        }
+                        for a in range(cells):
+                            assert deviation_measure(w, cells, a, t, strict) == by_rep[
+                                relabelled_cell(base, m, a)
+                            ], (base, m, length, a, t, strict)
+    # Bell(m) classes once base >= m; base 2 has no pattern with 3 digits
+    assert counts == {
+        (2, 1): 1, (2, 2): 2, (2, 3): 4,
+        (3, 1): 1, (3, 2): 2, (3, 3): 5,
+        (5, 1): 1, (5, 2): 2, (5, 3): 5,
+    }
 
 
 def test_deviation_measure_burn_in_invariance():

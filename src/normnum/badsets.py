@@ -378,33 +378,35 @@ def _bad_set(
     region of those cutoffs is swept only when the exact hit-count
     distribution gives it a positive measure.
     """
-    core_window = Window(window.base, 0, window.length)
-    expected = band.length * window.length
+    base, length = window.base, window.length
+    expected = band.length * length
     for _ in range(_REFINEMENT_ROUNDS + 1):
         threshold = _tilted_threshold(
-            scale_length, window.base, schedule.delta, exponent, precision
+            scale_length, base, schedule.delta, exponent, precision
         )
         c_lo, c_hi = count_cutoffs(expected, threshold.lo)
-        if c_lo < 0 and c_hi > window.length:
+        if c_lo < 0 and c_hi > length:
             return SetEnclosure(label, window, band, threshold, IntervalSet.empty())
         # the low end already needs the region: refuse a window beyond the
         # budget first, which also bounds the length of the DP below
-        sweep_cost(core_window, budget)
+        sweep_cost(base, length, budget)
         if (c_lo, c_hi) == count_cutoffs(expected, threshold.hi):
             # every swept part has positive length, so a zero weight of the
             # qualifying counts means an empty region, found without a sweep
-            if cutoff_measure(core_window, 2**band.k, band.a, c_lo, c_hi):
-                region = cutoff_region(core_window, band, c_lo, c_hi, budget)
+            if cutoff_measure(base, length, 2**band.k, band.a, c_lo, c_hi):
+                region = cutoff_region(base, length, band, c_lo, c_hi, budget)
             else:
                 region = IntervalSet.empty()
+            # an offset window's set is the preimage of the core's under
+            # x -> frac(base**offset * x)
             if window.offset:
-                region = PeriodicIntervalSet(region, window.base, window.offset)
+                region = PeriodicIntervalSet(region, base, window.offset)
             return SetEnclosure(label, window, band, threshold, region)
         precision *= 2
     raise StraddleError(
         "threshold enclosure around %.17g still straddles a count cutoff of the "
         "%d-point window after %d refinement rounds"
-        % (threshold.midpoint(), window.length, _REFINEMENT_ROUNDS)
+        % (threshold.midpoint(), length, _REFINEMENT_ROUNDS)
     )
 
 

@@ -298,41 +298,44 @@ def _cmd_verify(args) -> int:
 # sends onto each other have the same measure, so one cell per class
 # decides: any relabelling of the base digits for the base**m cells; for
 # dyadic cells of a base-3 orbit only the complement x -> 1 - x, which
-# sends cell a to cell cells - 1 - a (up to endpoints, a null set).
-_DEVIATION_GRIDS = {
-    "badic": (
-        badic_deviation_bound,
-        lambda base, m: base**m,
-        relabelling_representatives,
-        True,
-        "band_scale",
-        [
-            (2, 1, 64, Fraction(1, 4)),
-            (2, 1, 128, Fraction(1, 2)),
-            (2, 2, 256, Fraction(1, 4)),
-            (3, 1, 64, Fraction(1, 4)),
-            (3, 2, 512, Fraction(1, 9)),
-        ],
-    ),
-    "dyadic": (
-        dyadic_deviation_bound,
-        lambda base, k: 2**k,
-        lambda base, k: range((2**k + 1) // 2),
-        False,
-        "band_depth",
-        [
-            (2, 1, 256, Fraction(1, 2)),
-            (2, 2, 256, Fraction(1, 2)),
-            (3, 1, 128, Fraction(1, 2)),
-        ],
-    ),
-}
+# sends cell a to cell cells - 1 - a (up to endpoints, a null set). The
+# table is built when a grid runs, so it takes the module's functions as
+# they are then, not as they were at import.
+def _deviation_grid(which: str) -> tuple:
+    return {
+        "badic": (
+            badic_deviation_bound,
+            lambda base, m: base**m,
+            relabelling_representatives,
+            True,
+            "band_scale",
+            [
+                (2, 1, 64, Fraction(1, 4)),
+                (2, 1, 128, Fraction(1, 2)),
+                (2, 2, 256, Fraction(1, 4)),
+                (3, 1, 64, Fraction(1, 4)),
+                (3, 2, 512, Fraction(1, 9)),
+            ],
+        ),
+        "dyadic": (
+            dyadic_deviation_bound,
+            lambda base, k: 2**k,
+            lambda base, k: range((2**k + 1) // 2),
+            False,
+            "band_depth",
+            [
+                (2, 1, 256, Fraction(1, 2)),
+                (2, 2, 256, Fraction(1, 2)),
+                (3, 1, 128, Fraction(1, 2)),
+            ],
+        ),
+    }[which]
 
 
 def _lemma_deviation_grid(args) -> tuple[list[dict], bool]:
-    bound_of, cells_of, targets_of, strict, scale_key, grid = _DEVIATION_GRIDS[
+    bound_of, cells_of, targets_of, strict, scale_key, grid = _deviation_grid(
         args.which
-    ]
+    )
     rows = []
     ok = True
     for base, scale, length, eps in grid:

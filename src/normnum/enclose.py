@@ -43,9 +43,6 @@ class Enclosure:
     def width(self) -> Fraction:
         return self.hi - self.lo
 
-    def is_exact(self) -> bool:
-        return self.lo == self.hi
-
     def midpoint(self) -> Fraction:
         return (self.lo + self.hi) / 2
 

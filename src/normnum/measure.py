@@ -80,17 +80,6 @@ class Interval:
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
 
-    @property
-    def length(self) -> Fraction:
-        return self.hi - self.lo
-
-    def is_empty(self) -> bool:
-        return self.hi <= self.lo
-
-    def contains(self, x: RationalLike) -> bool:
-        x = as_fraction(x)
-        return self.lo <= x < self.hi
-
     def halves(self) -> tuple["Interval", "Interval"]:
         mid = (self.lo + self.hi) / 2
         return Interval(self.lo, mid), Interval(mid, self.hi)
@@ -185,9 +174,6 @@ class IntervalSet:
 
     def __hash__(self) -> int:
         return hash((self.denom, self.ends))
-
-    def __bool__(self) -> bool:
-        return bool(self.ends)
 
     def __len__(self) -> int:
         return len(self.ends) // 2

@@ -18,6 +18,11 @@ ways, each exact:
   the target's digit pattern), each class starts with a weight
   proportional to its size, and each class's count polynomial is packed
   into one integer.
+
+The region and cutoff-measure kernels take a window's base and length and
+count the orbit indices 0..length-1. The event over [offset, offset +
+length) is the preimage of that one under x -> frac(base**offset * x):
+callers keep it as a `PeriodicIntervalSet`, and its measure is the same.
 """
 
 from __future__ import annotations
@@ -89,10 +94,6 @@ class Window:
         if self.length < 1:
             raise ValueError("window length must be positive")
 
-    @property
-    def end(self) -> int:
-        return self.offset + self.length
-
 
 BandLike = Union[Band, tuple]
 
@@ -138,17 +139,17 @@ def f_value(x: RationalLike, window: Window, band: BandLike) -> Fraction:
     return abs(hit_count(x, window, (lo, hi)) - expected)
 
 
-def sweep_cost(window: Window, budget: Optional[int] = None) -> int:
-    """Number of breakpoint events a region sweep would generate."""
-    b = window.base
-    # total >= 2 * b**(end-1) >= 2**end, so reject oversized windows before
-    # materializing the power itself
-    if budget is not None and window.end > budget.bit_length():
+def sweep_cost(base: int, length: int, budget: Optional[int] = None) -> int:
+    """Number of breakpoint events a region sweep of a window of the given
+    length, starting at index 0, would generate."""
+    # total >= 2 * base**(length-1) >= 2**length, so reject oversized
+    # windows before materializing the power itself
+    if budget is not None and length > budget.bit_length():
         raise BudgetError(
             "sweep needs at least 2**(window end) events for a window end "
-            "of %d bits, budget is %d" % (window.end.bit_length(), budget)
+            "of %d bits, budget is %d" % (length.bit_length(), budget)
         )
-    total = 2 * (b**window.end - b**window.offset) // (b - 1)
+    total = 2 * (base**length - 1) // (base - 1)
     if budget is not None and total > budget:
         raise BudgetError(
             "sweep needs %d events, budget is %d" % (total, budget)
@@ -170,75 +171,59 @@ def count_cutoffs(
 
 
 def cutoff_region(
-    window: Window, band: BandLike, c_lo: int, c_hi: int, budget: int
+    base: int, length: int, band: BandLike, c_lo: int, c_hi: int, budget: int
 ) -> IntervalSet:
-    """Exact region {x : count <= c_lo or count >= c_hi} of the window's
-    hit count in the band.
+    """Exact region {x : count <= c_lo or count >= c_hi} of the hit count
+    of the orbit indices 0..length-1 in the band.
 
-    Every preimage endpoint is an integer over the grid q * base**(end - 1),
-    q the lcm of the band's denominators. Grid index c0 * base**(end - 1)
-    + t starts in cell c0 of q cells and moves to (base * cell + r) % q on
-    each next digit r of t, the chain `_cell_classes` refines. A depth-first
-    walk in ascending order keeps the hit count so far, emits a node's whole
-    span once count >= c_hi or count plus the indices still to come <= c_lo,
-    and drops a node that can reach neither side. Adjacent spans merge on
-    integers, and the run ends go to `IntervalSet.on_grid` as they are.
+    Every preimage endpoint is an integer over the grid q * base**(length
+    - 1), q the lcm of the band's denominators. Grid index c0 *
+    base**(length - 1) + t starts in cell c0 of q cells and moves to
+    (base * cell + r) % q on each next digit r of t, the chain
+    `_cell_classes` refines. A depth-first walk in ascending order keeps the
+    hit count so far, emits a node's whole span once count >= c_hi or count
+    plus the indices still to come <= c_lo, and drops a node that can reach
+    neither side. Adjacent spans merge on integers, and the run ends go to
+    `IntervalSet.on_grid` as they are.
     """
     if c_hi <= c_lo + 1:
         # every integer count qualifies
         return IntervalSet.unit()
-    if c_lo < 0 and c_hi > window.length:
+    if c_lo < 0 and c_hi > length:
         return IntervalSet.empty()
     lo, hi = _band_bounds(band)
-    sweep_cost(window, budget)
+    sweep_cost(base, length, budget)
     q = lcm(lo.denominator, hi.denominator)
     # the walk starts one branch per cell
     if q > budget:
         raise BudgetError(
             "region walk starts %d cell branches, budget is %d" % (q, budget)
         )
-    b, offset, end = window.base, window.offset, window.end
     lo_cell = lo.numerator * (q // lo.denominator)
     hi_cell = hi.numerator * (q // hi.denominator)
     hits = [int(lo_cell <= cell < hi_cell) for cell in range(q)]
-    # a node at depth d spans spans[d] grid points and rests[d] window
-    # indices after d are still to be counted
-    spans = [b ** (end - 1 - d) for d in range(end)]
-    rests = [end - max(d + 1, offset) for d in range(end)]
+    # a node at depth d spans spans[d] grid points, and length - 1 - d
+    # indices after it are still to be counted
+    spans = [base ** (length - 1 - d) for d in range(length)]
     ends: list[int] = []  # run starts and stops, alternating
 
     def walk(pos: int, d: int, cell: int, count: int) -> None:
-        if count >= c_hi or count + rests[d] <= c_lo:
+        rest = length - 1 - d
+        if count >= c_hi or count + rest <= c_lo:
             if ends and ends[-1] == pos:
                 ends[-1] = pos + spans[d]
             else:
                 ends.extend((pos, pos + spans[d]))
-        elif count <= c_lo or count + rests[d] >= c_hi:
+        elif count <= c_lo or count + rest >= c_hi:
             d += 1
-            counted = d >= offset
-            for r in range(b):
-                nxt = (b * cell + r) % q
-                walk(pos, d, nxt, count + hits[nxt] if counted else count)
+            for r in range(base):
+                nxt = (base * cell + r) % q
+                walk(pos, d, nxt, count + hits[nxt])
                 pos += spans[d]
 
     for cell in range(q):
-        walk(cell * spans[0], 0, cell, hits[cell] if offset == 0 else 0)
+        walk(cell * spans[0], 0, cell, hits[cell])
     return IntervalSet.on_grid(q * spans[0], ends)
-
-
-def deviation_region(
-    window: Window,
-    band: BandLike,
-    threshold: RationalLike,
-    budget: int = DEFAULT_EVENT_BUDGET,
-    strict: bool = False,
-) -> IntervalSet:
-    """Exact region where the windowed deviation reaches the threshold."""
-    lo, hi = _band_bounds(band)
-    c_lo, c_hi = count_cutoffs(
-        (hi - lo) * window.length, as_fraction(threshold), strict
-    )
-    return cutoff_region(window, band, c_lo, c_hi, budget)
 
 
 def _cell_classes(base: int, cells: int, target: int) -> list[int]:
@@ -269,33 +254,31 @@ def _cell_classes(base: int, cells: int, target: int) -> list[int]:
 
 
 def _count_distribution(
-    base: int, burn_in: int, length: int, cells: int, target: int
+    base: int, length: int, cells: int, target: int
 ) -> list[int]:
-    """Weights of the window hit counts 0..length over the cell chain.
+    """Weights of the hit counts 0..length of the orbit indices
+    0..length-1 over the cell chain.
 
     Weighted over the uniform initial cell distribution; the implied
-    denominator is cells * base**(burn_in + length - 1). The DP runs on the
-    minimal automaton of the chain (`_cell_classes`): cells with identical
-    futures are merged, the target stays a class of its own, and each class
-    starts with weight base**burn_in times its size. For cells = base**m
-    that is the m + 1 KMP states of the target's digit pattern instead of
-    the base**m cells. Each class carries its hit-count polynomial
-    sum_c w_c z**c packed into one int, with slot c at bit c * width
-    (Kronecker substitution). The width holds the total weight, which
-    bounds every slot, so slots never carry into each other: a step is one
-    big-int add per (class, digit) and one shift by width for the target.
+    denominator is cells * base**(length - 1). The DP runs on the minimal
+    automaton of the chain (`_cell_classes`): cells with identical futures
+    are merged, the target stays a class of its own, and each class starts
+    with weight its size. For cells = base**m that is the m + 1 KMP states
+    of the target's digit pattern instead of the base**m cells. Each class
+    carries its hit-count polynomial sum_c w_c z**c packed into one int,
+    with slot c at bit c * width (Kronecker substitution). The width holds
+    the total weight, which bounds every slot, so slots never carry into
+    each other: a step is one big-int add per (class, digit) and one shift
+    by width for the target.
     """
-    width = (cells * base ** (burn_in + length - 1)).bit_length()
+    width = (cells * base ** (length - 1)).bit_length()
     classes = _cell_classes(base, cells, target)
     states = max(classes) + 1
     succ = [None] * states
-    sizes = [0] * states
+    polys = [0] * states
     for cell, cls in enumerate(classes):
         succ[cls] = [classes[(base * cell + r) % cells] for r in range(base)]
-        sizes[cls] += 1
-    # each cell has exactly `base` preimage (cell, digit) pairs, so the
-    # uniform start stays uniform through the burn-in
-    polys = [base**burn_in * size for size in sizes]
+        polys[cls] += 1
     hit = classes[target]
     polys[hit] <<= width
     for _ in range(length - 1):
@@ -311,26 +294,25 @@ def _count_distribution(
 
 
 def cutoff_measure(
-    window: Window, cells: int, target: int, c_lo: int, c_hi: int
+    base: int, length: int, cells: int, target: int, c_lo: int, c_hi: int
 ) -> Fraction:
-    """Exact measure of {x : count <= c_lo or count >= c_hi} of the window's
-    hit count in cell `target` of the uniform partition into `cells` pieces.
+    """Exact measure of {x : count <= c_lo or count >= c_hi} of the hit
+    count of the orbit indices 0..length-1 in cell `target` of the uniform
+    partition into `cells` pieces.
 
     The weight of the qualifying counts in the exact hit-count distribution
     (`_count_distribution`); it equals the measure of `cutoff_region` for
     the same cutoffs, so a zero weight means an empty region.
     """
-    n = window.length
     if c_hi <= c_lo + 1:
         # every integer count qualifies
         return ONE
-    if c_lo < 0 and c_hi > n:
+    if c_lo < 0 and c_hi > length:
         return ZERO
-    b = window.base
-    weights = _count_distribution(b, window.offset, n, cells, target)
+    weights = _count_distribution(base, length, cells, target)
     return Fraction(
         sum(w for c, w in enumerate(weights) if c <= c_lo or c >= c_hi),
-        cells * b ** (window.offset + n - 1),
+        cells * base ** (length - 1),
     )
 
 
@@ -349,7 +331,8 @@ def deviation_measure(
     frac(base**j * x) is a Markov chain in j, uniform within cells at every
     step. The chain gives the exact distribution of the window's hit count
     in integer arithmetic, and the measure is the weight of the counts
-    outside the threshold's cutoffs.
+    outside the threshold's cutoffs. The chain is stationary, so the
+    measure does not depend on the window's offset.
     """
     if cells < 1:
         raise ValueError("cell count must be positive")
@@ -358,7 +341,7 @@ def deviation_measure(
     c_lo, c_hi = count_cutoffs(
         Fraction(window.length, cells), as_fraction(threshold), strict
     )
-    return cutoff_measure(window, cells, target, c_lo, c_hi)
+    return cutoff_measure(window.base, window.length, cells, target, c_lo, c_hi)
 
 
 def relabelling_representatives(base: int, m: int) -> list[int]:

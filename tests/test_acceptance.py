@@ -36,8 +36,15 @@ from normnum.discrepancy import (
 )
 from normnum.enclose import Enclosure
 from normnum.mc import SamplerSpec, estimate_measure
-from normnum.measure import IntervalSet
-from normnum.orbit import Band, Window, deviation_measure, deviation_region
+from normnum.measure import IntervalSet, PeriodicIntervalSet
+from normnum.orbit import (
+    DEFAULT_EVENT_BUDGET,
+    Band,
+    Window,
+    count_cutoffs,
+    cutoff_region,
+    deviation_measure,
+)
 
 
 def announce(number: int, ok: bool, detail: str) -> bool:
@@ -64,13 +71,14 @@ def merged_pairs(flags, den):
 
 def cylinder_oracle_base2(window, band, threshold, strict):
     """Classify binary cylinders fine enough to determine every count."""
-    depth = window.end + band.k
+    end = window.offset + window.length
+    depth = end + band.k
     scale = 2**depth
     pow_k = 2**band.k
     flags = []
     for c in range(scale):
         count = 0
-        for j in range(window.offset, window.end):
+        for j in range(window.offset, end):
             pos = (c << j) % scale
             if band.a * scale <= pos * pow_k < (band.a + 1) * scale:
                 count += 1
@@ -86,7 +94,7 @@ def midpoint_oracle_base3(window, band, threshold, strict):
     denominator dividing 8 * 3**(end-1), so counts are constant on each
     cell and the midpoint decides the whole cell.
     """
-    den = 8 * 3 ** (window.end - 1)
+    den = 8 * 3 ** (window.offset + window.length - 1)
     twice = 2 * den
     pow_k = 2**band.k
     start_power = pow(3, window.offset, twice)
@@ -117,7 +125,10 @@ def test_criterion_01_region_vs_cylinder_oracle():
         strict = rng.random() < 0.5
         window = Window(base, offset, length)
         band = Band(a, k)
-        region = deviation_region(window, band, threshold, strict=strict)
+        # the offset-0 region, pulled back by x -> frac(base**offset * x)
+        cutoffs = count_cutoffs(band.length * length, threshold, strict)
+        core = cutoff_region(base, length, band, *cutoffs, DEFAULT_EVENT_BUDGET)
+        region = PeriodicIntervalSet(core, base, offset).materialize()
         if base == 2:
             expected = cylinder_oracle_base2(window, band, threshold, strict)
         else:
@@ -378,13 +389,10 @@ def test_criterion_09_pinned_constants():
     f3 = fukuyama_constant(3)
     cost1 = naive_cost_log2(1)
     ok = (
-        p4.is_exact()
-        and p4.lo == 830
-        and p9.is_exact()
-        and p9.lo == 498
+        p4.lo == p4.hi == 830
+        and p9.lo == p9.hi == 498
         and f2.lo * f2.lo < F(84, 81) < f2.hi * f2.hi
-        and f3.is_exact()
-        and f3.lo == 1
+        and f3.lo == f3.hi == 1
         and not isinstance(cost1, Enclosure)
         and cost1 == 131072
     )

@@ -30,15 +30,24 @@ from normnum.badsets import (
 import normnum.badsets as badsets_module
 from normnum.enclose import Enclosure, eval_iv_tight
 from normnum.measure import IntervalSet, PeriodicIntervalSet
-from normnum.orbit import Band, Window, deviation_region, f_value
+from normnum.orbit import (
+    DEFAULT_EVENT_BUDGET,
+    Band,
+    Window,
+    count_cutoffs,
+    cutoff_region,
+    f_value,
+)
 
 F = Fraction
 
 
 def swept_at(piece, end):
-    """The deviation region of a piece's window core at one threshold end."""
-    core_window = Window(piece.window.base, 0, piece.window.length)
-    return deviation_region(core_window, piece.band, end)
+    """The offset-0 region of a piece's window length, for the cutoffs of
+    one threshold end."""
+    base, length = piece.window.base, piece.window.length
+    cutoffs = count_cutoffs(piece.band.length * length, end)
+    return cutoff_region(base, length, piece.band, *cutoffs, DEFAULT_EVENT_BUDGET)
 
 
 def assert_region_exact(piece):

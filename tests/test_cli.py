@@ -198,6 +198,22 @@ def test_cli_import_leaves_mpmath_unloaded():
     assert done.stdout == "False\n"
 
 
+LAYERS = (
+    "orbit", "measure", "badsets", "enclose", "constructor", "discrepancy", "mc", "cli",
+)
+
+
+def test_cli_import_loads_every_layer():
+    # bench/launcher.py wraps each layer module it finds in sys.modules once
+    # `import normnum.cli` returns, and the package itself imports nothing
+    done = run_python(
+        "import normnum.cli; "
+        "print(' '.join(sorted(m for m in sys.modules if m.startswith('normnum.'))))"
+    )
+    assert done.returncode == 0, done.stderr
+    assert set(done.stdout.split()) >= {"normnum." + layer for layer in LAYERS}
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -1100,6 +1116,35 @@ def test_lemma_grids_pin_worst_measures(capsys, which):
     assert code == 0
     worst = [row["worst_measure"] for row in report["rows"]]
     assert worst == LEMMA_WORST_MEASURES[which]
+
+
+@pytest.mark.parametrize(
+    "which, names",
+    [
+        ("badic", ("badic_deviation_bound", "relabelling_representatives")),
+        ("dyadic", ("dyadic_deviation_bound",)),
+    ],
+)
+def test_lemma_grids_call_swapped_functions(capsys, monkeypatch, which, names):
+    # bench/launcher.py swaps a function, after import, in every normnum
+    # module that holds it; the grid must call the swapped function and
+    # print the same report
+    assert main(["lemma", "--which", which]) == 0
+    plain = capsys.readouterr().out
+    calls = []
+    for name in names:
+        original = getattr(normnum.cli, name)
+
+        def swapped(*args, _name=name, _original=original):
+            calls.append(_name)
+            return _original(*args)
+
+        for module_name, module in list(sys.modules.items()):
+            if module_name.startswith("normnum") and getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, swapped)
+    assert main(["lemma", "--which", which]) == 0
+    assert capsys.readouterr().out == plain
+    assert set(calls) == set(names)
 
 
 def test_lemma_masstail_boundary(capsys):

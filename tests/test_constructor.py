@@ -87,7 +87,7 @@ def test_toy_run_invariants(name):
     # nested halving with exact shrink rate
     interval = None
     for record in cert.steps:
-        assert record.chosen.length == F(1, 2**record.step)
+        assert record.chosen.hi - record.chosen.lo == F(1, 2**record.step)
         if interval is not None:
             assert interval.lo <= record.chosen.lo
             assert record.chosen.hi <= interval.hi
@@ -118,7 +118,7 @@ def test_witness_point_escapes_every_component():
         schedule = preset(name)
         cert = run_construction(schedule, 6)
         final = cert.steps[-1].chosen
-        witness = final.lo + final.length / 3
+        witness = final.lo + (final.hi - final.lo) / 3
         family = bad_family(4, schedule)
         for comp in family.components:
             assert not comp.region.contains(witness), (name, comp.label)
@@ -131,7 +131,7 @@ def test_witness_f_values_stay_below_thresholds():
     schedule = preset("toy-sparse")
     cert = run_construction(schedule, 6)
     final = cert.steps[-1].chosen
-    witness = final.lo + final.length / 3
+    witness = final.lo + (final.hi - final.lo) / 3
     pieces = [block_bad_set(2, 4, a, h, schedule)
               for h in (1, 2, 3) for a in range(2**h)]
     pieces += [tail_bad_set(2, 4, a, h, 4, 1, schedule)

@@ -56,7 +56,6 @@ def encloses_irrational_sqrt(enclosure, radicand):
     lo, hi = enclosure.lo, enclosure.hi
     assert 0 <= lo < hi
     assert lo * lo < radicand < hi * hi
-    assert not enclosure.is_exact()
 
 
 # -- pinned values -----------------------------------------------------------
@@ -189,11 +188,9 @@ def test_normality_ratio_guard_and_value():
 
 def test_philipp_constant_values():
     at_four = philipp_constant(4)
-    assert at_four.is_exact()
-    assert at_four.lo == 830
+    assert at_four.lo == at_four.hi == 830
     at_nine = philipp_constant(9)
-    assert at_nine.is_exact()
-    assert at_nine.lo == 498
+    assert at_nine.lo == at_nine.hi == 498
     # base 2 value is 830 + 664*sqrt(2); compare squares exactly
     at_two = philipp_constant(2)
     assert ((at_two.lo - 830) / 664) ** 2 < 2 < ((at_two.hi - 830) / 664) ** 2
@@ -206,12 +203,10 @@ def test_philipp_constant_values():
 
 def test_fukuyama_constant_values():
     at_three = fukuyama_constant(3)
-    assert at_three.is_exact()
-    assert at_three.lo == 1
+    assert at_three.lo == at_three.hi == 1
     # odd theta = 17 gives sqrt(9/16), another exact point
     at_seventeen = fukuyama_constant(17)
-    assert at_seventeen.is_exact()
-    assert at_seventeen.lo == F(3, 4)
+    assert at_seventeen.lo == at_seventeen.hi == F(3, 4)
     encloses_irrational_sqrt(fukuyama_constant(2), F(84, 81))
     encloses_irrational_sqrt(fukuyama_constant(4), F(20, 27))
     encloses_irrational_sqrt(fukuyama_constant(6), F(84, 125))

@@ -13,7 +13,7 @@ F = Fraction
 def test_enclosure_invariants():
     e = Enclosure(F(1, 3), F(1, 2))
     assert e.width == F(1, 6)
-    assert not e.is_exact()
+    assert e.lo < e.hi
     with pytest.raises(ValueError):
         Enclosure(F(1, 2), F(1, 3))
 
@@ -49,7 +49,7 @@ def test_refinement_is_nested():
         wide = tight_sqrt(target, 24)
         tight = tight_sqrt(target, 120)
         assert wide.lo <= tight.lo <= tight.hi <= wide.hi
-        assert tight.width < wide.width or wide.is_exact()
+        assert tight.width < wide.width or wide.lo == wide.hi
 
 
 def test_eval_iv_tight_hits_requested_relative_width():

@@ -14,7 +14,14 @@ from normnum.mc import (
     sample_points,
 )
 from normnum.measure import IntervalSet
-from normnum.orbit import Band, Window, deviation_region, f_value
+from normnum.orbit import (
+    DEFAULT_EVENT_BUDGET,
+    Band,
+    Window,
+    count_cutoffs,
+    cutoff_region,
+    f_value,
+)
 
 
 def measure_of(region) -> F:
@@ -130,9 +137,12 @@ def test_any_band_estimate_matches_exact_union():
     # the four depth-2 bands, and sampled points whose orbits are counted
     # pointwise
     window = Window(2, 0, 6)
+    cutoffs = count_cutoffs(F(6, 4), F(3, 2))
     union = IntervalSet.empty()
     for a in range(4):
-        union = union.union(deviation_region(window, Band(a, 2), F(3, 2)))
+        union = union.union(
+            cutoff_region(2, 6, Band(a, 2), *cutoffs, DEFAULT_EVENT_BUDGET)
+        )
     exact = measure_of(union)
     assert exact == F(43, 64)
     report = estimate_measure(

@@ -50,11 +50,9 @@ def test_parse_rejects_garbage():
 
 def test_interval_basics():
     iv = Interval(F(1, 4), F(3, 4))
-    assert iv.length == F(1, 2)
-    assert not iv.is_empty()
-    assert iv.contains(F(1, 4))
-    assert iv.contains(F(1, 2))
-    assert not iv.contains(F(3, 4))  # half open on the right
+    assert (iv.lo, iv.hi) == (F(1, 4), F(3, 4))
+    assert iv.to_json() == ["1/4", "3/4"]
+    assert Interval.from_json(["1/4", "3/4"]) == iv
     lo, hi = iv.halves()
     assert lo == Interval(F(1, 4), F(1, 2))
     assert hi == Interval(F(1, 2), F(3, 4))
@@ -71,7 +69,6 @@ def test_interval_validation():
 
 def test_unit_interval():
     assert UNIT.lo == 0 and UNIT.hi == 1
-    assert UNIT.length == 1
 
 
 # -- canonical interval sets ---------------------------------------------

@@ -8,7 +8,7 @@ from math import lcm
 import pytest
 
 from normnum import orbit
-from normnum.measure import BudgetError, IntervalSet
+from normnum.measure import BudgetError, IntervalSet, PeriodicIntervalSet
 from normnum.orbit import (
     DEFAULT_EVENT_BUDGET,
     Band,
@@ -18,7 +18,6 @@ from normnum.orbit import (
     cutoff_measure,
     cutoff_region,
     deviation_measure,
-    deviation_region,
     f_value,
     hit_count,
     orbit_point,
@@ -116,20 +115,30 @@ def test_window_validation():
 # -- sweep regions ---------------------------------------------------------
 
 
+def window_region(window, band, threshold, strict=False, budget=DEFAULT_EVENT_BUDGET):
+    """The deviation region of a window, built the way the construction
+    builds it: the region of the same length at offset 0, pulled back by
+    x -> frac(base**offset * x), then expanded into its copies."""
+    lo, hi = orbit._band_bounds(band)
+    cutoffs = count_cutoffs((hi - lo) * window.length, F(threshold), strict)
+    core = cutoff_region(window.base, window.length, band, *cutoffs, budget)
+    return PeriodicIntervalSet(core, window.base, window.offset).materialize()
+
+
 def test_deviation_region_trivial_thresholds():
     w = Window(2, 0, 4)
-    assert deviation_region(w, Band(0, 1), F(-1)) == IntervalSet.unit()
-    assert deviation_region(w, Band(0, 1), F(0)) == IntervalSet.unit()
+    assert window_region(w, Band(0, 1), F(-1)) == IntervalSet.unit()
+    assert window_region(w, Band(0, 1), F(0)) == IntervalSet.unit()
     # strict > 0 excludes perfectly balanced points but still covers most
-    r = deviation_region(w, Band(0, 1), F(0), strict=True)
+    r = window_region(w, Band(0, 1), F(0), strict=True)
     assert not r.contains(F(1, 3))
     assert r.contains(F(0))
 
 
 def test_deviation_region_unreachable_threshold_is_empty():
     w = Window(2, 0, 4)
-    assert deviation_region(w, Band(0, 1), F(3, 2)).measure() == F(1, 8)
-    assert deviation_region(w, Band(0, 1), F(5, 2)).is_empty()
+    assert window_region(w, Band(0, 1), F(3, 2)).measure() == F(1, 8)
+    assert window_region(w, Band(0, 1), F(5, 2)).is_empty()
 
 
 def test_deviation_region_matches_pointwise_values():
@@ -144,8 +153,8 @@ def test_deviation_region_matches_pointwise_values():
         band = Band(a, k)
         t = F(rng.randrange(0, 4 * length + 1), 4)
         strict = rng.random() < 0.5
-        region = deviation_region(w, band, t, strict=strict)
-        denom = 2 * base ** w.end * 2**k
+        region = window_region(w, band, t, strict=strict)
+        denom = 2 * base ** (offset + length) * 2**k
         step = max(1, denom // 211)
         for i in range(0, denom, step):
             x = F(2 * i + 1, 2 * denom)
@@ -157,7 +166,7 @@ def test_deviation_region_matches_pointwise_values():
 def test_deviation_region_antitone_in_threshold():
     w = Window(2, 0, 6)
     band = Band(0, 2)
-    regions = [deviation_region(w, band, t) for t in (F(1, 2), F(3, 2), F(5, 2), F(7, 2))]
+    regions = [window_region(w, band, t) for t in (F(1, 2), F(3, 2), F(5, 2), F(7, 2))]
     for bigger, smaller in zip(regions, regions[1:]):
         assert smaller.intersect(bigger) == smaller
 
@@ -169,14 +178,14 @@ def reference_regions(window, lo, hi, cutoffs):
     and closes a run of each cutoff pair whenever the count stops
     qualifying.
     """
-    b = window.base
+    b, end = window.base, window.offset + window.length
     q = lcm(lo.denominator, hi.denominator)
-    top = window.end - 1
+    top = end - 1
     denom = q * b**top
     lo_num = lo.numerator * (q // lo.denominator)
     hi_num = hi.numerator * (q // hi.denominator)
     events = []
-    for j in range(window.offset, window.end):
+    for j in range(window.offset, end):
         scale = b ** (top - j)
         for m in range(b**j):
             events.append(((m * q + lo_num) * scale, 1))
@@ -229,40 +238,54 @@ KERNEL_LENGTHS = {2: 5, 3: 3, 5: 2}
 @pytest.mark.parametrize("offset", range(4))
 @pytest.mark.parametrize("base", sorted(KERNEL_LENGTHS))
 def test_region_kernel_matches_reference_loop(base, offset, band, strict):
-    w = Window(base, offset, KERNEL_LENGTHS[base])
+    # the offset window's region is the offset-0 region pulled back by
+    # x -> frac(base**offset * x), as the construction builds it
+    length = KERNEL_LENGTHS[base]
+    w = Window(base, offset, length)
     lo, hi = KERNEL_BANDS[band]
     # the cutoffs of every threshold from 0 past the window length: unit,
     # live and empty cutoff pairs
     cutoffs = list(
         dict.fromkeys(
-            count_cutoffs((hi - lo) * w.length, F(i, 4), strict)
-            for i in range(4 * w.length + 5)
+            count_cutoffs((hi - lo) * length, F(i, 4), strict)
+            for i in range(4 * length + 5)
         )
     )
     regions = [
-        cutoff_region(w, (lo, hi), c_lo, c_hi, DEFAULT_EVENT_BUDGET)
+        PeriodicIntervalSet(
+            cutoff_region(base, length, (lo, hi), c_lo, c_hi, DEFAULT_EVENT_BUDGET),
+            base,
+            offset,
+        ).materialize()
         for c_lo, c_hi in cutoffs
     ]
     assert regions == reference_regions(w, lo, hi, cutoffs)
+    q = lcm(lo.denominator, hi.denominator)
+    if base == 2 and q & (q - 1) == 0:
+        # dyadic bands in base 2 also meet the cylinder oracle
+        assert regions == [
+            brute_force_region_base2(w, (lo, hi), c_lo, c_hi) for c_lo, c_hi in cutoffs
+        ]
 
 
 @pytest.mark.parametrize("offset", range(4))
 @pytest.mark.parametrize("base", sorted(KERNEL_LENGTHS))
 def test_cutoff_measure_matches_swept_region(base, offset):
     # every band of depth 0-2 and every cutoff pair from unit to empty: the
-    # distribution's weight is the swept measure, so a zero weight means an
-    # empty region
-    w = Window(base, offset, KERNEL_LENGTHS[base])
+    # distribution's weight is the measure of the offset window's region,
+    # so a zero weight means an empty region
+    length = KERNEL_LENGTHS[base]
+    w = Window(base, offset, length)
+    cutoffs = [
+        (c_lo, c_hi) for c_lo in range(-1, length + 1) for c_hi in range(length + 2)
+    ]
     for k in range(3):
         for a in range(2**k):
-            for c_lo in range(-1, w.length + 1):
-                for c_hi in range(0, w.length + 2):
-                    region = cutoff_region(
-                        w, Band(a, k), c_lo, c_hi, DEFAULT_EVENT_BUDGET
-                    )
-                    measure = cutoff_measure(w, 2**k, a, c_lo, c_hi)
-                    assert measure == region.measure(), (k, a, c_lo, c_hi)
-                    assert (measure == 0) == region.is_empty()
+            regions = reference_regions(w, *Band(a, k).bounds(), cutoffs)
+            for (c_lo, c_hi), region in zip(cutoffs, regions):
+                measure = cutoff_measure(base, length, 2**k, a, c_lo, c_hi)
+                assert measure == region.measure(), (k, a, c_lo, c_hi)
+                assert (measure == 0) == region.is_empty()
 
 
 def test_region_cell_guard():
@@ -271,20 +294,20 @@ def test_region_cell_guard():
     w = Window(2, 0, 2)
     band = (F(0), F(1, 64))
     pairs = [count_cutoffs(band[1] * 2, F(1))]
-    region = deviation_region(w, band, F(1), budget=64)
+    region = cutoff_region(2, 2, band, *pairs[0], 64)
     assert not region.is_empty()
     assert [region] == reference_regions(w, *band, pairs)
     with pytest.raises(BudgetError):
-        deviation_region(w, (F(0), F(1, 128)), F(1), budget=64)
+        cutoff_region(2, 2, (F(0), F(1, 128)), *count_cutoffs(F(1, 64), F(1)), 64)
     for k in (61, 62):
         with pytest.raises(BudgetError):
-            deviation_region(w, (F(0), F(1, 2**k)), F(1))
+            window_region(w, (F(0), F(1, 2**k)), F(1))
     # 2**46 cells over a window of 524286 events are refused before the
     # per-cell hit table is built
     tracemalloc.start()
     try:
         with pytest.raises(BudgetError):
-            deviation_region(Window(2, 0, 18), (F(0), F(1, 2**46)), F(1))
+            window_region(Window(2, 0, 18), (F(0), F(1, 2**46)), F(1))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -293,9 +316,9 @@ def test_region_cell_guard():
 
 def test_sweep_budget_guard():
     with pytest.raises(BudgetError):
-        sweep_cost(Window(2, 0, 64), 10**6)
+        sweep_cost(2, 64, 10**6)
     with pytest.raises(BudgetError):
-        deviation_region(Window(2, 0, 64), Band(0, 1), F(1), budget=10**6)
+        cutoff_region(2, 64, Band(0, 1), *count_cutoffs(F(32), F(1)), 10**6)
 
 
 # -- exact deviation measure through the cell chain -------------------------
@@ -312,7 +335,7 @@ def test_deviation_measure_matches_sweep():
         t = F(rng.randrange(0, 3 * length + 1), 3)
         strict = rng.random() < 0.5
         w = Window(base, offset, length)
-        swept = deviation_region(w, Band(a, k), t, strict=strict).measure()
+        swept = window_region(w, Band(a, k), t, strict=strict).measure()
         counted = deviation_measure(w, 2**k, a, t, strict=strict)
         assert counted == swept, (base, offset, length, k, a, t, strict)
 
@@ -523,7 +546,7 @@ def test_deviation_measure_cells_beyond_band_grid():
     # any uniform cell count works, not only powers of two
     w = Window(2, 0, 4)
     m_six = deviation_measure(w, 6, 0, F(3, 2))
-    region = deviation_region(w, (F(0), F(1, 6)), F(3, 2))
+    region = window_region(w, (F(0), F(1, 6)), F(3, 2))
     assert m_six == region.measure()
 
 
@@ -539,20 +562,22 @@ def test_deviation_measure_antitone_in_threshold():
 # -- dyadic cylinder oracle (base 2 exact classification) -------------------
 
 
-def brute_force_region_base2(window, band, threshold, strict):
-    """Classify every depth-(end+1) dyadic cylinder by its left endpoint.
+def brute_force_region_base2(window, band, c_lo, c_hi):
+    """Classify every dyadic cylinder fine enough to fix every count by its
+    left endpoint: count <= c_lo or count >= c_hi.
 
-    Valid in base 2 because every breakpoint of the hit count is a dyadic
-    rational of depth at most end + band depth.
+    Valid in base 2 for a dyadic band, because every breakpoint of the hit
+    count is a dyadic rational of depth at most offset + length + band depth.
     """
-    depth = window.end + band.k + 1
+    lo, hi = orbit._band_bounds(band)
+    q = lcm(lo.denominator, hi.denominator)
+    depth = window.offset + window.length + q.bit_length()
     denom = 2**depth
     qualifying = []
     for i in range(denom):
         x = F(i, denom)
-        fv = f_value(x, window, band)
-        hit = fv > threshold if strict else fv >= threshold
-        if hit:
+        count = hit_count(x, window, band)
+        if count <= c_lo or count >= c_hi:
             qualifying.append((x, F(i + 1, denom)))
     return IntervalSet(qualifying)
 
@@ -568,6 +593,8 @@ def test_sweep_against_cylinder_oracle_base2():
         band = Band(a, k)
         t = F(rng.randrange(0, 2 * length + 1), 2)
         strict = rng.random() < 0.5
-        swept = deviation_region(w, band, t, strict=strict)
-        oracle = brute_force_region_base2(w, band, t, strict)
+        swept = window_region(w, band, t, strict=strict)
+        oracle = brute_force_region_base2(
+            w, band, *count_cutoffs(band.length * length, t, strict)
+        )
         assert swept == oracle, (offset, length, k, a, t, strict)

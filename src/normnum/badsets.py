@@ -93,6 +93,8 @@ MAX_OBSTACLE_DENOMINATOR = 1 << 4096
 
 
 def _check_size_index(n: int) -> None:
+    if n < 4:
+        raise ValueError("size index must be at least 4")
     if n > MAX_SIZE_INDEX:
         raise BudgetError(
             "size index %d exceeds the bound of %d" % (n, MAX_SIZE_INDEX)
@@ -353,9 +355,103 @@ class SetEnclosure:
         return self.region.is_empty()
 
 
-def _band_for(h: int, limit: int, a: int) -> Band:
-    depth = h + 1 if h < limit else limit
-    return Band(a, depth)
+def _band_depth(h: int, limit: int) -> int:
+    # the band of scale h is one dyadic level finer, up to the depth limit
+    return h + 1 if h < limit else limit
+
+
+def _threshold_certainly_below(
+    scale_length: int, delta: Fraction, exponent: Fraction, length: int, depth: int
+) -> bool:
+    """Whether the threshold is at most the expected count length / 2**depth,
+    decided from bit lengths alone.
+
+    With L = scale_length >= 16 and exponent <= 0, 2**exponent <= 1, the
+    coefficient 2 * (1 + 2 * delta) * (1/2 + 2 / (sqrt(base) - 1)) is below
+    11 * (1 + 2 * delta) for every base >= 2, and ln ln L < L.bit_length(),
+    so the threshold is below 11 * (1 + 2 * delta) * sqrt(2**bits * bits)
+    with bits = L.bit_length(). The expected count is at least
+    2**(length.bit_length() - 1 - depth). The squares compare exactly on
+    small integers and one power of two.
+    """
+    if scale_length < 16 or exponent > 0:
+        return False
+    bits = scale_length.bit_length()
+    tilt = 1 + 2 * delta
+    lhs = 121 * tilt.numerator**2 * bits
+    rhs = tilt.denominator**2
+    shift = 2 * (length.bit_length() - 1 - depth) - bits
+    # lhs <= rhs * 2**shift, with no shift wider than lhs or rhs
+    if shift >= lhs.bit_length():
+        return True
+    if -shift >= rhs.bit_length():
+        return False
+    return lhs << max(-shift, 0) <= rhs << max(shift, 0)
+
+
+def _decide_cutoffs(
+    base: int,
+    length: int,
+    depth: int,
+    scale_length: int,
+    exponent: Fraction,
+    schedule: Schedule,
+    precision: int,
+    budget: int,
+) -> tuple[Enclosure, Optional[tuple[int, int]]]:
+    """First step of a bad set: the threshold 2**exponent times the scale of
+    `scale_length`, and the count cutoffs it gives every band of the depth
+    over a window of the length, or None when those sets are empty.
+
+    Hit counts are integers, so the sets are decided by the threshold's
+    count cutoffs, which do not depend on the band index. They are empty
+    once the low end's cutoffs lie outside the window, since higher
+    thresholds only widen them; otherwise the window must pass the
+    `sweep_cost` gate, and the precision doubles until both ends of the
+    enclosure give the same cutoffs. When a window beyond the gate's bit
+    length test has a threshold certainly below its expected count, no
+    enclosure can give empty cutoffs, so the gate refuses it before any
+    threshold is evaluated.
+    """
+    if length > budget.bit_length() and _threshold_certainly_below(
+        scale_length, schedule.delta, exponent, length, depth
+    ):
+        sweep_cost(base, length, budget)
+    expected = Fraction(length, 1 << depth)
+    for _ in range(_REFINEMENT_ROUNDS + 1):
+        threshold = _tilted_threshold(
+            scale_length, base, schedule.delta, exponent, precision
+        )
+        c_lo, c_hi = count_cutoffs(expected, threshold.lo)
+        if c_lo < 0 and c_hi > length:
+            return threshold, None
+        # the low end already needs the region: refuse a window beyond the
+        # budget first, which also bounds the length of the DP below
+        sweep_cost(base, length, budget)
+        if (c_lo, c_hi) == count_cutoffs(expected, threshold.hi):
+            return threshold, (c_lo, c_hi)
+        precision *= 2
+    raise StraddleError(
+        "threshold enclosure around %.17g still straddles a count cutoff of the "
+        "%d-point window after %d refinement rounds"
+        % (threshold.midpoint(), length, _REFINEMENT_ROUNDS)
+    )
+
+
+def _band_region(
+    base: int, length: int, band: Band, cutoffs: tuple[int, int], budget: int
+) -> IntervalSet:
+    """Second step of a bad set: the region of decided cutoffs for one band
+    over the orbit indices 0..length-1.
+
+    Every walked part has positive length, so a zero weight of the
+    qualifying counts in the exact hit-count distribution means an empty
+    region, found without a walk.
+    """
+    c_lo, c_hi = cutoffs
+    if cutoff_measure(base, length, 2**band.k, band.a, c_lo, c_hi):
+        return cutoff_region(base, length, band, c_lo, c_hi, budget)
+    return IntervalSet.empty()
 
 
 def _bad_set(
@@ -369,45 +465,23 @@ def _bad_set(
     budget: int,
 ) -> SetEnclosure:
     """Where the window's deviation for the band reaches 2**exponent times
-    the threshold scale of `scale_length`.
+    the threshold scale of `scale_length`: `_decide_cutoffs`, then
+    `_band_region` when the cutoffs leave the set nonempty.
 
-    Hit counts are integers, so the set is decided by the threshold's count
-    cutoffs. It is empty once the low end's cutoffs lie outside the window,
-    since higher thresholds only widen them; otherwise the precision
-    doubles until both ends of the enclosure give the same cutoffs. The
-    region of those cutoffs is swept only when the exact hit-count
-    distribution gives it a positive measure.
+    An offset window's set is the preimage of the core's under
+    x -> frac(base**offset * x); a set empty by its cutoffs stays the plain
+    empty set.
     """
     base, length = window.base, window.length
-    expected = band.length * length
-    for _ in range(_REFINEMENT_ROUNDS + 1):
-        threshold = _tilted_threshold(
-            scale_length, base, schedule.delta, exponent, precision
-        )
-        c_lo, c_hi = count_cutoffs(expected, threshold.lo)
-        if c_lo < 0 and c_hi > length:
-            return SetEnclosure(label, window, band, threshold, IntervalSet.empty())
-        # the low end already needs the region: refuse a window beyond the
-        # budget first, which also bounds the length of the DP below
-        sweep_cost(base, length, budget)
-        if (c_lo, c_hi) == count_cutoffs(expected, threshold.hi):
-            # every swept part has positive length, so a zero weight of the
-            # qualifying counts means an empty region, found without a sweep
-            if cutoff_measure(base, length, 2**band.k, band.a, c_lo, c_hi):
-                region = cutoff_region(base, length, band, c_lo, c_hi, budget)
-            else:
-                region = IntervalSet.empty()
-            # an offset window's set is the preimage of the core's under
-            # x -> frac(base**offset * x)
-            if window.offset:
-                region = PeriodicIntervalSet(region, base, window.offset)
-            return SetEnclosure(label, window, band, threshold, region)
-        precision *= 2
-    raise StraddleError(
-        "threshold enclosure around %.17g still straddles a count cutoff of the "
-        "%d-point window after %d refinement rounds"
-        % (threshold.midpoint(), length, _REFINEMENT_ROUNDS)
+    threshold, cutoffs = _decide_cutoffs(
+        base, length, band.k, scale_length, exponent, schedule, precision, budget
     )
+    region: RegionLike = IntervalSet.empty()
+    if cutoffs is not None:
+        region = _band_region(base, length, band, cutoffs, budget)
+        if window.offset:
+            region = PeriodicIntervalSet(region, base, window.offset)
+    return SetEnclosure(label, window, band, threshold, region)
 
 
 def block_bad_set(
@@ -424,8 +498,6 @@ def block_bad_set(
     Membership means the windowed deviation for the band reaches the
     tilted threshold.
     """
-    if n < 4:
-        raise ValueError("size index must be at least 4")
     _check_size_index(n)
     length = 1 << n
     limit = depth_limit(length)
@@ -436,7 +508,7 @@ def block_bad_set(
     return _bad_set(
         "block b=%d n=%d h=%d a=%d" % (base, n, h, a),
         Window(base, 0, length),
-        _band_for(h, limit, a),
+        Band(a, _band_depth(h, limit)),
         length,
         Fraction(-h, 8),
         schedule,
@@ -461,10 +533,9 @@ def tail_bad_set(
     The window starts at 2**n + m * 2**l and has length 2**(l-1); its
     threshold carries an extra tilt that shrinks with the window. The
     computed region is periodic with period base**-offset, and is kept in
-    that implicit form (an empty region stays the plain empty set).
+    that implicit form (a set empty by its cutoffs stays the plain empty
+    set).
     """
-    if n < 4:
-        raise ValueError("size index must be at least 4")
     _check_size_index(n)
     if not (n + 1) // 2 <= l <= n:
         raise ValueError("window scale l must lie in [%d, %d]" % ((n + 1) // 2, n))
@@ -481,7 +552,7 @@ def tail_bad_set(
     return _bad_set(
         "tail b=%d n=%d h=%d a=%d l=%d m=%d" % (base, n, h, a, l, m),
         Window(base, (1 << n) + (m << l), length),
-        _band_for(h, limit, a),
+        Band(a, _band_depth(h, limit)),
         1 << n,
         Fraction(-h, 8) + Fraction(l - n - 3, 6),
         schedule,
@@ -505,6 +576,50 @@ class FamilyComponent:
         return self.region.measure()
 
 
+def _window_cores(
+    base: int,
+    length: int,
+    scale_length: int,
+    tilt: Fraction,
+    schedule: Schedule,
+    precision: int,
+    budget: int,
+):
+    """Core region of every nonempty bad set of one window, for band
+    scales h = 1, 2, ... and band indices a = 0, 1, ... in turn, as the
+    union of `block_bad_set` or `tail_bad_set` over (h, a) would build them.
+
+    Scale h has exponent tilt - h / 8, and its cutoffs are decided once.
+    A region is walked once per (band, cutoffs): the complement
+    x -> 1 - x maps the hit count of band a onto that of band
+    2**depth - 1 - a, so the mirror band's region is the reflection, and
+    the top scale, which shares its depth with the one below, repeats
+    the lower half of its bands whenever their cutoffs agree.
+    """
+    limit = depth_limit(length)
+    regions: dict[tuple, IntervalSet] = {}
+    for h in range(1, limit + 1):
+        depth = _band_depth(h, limit)
+        _, cutoffs = _decide_cutoffs(
+            base, length, depth, scale_length, Fraction(-h, 8) + tilt,
+            schedule, precision, budget,
+        )
+        if cutoffs is None:
+            continue
+        for a in range(2**h):
+            key = (a, depth, cutoffs)
+            region = regions.get(key)
+            if region is None:
+                mirror = regions.get((2**depth - 1 - a, depth, cutoffs))
+                if mirror is not None:
+                    region = mirror.reflected()
+                else:
+                    region = _band_region(base, length, Band(a, depth), cutoffs, budget)
+                regions[key] = region
+            if not region.is_empty():
+                yield region
+
+
 def block_bad_union(
     base: int,
     n: int,
@@ -512,17 +627,18 @@ def block_bad_union(
     precision: int = 64,
     budget: int = DEFAULT_EVENT_BUDGET,
 ) -> Optional[FamilyComponent]:
-    """Exact union of all block bad sets for one base and size index."""
+    """Exact union of all block bad sets for one base and size index.
+
+    The same sets as `block_bad_set` over every (h, a), each scale's
+    cutoffs decided once and each region walked once (`_window_cores`).
+    """
     _check_size_index(n)
     region = IntervalSet.empty()
     members = 0
-    limit = depth_limit(1 << n)
-    for h in range(1, limit + 1):
-        for a in range(2**h):
-            piece = block_bad_set(base, n, a, h, schedule, precision, budget)
-            if not piece.is_empty():
-                members += 1
-                region = region.union(piece.region)
+    length = 1 << n
+    for core in _window_cores(base, length, length, ZERO, schedule, precision, budget):
+        members += 1
+        region = region.union(core)
     if not members:
         return None
     return FamilyComponent("block b=%d n=%d" % (base, n), "block", region, members)
@@ -537,24 +653,23 @@ def tail_bad_union(
 ) -> list[FamilyComponent]:
     """Tail bad sets for one base and size index, merged per window offset.
 
-    Pieces sharing an offset are preimages at the same level, so their
-    cores union exactly; distinct offsets stay separate components.
+    The same sets as `tail_bad_set` over every (l, h, a, m). The core
+    region does not depend on the slot m, so each window scale's cores are
+    built once (`_window_cores`). Pieces sharing an offset are preimages at
+    the same level, so their cores union exactly; distinct offsets stay
+    separate components.
     """
     _check_size_index(n)
     by_offset: dict[int, tuple[IntervalSet, int]] = {}
     for l in range((n + 1) // 2, n + 1):
-        limit = depth_limit(1 << (l - 1))
-        for h in range(1, limit + 1):
-            for a in range(2**h):
-                # the core region does not depend on the slot, build it once
-                probe = tail_bad_set(base, n, a, h, l, 1, schedule, precision, budget)
-                if probe.is_empty():
-                    continue
-                assert isinstance(probe.region, PeriodicIntervalSet)
-                for m in range(1, (1 << (n - l)) + 1):
-                    offset = (1 << n) + (m << l)
-                    core, members = by_offset.get(offset, (IntervalSet.empty(), 0))
-                    by_offset[offset] = (core.union(probe.region.core), members + 1)
+        tilt = Fraction(l - n - 3, 6)
+        for core in _window_cores(
+            base, 1 << (l - 1), 1 << n, tilt, schedule, precision, budget
+        ):
+            for m in range(1, (1 << (n - l)) + 1):
+                offset = (1 << n) + (m << l)
+                merged, members = by_offset.get(offset, (IntervalSet.empty(), 0))
+                by_offset[offset] = (merged.union(core), members + 1)
     return [
         FamilyComponent(
             "tail b=%d n=%d offset=%d" % (base, n, offset),

@@ -216,6 +216,12 @@ class IntervalSet:
             denom, _merged_ends(self._runs(denom) + other._runs(denom))
         )
 
+    def reflected(self) -> "IntervalSet":
+        """The image under x -> 1 - x, as a half-open set again: part
+        [lo, hi) becomes [1 - hi, 1 - lo)."""
+        denom = self.denom
+        return IntervalSet.on_grid(denom, [denom - e for e in reversed(self.ends)])
+
     def intersect(self, other: "IntervalSet") -> "IntervalSet":
         denom = lcm(self.denom, other.denom)
         a, b = self._runs(denom), other._runs(denom)

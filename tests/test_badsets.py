@@ -1,5 +1,6 @@
 """Schedules, tilted thresholds, and the bad-set family enclosures."""
 
+import json
 import random
 from fractions import Fraction
 
@@ -28,6 +29,7 @@ from normnum.badsets import (
     window_cover_check,
 )
 import normnum.badsets as badsets_module
+from normnum.cli import main
 from normnum.enclose import Enclosure, eval_iv_tight
 from normnum.measure import IntervalSet, PeriodicIntervalSet
 from normnum.orbit import (
@@ -367,6 +369,92 @@ def test_threshold_straddle_raises(monkeypatch):
         block_bad_set(2, 4, 0, 1, preset("toy-sparse"))
 
 
+PRESET_DELTAS = sorted({preset(name).delta for name in PRESET_NAMES})
+
+
+def scale_cases(n):
+    """(exponent, window length, band depth) of the first two and last two
+    band scales of the block window, and of the first and last band scales
+    of the shortest and longest tail windows, at size index n."""
+    scale = 1 << n
+    limit = depth_limit(scale)
+    cases = [
+        (F(-h, 8), scale, badsets_module._band_depth(h, limit))
+        for h in sorted({1, 2, limit - 1, limit})
+    ]
+    for l in sorted({(n + 1) // 2, n}):
+        length = 1 << (l - 1)
+        limit = depth_limit(length)
+        cases += [
+            (F(-h, 8) + F(l - n - 3, 6), length, badsets_module._band_depth(h, limit))
+            for h in sorted({1, limit})
+        ]
+    return cases
+
+
+def test_integer_refusal_bound_is_sound():
+    # whenever the bit-length bound says the threshold is at most the
+    # expected count, the enclosure's upper end is too, in every base
+    fired = 0
+    for delta in PRESET_DELTAS:
+        for n in range(5, 201):
+            for exponent, length, depth in scale_cases(n):
+                if not badsets_module._threshold_certainly_below(
+                    1 << n, delta, exponent, length, depth
+                ):
+                    continue
+                fired += 1
+                expected = F(length, 2**depth)
+                for base in range(2, 6):
+                    threshold = _tilted_threshold(1 << n, base, delta, exponent, 64)
+                    assert threshold.hi <= expected, (delta, n, exponent, length, depth)
+    assert fired > 1000
+    # it fires on the paper's first block window, band scale 1
+    assert badsets_module._threshold_certainly_below(
+        1 << HARD_START_FLOOR, F(1, 2), F(-1, 8), 1 << HARD_START_FLOOR, 2
+    )
+
+
+@pytest.mark.parametrize(
+    "delta", [F(-2, 5), F(1, 2), F(20)], ids=["toy", "paper", "wide"]
+)
+def test_integer_refusal_matches_evaluated_thresholds(
+    monkeypatch, capsys, tmp_path, delta
+):
+    # schedules whose windows sit just past the sweep gate, where the bound
+    # fires or not: every outcome is the one the evaluated thresholds give
+    def outcome(argv):
+        code = main(argv)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    fired = 0
+    for n in range(5, 41):
+        config = tmp_path / ("n%d.json" % n)
+        config.write_text(
+            json.dumps(
+                {
+                    "tag": "gate", "delta": str(delta), "eta": "1/8",
+                    "z_table": {"2": n}, "base_cap": 2, "index_cap": n, "p_const": n,
+                }
+            )
+        )
+        for budget in ("1", str(DEFAULT_EVENT_BUDGET)):
+            argv = ["digits", "--config", str(config), "--count", "2"]
+            argv += ["--budget", budget]
+            with monkeypatch.context() as patch:
+                patch.setattr(
+                    badsets_module, "_threshold_certainly_below", lambda *args: False
+                )
+                evaluated = outcome(argv)
+            shortcut = outcome(argv)
+            assert shortcut == evaluated, (n, budget)
+            fired += badsets_module._threshold_certainly_below(
+                1 << n, delta, F(-1, 8), 1 << n, 2
+            )
+    assert fired
+
+
 def test_toy_seeded_adds_obstacle():
     fam = bad_family(4, preset("toy-seeded"))
     kinds = sorted(c.kind for c in fam.components)
@@ -380,6 +468,116 @@ def test_toy_mixed_family():
     fam = bad_family(4, preset("toy-mixed"))
     assert fam.component_count() == 2
     assert fam.outer_measure_bound() == F(5003, 65536)
+
+
+def reference_family(index, schedule):
+    """Labels, regions and member counts of the family built one set per
+    member: `block_bad_set` for every (h, a) and `tail_bad_set` for every
+    (l, h, a, m), unioned per block and per tail offset."""
+    components = []
+    obstacle = schedule.obstacle_set()
+    if obstacle is not None and not obstacle.is_empty():
+        components.append(("obstacle", obstacle, 0))
+    for base in schedule.bases_for(index):
+        for n in schedule.indices_for(base, index):
+            region, members = IntervalSet.empty(), 0
+            for h in range(1, depth_limit(1 << n) + 1):
+                for a in range(2**h):
+                    piece = block_bad_set(base, n, a, h, schedule)
+                    if not piece.is_empty():
+                        region, members = region.union(piece.region), members + 1
+            if members:
+                components.append(("block b=%d n=%d" % (base, n), region, members))
+            by_offset, empty = {}, IntervalSet.empty()
+            for l in range((n + 1) // 2, n + 1):
+                for h in range(1, depth_limit(1 << (l - 1)) + 1):
+                    for a in range(2**h):
+                        for m in range(1, (1 << (n - l)) + 1):
+                            piece = tail_bad_set(base, n, a, h, l, m, schedule)
+                            if piece.is_empty():
+                                continue
+                            offset = piece.window.offset
+                            core, members = by_offset.get(offset, (empty, 0))
+                            core = core.union(piece.region.core)
+                            by_offset[offset] = (core, members + 1)
+            for offset, (core, members) in sorted(by_offset.items()):
+                components.append(
+                    (
+                        "tail b=%d n=%d offset=%d" % (base, n, offset),
+                        PeriodicIntervalSet(core, base, offset),
+                        members,
+                    )
+                )
+    return components
+
+
+def toy_schedule(delta):
+    return Schedule("toy-delta", delta, F(1, 8), **badsets_module._TOY_COMMON)
+
+
+# two tilts whose top band scale gets other cutoffs than the scale below
+# it, for the block window (-3/8) and for the longest tail window (-13/32)
+REFERENCE_SCHEDULES = {
+    **{name: preset(name) for name in ("toy-sparse", "toy-mixed", "toy-seeded")},
+    "delta=-3/8": toy_schedule(F(-3, 8)),
+    "delta=-13/32": toy_schedule(F(-13, 32)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_SCHEDULES))
+def test_family_matches_one_set_per_member(name):
+    schedule = REFERENCE_SCHEDULES[name]
+    family = bad_family(4, schedule)
+    assert [(c.label, c.region, c.members) for c in family.components] == (
+        reference_family(4, schedule)
+    )
+
+
+def top_scale_cutoffs(schedule, length, tilt):
+    """Cutoffs of the two band scales sharing the depth limit of a window
+    of size index 4 (threshold scale 16)."""
+    limit = depth_limit(length)
+    return [
+        badsets_module._decide_cutoffs(
+            2, length, limit, 16, F(-h, 8) + tilt, schedule, 64, DEFAULT_EVENT_BUDGET
+        )[1]
+        for h in (limit - 1, limit)
+    ]
+
+
+def test_reference_schedules_cover_distinct_top_cutoffs():
+    block = top_scale_cutoffs(REFERENCE_SCHEDULES["delta=-3/8"], 16, F(0))
+    tail = top_scale_cutoffs(REFERENCE_SCHEDULES["delta=-13/32"], 8, F(-1, 2))
+    assert block == [(-8, 12), (-7, 11)]
+    assert tail == [(-4, 8), (-3, 7)]
+    # and toy-mixed's block scales share theirs, so its repeats are reused
+    assert top_scale_cutoffs(preset("toy-mixed"), 16, F(0)) == [(-4, 8), (-4, 8)]
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_SCHEDULES))
+def test_union_decides_each_scale_and_walks_each_region_once(monkeypatch, name):
+    thresholds, walks = [], []
+    real_threshold = badsets_module._tilted_threshold
+    real_walk = badsets_module.cutoff_region
+
+    def threshold_spy(length, base, delta, exponent, precision):
+        thresholds.append((length, base, exponent, precision))
+        return real_threshold(length, base, delta, exponent, precision)
+
+    def walk_spy(base, length, band, c_lo, c_hi, budget):
+        walks.append((base, length, band.a, band.k, c_lo, c_hi))
+        return real_walk(base, length, band, c_lo, c_hi, budget)
+
+    monkeypatch.setattr(badsets_module, "_tilted_threshold", threshold_spy)
+    monkeypatch.setattr(badsets_module, "cutoff_region", walk_spy)
+    bad_family(4, REFERENCE_SCHEDULES[name])
+    # one evaluation per (window, band scale): a block window of 3 scales
+    # and tail windows of 1, 2 and 2 scales
+    assert len(thresholds) == len(set(thresholds)) == 8
+    assert len(walks) == len(set(walks))
+    for base, length, a, k, c_lo, c_hi in walks:
+        mirror = 2**k - 1 - a
+        assert mirror == a or (base, length, mirror, k, c_lo, c_hi) not in walks
 
 
 def test_family_intersect_bound_additivity():

@@ -166,14 +166,15 @@ def run_python(code, *argv):
 CLI_MAIN = "from normnum.cli import main; sys.exit(main(sys.argv[1:]))"
 
 
-def assert_runs_blocked(module, argv):
-    # with the module blocked the command still succeeds and prints the
-    # same report as a run that may load it
+def assert_runs_blocked(module, argv, code=0):
+    # with the module blocked the command still exits with the given code
+    # and prints the same report and messages as a run that may load it
     blocked = run_python("sys.modules[%r] = None; " % module + CLI_MAIN, *argv)
     free = run_python(CLI_MAIN, *argv)
-    assert blocked.returncode == 0, blocked.stderr
-    assert free.returncode == 0
+    assert blocked.returncode == code, blocked.stderr
+    assert free.returncode == code
     assert blocked.stdout == free.stdout
+    assert blocked.stderr == free.stderr
 
 
 @pytest.mark.parametrize(
@@ -228,6 +229,15 @@ def test_cli_import_loads_every_layer():
 def test_cli_runs_without_mpmath(argv):
     # these commands evaluate no interval, so they never import mpmath
     assert_runs_blocked("mpmath", argv)
+
+
+def test_paper_refusal_runs_without_mpmath():
+    # the paper's first window has a threshold certainly below its expected
+    # count, so the sweep gate refuses it before any interval is evaluated
+    argv = ["digits", "--preset", "paper", "--count", "12"]
+    assert_runs_blocked("mpmath", argv, code=3)
+    done = run_python(CLI_MAIN, *argv)
+    assert done.stderr.startswith("budget exceeded: sweep needs at least 2**")
 
 
 @pytest.mark.parametrize(

@@ -562,24 +562,36 @@ def test_deviation_measure_antitone_in_threshold():
 # -- dyadic cylinder oracle (base 2 exact classification) -------------------
 
 
-def brute_force_region_base2(window, band, c_lo, c_hi):
-    """Classify every dyadic cylinder fine enough to fix every count by its
-    left endpoint: count <= c_lo or count >= c_hi.
+def cylinder_counts_base2(window, band):
+    """The hit count at the left end of every dyadic cylinder fine enough to
+    fix every count, with the cylinders' denominator.
 
     Valid in base 2 for a dyadic band, because every breakpoint of the hit
     count is a dyadic rational of depth at most offset + length + band depth.
     """
     lo, hi = orbit._band_bounds(band)
     q = lcm(lo.denominator, hi.denominator)
-    depth = window.offset + window.length + q.bit_length()
-    denom = 2**depth
-    qualifying = []
-    for i in range(denom):
-        x = F(i, denom)
-        count = hit_count(x, window, band)
+    denom = 2 ** (window.offset + window.length + q.bit_length())
+    return denom, [hit_count(F(i, denom), window, band) for i in range(denom)]
+
+
+def cylinder_region(denom, counts, c_lo, c_hi):
+    """The union of the cylinders whose count is <= c_lo or >= c_hi, as runs
+    of adjacent cylinders."""
+    ends = []
+    for i, count in enumerate(counts):
         if count <= c_lo or count >= c_hi:
-            qualifying.append((x, F(i + 1, denom)))
-    return IntervalSet(qualifying)
+            if ends and ends[-1] == i:
+                ends[-1] = i + 1
+            else:
+                ends += (i, i + 1)
+    return IntervalSet.on_grid(denom, ends)
+
+
+def brute_force_region_base2(window, band, c_lo, c_hi):
+    """Classify every dyadic cylinder by its left endpoint: count <= c_lo or
+    count >= c_hi."""
+    return cylinder_region(*cylinder_counts_base2(window, band), c_lo, c_hi)
 
 
 def test_sweep_against_cylinder_oracle_base2():
@@ -598,3 +610,34 @@ def test_sweep_against_cylinder_oracle_base2():
             w, band, *count_cutoffs(band.length * length, t, strict)
         )
         assert swept == oracle, (offset, length, k, a, t, strict)
+
+
+REFLECTION_LENGTHS = {2: 8, 3: 5, 5: 5}
+
+
+@pytest.mark.parametrize("base", sorted(REFLECTION_LENGTHS))
+def test_mirror_band_region_is_reflection(base):
+    # the complement x -> 1 - x maps the hit count of band a onto that of
+    # band 2**k - 1 - a, so the mirror band's region is the reflected one
+    # for every live cutoff pair; the bad-set unions rely on it
+    for length in range(1, REFLECTION_LENGTHS[base] + 1):
+        cutoffs = [
+            (c_lo, c_hi)
+            for c_lo in range(-1, length + 1)
+            for c_hi in range(c_lo + 2, length + 2)
+        ]
+        for k in range(4):
+            for a in range(2**k):
+                mirror = Band(2**k - 1 - a, k)
+                if base == 2:
+                    oracle = cylinder_counts_base2(Window(2, 0, length), mirror)
+                for c_lo, c_hi in cutoffs:
+                    region = cutoff_region(
+                        base, length, Band(a, k), c_lo, c_hi, DEFAULT_EVENT_BUDGET
+                    )
+                    reflected = region.reflected()
+                    assert reflected == cutoff_region(
+                        base, length, mirror, c_lo, c_hi, DEFAULT_EVENT_BUDGET
+                    ), (length, k, a, c_lo, c_hi)
+                    if base == 2:
+                        assert reflected == cylinder_region(*oracle, c_lo, c_hi)

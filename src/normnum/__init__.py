@@ -2,7 +2,7 @@
 discrepancy in every integer base, plus the audit tooling around it:
 interval measure arithmetic, windowed orbit deviation sweeps, bad-set
 families with certified tail bounds, certificate replay, exact
-discrepancy statistics, and a Monte Carlo cross check.
+discrepancy statistics, and seeded sample streams.
 
 The package itself imports nothing: import names from its modules
 (`normnum.measure`, `enclose`, `orbit`, `badsets`, `constructor`,

@@ -20,11 +20,8 @@ set rather than a floating approximation.
 
 from __future__ import annotations
 
-import hashlib
 import json
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from itertools import product
 from math import isqrt, lcm
 from typing import Mapping, Optional
@@ -37,6 +34,7 @@ from .measure import (
     IntervalSet,
     PeriodicIntervalSet,
     RationalLike,
+    Record,
     RegionLike,
     as_fraction,
     format_fraction,
@@ -108,8 +106,7 @@ def depth_limit(length: int) -> int:
     return (length.bit_length() - 1) // 2 + 1
 
 
-@dataclass(frozen=True)
-class Schedule:
+class Schedule(Record):
     """Tuning parameters for the bad-set family and the digit construction.
 
     delta tilts the deviation thresholds, eta is the total mass budget.
@@ -120,29 +117,34 @@ class Schedule:
     are finite sums; obstacle adds a fixed interval-set component.
     """
 
-    tag: str
-    delta: Fraction
-    eta: Fraction
-    z_table: Optional[tuple] = None
-    p_const: Optional[int] = None
-    base_cap: Optional[int] = None
-    index_cap: Optional[int] = None
-    obstacle: Optional[tuple] = None
+    __slots__ = (
+        "tag", "delta", "eta", "z_table", "p_const", "base_cap", "index_cap", "obstacle",
+    )
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "delta", as_fraction(self.delta))
-        object.__setattr__(self, "eta", as_fraction(self.eta))
-        if not (0 < self.eta < 1):
+    def __init__(
+        self,
+        tag: str,
+        delta: RationalLike,
+        eta: RationalLike,
+        z_table: Optional[Mapping] = None,
+        p_const: Optional[int] = None,
+        base_cap: Optional[int] = None,
+        index_cap: Optional[int] = None,
+        obstacle: Optional[tuple] = None,
+    ):
+        delta = as_fraction(delta)
+        eta = as_fraction(eta)
+        if not (0 < eta < 1):
             raise ValueError("eta must lie strictly between 0 and 1")
-        if 1 + 2 * self.delta <= 0:
+        if 1 + 2 * delta <= 0:
             raise ValueError("delta must keep 1 + 2*delta positive")
-        if self.base_cap is not None and not 2 <= self.base_cap <= MAX_BASE_CAP:
+        if base_cap is not None and not 2 <= base_cap <= MAX_BASE_CAP:
             raise ValueError("base_cap must lie in [2, %d]" % MAX_BASE_CAP)
-        if self.z_table is not None:
-            table = tuple(sorted((int(b), int(z)) for b, z in dict(self.z_table).items()))
-            if self.base_cap is None:
+        if z_table is not None:
+            z_table = tuple(sorted((int(b), int(z)) for b, z in dict(z_table).items()))
+            if base_cap is None:
                 raise ValueError("an explicit start table requires base_cap")
-            for b, z in table:
+            for b, z in z_table:
                 if b < 2:
                     raise ValueError("start table bases must be at least 2")
                 if z < 4:
@@ -150,30 +152,27 @@ class Schedule:
                         "start table entries must be at least 4, the smallest "
                         "size index with a bad set"
                     )
-            bases = {b for b, _ in table}
-            for b in range(2, self.base_cap + 1):
+            bases = {b for b, _ in z_table}
+            for b in range(2, base_cap + 1):
                 if b not in bases:
                     raise ValueError(
                         "start table has no entry for base %d of base_cap %d"
-                        % (b, self.base_cap)
+                        % (b, base_cap)
                     )
-            object.__setattr__(self, "z_table", table)
-        if self.p_const is not None and self.p_const < 1:
+        if p_const is not None and p_const < 1:
             raise ValueError("p_const must be positive")
-        if self.index_cap is not None and self.index_cap < 1:
+        if index_cap is not None and index_cap < 1:
             raise ValueError("index_cap must be positive")
-        if self.obstacle is not None:
-            pairs = tuple(
-                (as_fraction(lo), as_fraction(hi)) for lo, hi in self.obstacle
-            )
+        if obstacle is not None:
+            obstacle = tuple((as_fraction(lo), as_fraction(hi)) for lo, hi in obstacle)
             denom = 1
-            for lo, hi in pairs:
+            for lo, hi in obstacle:
                 if not (ZERO <= lo < hi <= ONE):
                     raise ValueError("obstacle intervals must sit inside [0, 1]")
                 denom = lcm(denom, lo.denominator, hi.denominator)
                 if denom > MAX_OBSTACLE_DENOMINATOR:
                     raise ValueError("obstacle denominators have an lcm above 2**4096")
-            object.__setattr__(self, "obstacle", pairs)
+        self._fill(tag, delta, eta, z_table, p_const, base_cap, index_cap, obstacle)
 
     def start_index(self, base: int) -> int:
         """First size index at which the given base contributes sets."""
@@ -249,15 +248,16 @@ class Schedule:
             value = data.get(key)
             if value is not None and type(value) is not int:
                 raise ValueError("schedule field %r must be an integer or null" % key)
+        z_table = data.get("z_table")
+        if isinstance(z_table, Mapping) and any(type(z) is not int for z in z_table.values()):
+            raise ValueError("schedule field 'z_table' must map bases to integers")
         try:
             return cls(
                 tag=str(data["tag"]),
                 delta=parse_fraction(data["delta"]),
                 eta=parse_fraction(data["eta"]),
                 z_table=(
-                    None
-                    if data.get("z_table") is None
-                    else {int(b): int(z) for b, z in data["z_table"].items()}
+                    None if z_table is None else {int(b): z for b, z in z_table.items()}
                 ),
                 p_const=data.get("p_const"),
                 base_cap=data.get("base_cap"),
@@ -272,6 +272,8 @@ class Schedule:
             raise ValueError("malformed schedule: %s %s" % (type(exc).__name__, exc)) from exc
 
     def digest(self) -> str:
+        import hashlib
+
         payload = json.dumps(self.to_json(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(payload.encode("ascii")).hexdigest()
 
@@ -341,15 +343,20 @@ def _tilted_threshold(
     )
 
 
-@dataclass(frozen=True)
-class SetEnclosure:
+class SetEnclosure(Record):
     """One bad set: its threshold enclosure and its exact region."""
 
-    label: str
-    window: Window
-    band: Band
-    threshold: Enclosure
-    region: RegionLike
+    __slots__ = ("label", "window", "band", "threshold", "region")
+
+    def __init__(
+        self,
+        label: str,
+        window: Window,
+        band: Band,
+        threshold: Enclosure,
+        region: RegionLike,
+    ):
+        self._fill(label, window, band, threshold, region)
 
     def is_empty(self) -> bool:
         return self.region.is_empty()
@@ -561,19 +568,21 @@ def tail_bad_set(
     )
 
 
-@dataclass(frozen=True)
-class FamilyComponent:
+class FamilyComponent(Record):
     """A merged, independently measurable piece of a bad-set family."""
 
-    label: str
-    kind: str
-    region: RegionLike
-    members: int = 0  # nonempty bad sets merged into the region
+    __slots__ = ("label", "kind", "region", "members", "_measure")
 
-    @cached_property
+    def __init__(self, label: str, kind: str, region: RegionLike, members: int = 0):
+        # members: nonempty bad sets merged into the region
+        self._fill(label, kind, region, members, None)
+
+    @property
     def measure(self) -> Fraction:
         """Exact measure of the region, summed once per component."""
-        return self.region.measure()
+        if self._measure is None:
+            object.__setattr__(self, "_measure", self.region.measure())
+        return self._measure
 
 
 def _window_cores(
@@ -681,8 +690,7 @@ def tail_bad_union(
     ]
 
 
-@dataclass(frozen=True)
-class BadFamily:
+class BadFamily(Record):
     """All bad-set components up to a size index, plus the fixed obstacle.
 
     Measure-style queries return subadditive outer bounds (the exact sum
@@ -691,9 +699,12 @@ class BadFamily:
     lower bound on the union's true measure.
     """
 
-    index: int
-    schedule: Schedule
-    components: tuple[FamilyComponent, ...]
+    __slots__ = ("index", "schedule", "components")
+
+    def __init__(
+        self, index: int, schedule: Schedule, components: tuple[FamilyComponent, ...]
+    ):
+        self._fill(index, schedule, components)
 
     def component_count(self) -> int:
         return len(self.components)

@@ -12,7 +12,6 @@ no recorded value ever enters a computation.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import count, islice
@@ -25,6 +24,7 @@ from .measure import (
     ZERO,
     BudgetError,
     Interval,
+    Record,
     format_fraction,
     parse_fraction,
 )
@@ -63,21 +63,32 @@ class IndeterminateError(RuntimeError):
         )
 
 
-@dataclass(frozen=True)
-class StepRecord:
+class StepRecord(Record):
     """Everything recorded about one digit decision."""
 
-    step: int
-    size_index: int
-    interval: Interval
-    digit: int
-    chosen: Interval
-    chosen_bound: Fraction
-    rejected_bound: Optional[Fraction]
-    tail: Fraction
-    threshold: Fraction
-    precision: int
-    components: tuple
+    __slots__ = (
+        "step", "size_index", "interval", "digit", "chosen", "chosen_bound",
+        "rejected_bound", "tail", "threshold", "precision", "components",
+    )
+
+    def __init__(
+        self,
+        step: int,
+        size_index: int,
+        interval: Interval,
+        digit: int,
+        chosen: Interval,
+        chosen_bound: Fraction,
+        rejected_bound: Optional[Fraction],
+        tail: Fraction,
+        threshold: Fraction,
+        precision: int,
+        components: tuple,
+    ):
+        self._fill(
+            step, size_index, interval, digit, chosen, chosen_bound,
+            rejected_bound, tail, threshold, precision, components,
+        )
 
     def to_json(self) -> dict:
         return {
@@ -125,11 +136,11 @@ class StepRecord:
         )
 
 
-@dataclass(frozen=True)
-class Certificate:
-    schedule: Schedule
-    digits: str
-    steps: tuple[StepRecord, ...]
+class Certificate(Record):
+    __slots__ = ("schedule", "digits", "steps")
+
+    def __init__(self, schedule: Schedule, digits: str, steps: tuple[StepRecord, ...]):
+        self._fill(schedule, digits, steps)
 
     def to_json(self) -> dict:
         return {
@@ -245,11 +256,11 @@ def run_construction(
     return Certificate(schedule, digits, records)
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    ok: bool
-    steps_checked: int
-    problems: tuple[str, ...]
+class VerificationReport(Record):
+    __slots__ = ("ok", "steps_checked", "problems")
+
+    def __init__(self, ok: bool, steps_checked: int, problems: tuple[str, ...]):
+        self._fill(ok, steps_checked, problems)
 
     def to_json(self) -> dict:
         return {

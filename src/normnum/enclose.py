@@ -12,27 +12,23 @@ the pointwise and DP checks) never pays for loading it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .measure import RationalLike, as_fraction, format_fraction
+from .measure import RationalLike, Record, as_fraction, format_fraction
 
 
-@dataclass(frozen=True)
-class Enclosure:
+class Enclosure(Record):
     """Closed rational bracket [lo, hi] around a real value."""
 
-    lo: Fraction
-    hi: Fraction
+    __slots__ = ("lo", "hi")
 
-    def __post_init__(self) -> None:
-        lo = as_fraction(self.lo)
-        hi = as_fraction(self.hi)
+    def __init__(self, lo: RationalLike, hi: RationalLike):
+        lo = as_fraction(lo)
+        hi = as_fraction(hi)
         if lo > hi:
             raise ValueError("enclosure endpoints out of order")
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
+        self._fill(lo, hi)
 
     @classmethod
     def exact(cls, value: RationalLike) -> "Enclosure":

@@ -16,7 +16,6 @@ interval take two core queries at any level.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence, Union
@@ -63,22 +62,62 @@ def floor_fraction(x: Fraction) -> int:
     return x.numerator // x.denominator
 
 
-@dataclass(frozen=True)
-class Interval:
+class Record:
+    """Immutable value whose fields are the public names of its class's
+    `__slots__`; a slot named with a leading underscore is a cache.
+
+    Each subclass writes its own `__init__`, which checks and coerces the
+    arguments and stores them through `_fill` in slot order. Records
+    compare and hash as the tuple of their fields (so two records are equal
+    only when they are of one class), show their fields in `repr`, and
+    refuse any assignment after construction.
+    """
+
+    __slots__ = ()
+
+    def _fill(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__ if name[0] != "_")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        shown = ", ".join(
+            "%s=%r" % (name, getattr(self, name))
+            for name in self.__slots__
+            if name[0] != "_"
+        )
+        return "%s(%s)" % (type(self).__name__, shown)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError("cannot assign to field %r" % name)
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError("cannot delete field %r" % name)
+
+
+class Interval(Record):
     """Half-open interval [lo, hi) inside the unit interval."""
 
-    lo: Fraction
-    hi: Fraction
+    __slots__ = ("lo", "hi")
 
-    def __post_init__(self) -> None:
-        lo = as_fraction(self.lo)
-        hi = as_fraction(self.hi)
+    def __init__(self, lo: RationalLike, hi: RationalLike):
+        lo = as_fraction(lo)
+        hi = as_fraction(hi)
         if not (ZERO <= lo <= ONE and ZERO <= hi <= ONE):
             raise ValueError("interval endpoints must lie in [0, 1]")
         if lo > hi:
             raise ValueError("interval endpoints out of order")
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
+        self._fill(lo, hi)
 
     def halves(self) -> tuple["Interval", "Interval"]:
         mid = (self.lo + self.hi) / 2

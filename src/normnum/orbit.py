@@ -27,7 +27,6 @@ callers keep it as a `PeriodicIntervalSet`, and its measure is the same.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor, lcm
 from typing import Optional, Union
@@ -38,6 +37,7 @@ from .measure import (
     BudgetError,
     IntervalSet,
     RationalLike,
+    Record,
     as_fraction,
 )
 
@@ -49,18 +49,17 @@ DEFAULT_EVENT_BUDGET = 5_000_000
 MAX_EVENT_BUDGET = 1 << 23
 
 
-@dataclass(frozen=True)
-class Band:
+class Band(Record):
     """Dyadic target interval [a / 2**k, (a + 1) / 2**k)."""
 
-    a: int
-    k: int
+    __slots__ = ("a", "k")
 
-    def __post_init__(self) -> None:
-        if self.k < 0:
+    def __init__(self, a: int, k: int):
+        if k < 0:
             raise ValueError("band depth must be non-negative")
-        if not 0 <= self.a < 2**self.k:
-            raise ValueError("band index out of range for depth %d" % self.k)
+        if not 0 <= a < 2**k:
+            raise ValueError("band index out of range for depth %d" % k)
+        self._fill(a, k)
 
     @property
     def lo(self) -> Fraction:
@@ -78,21 +77,19 @@ class Band:
         return self.lo, self.hi
 
 
-@dataclass(frozen=True)
-class Window:
+class Window(Record):
     """Orbit index window [offset, offset + length) for one base."""
 
-    base: int
-    offset: int
-    length: int
+    __slots__ = ("base", "offset", "length")
 
-    def __post_init__(self) -> None:
-        if self.base < 2:
+    def __init__(self, base: int, offset: int, length: int):
+        if base < 2:
             raise ValueError("base must be at least 2")
-        if self.offset < 0:
+        if offset < 0:
             raise ValueError("window offset must be non-negative")
-        if self.length < 1:
+        if length < 1:
             raise ValueError("window length must be positive")
+        self._fill(base, offset, length)
 
 
 BandLike = Union[Band, tuple]

@@ -35,7 +35,7 @@ from normnum.discrepancy import (
     star_discrepancy,
 )
 from normnum.enclose import Enclosure
-from normnum.mc import SamplerSpec, estimate_measure
+from normnum.mc import SamplerSpec
 from normnum.measure import IntervalSet, PeriodicIntervalSet
 from normnum.orbit import (
     DEFAULT_EVENT_BUDGET,
@@ -45,6 +45,8 @@ from normnum.orbit import (
     cutoff_region,
     deviation_measure,
 )
+
+from mc_estimate import estimate_measure
 
 
 def announce(number: int, ok: bool, detail: str) -> bool:

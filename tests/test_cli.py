@@ -193,8 +193,12 @@ def test_cli_runs_without_numpy(argv):
     assert_runs_blocked("numpy", argv)
 
 
-def test_cli_import_leaves_mpmath_unloaded():
-    done = run_python("import normnum.cli; print('mpmath' in sys.modules)")
+@pytest.mark.parametrize("module", ["mpmath", "dataclasses", "inspect", "hashlib"])
+def test_cli_import_leaves_module_unloaded(module):
+    # every CLI call is a fresh process: mpmath loads on the first interval
+    # evaluation, hashlib on the first digest or sample stream, and records
+    # are plain slotted classes, so none of these is paid at import
+    done = run_python("import normnum.cli; print(%r in sys.modules)" % module)
     assert done.returncode == 0, done.stderr
     assert done.stdout == "False\n"
 
@@ -503,6 +507,16 @@ MALFORMED_CONFIGS = {
         "base_cap": 3,
         "index_cap": 4,
     },
+    # an integral float is still not an integer start index
+    "float-z-table": {
+        "tag": "bad",
+        "delta": "-2/5",
+        "eta": "1/8",
+        "z_table": {"2": 4.0},
+        "p_const": 4,
+        "base_cap": 2,
+        "index_cap": 4,
+    },
 }
 
 
@@ -612,6 +626,9 @@ HOSTILE_CERTIFICATES = {
     "digest-missing": (drop_digest, "schedule_digest"),
     "tag-renamed": (lambda data: data["schedule"].update(tag="toy-other"), "schedule_digest"),
     "obstacle-denominators": (tamper_schedule(obstacle=HUGE_OBSTACLE), "lcm above 2**4096"),
+    # each would verify if the start index were coerced with int()
+    "z-table-float": (tamper_schedule(z_table={"2": 4.9}), "z_table"),
+    "z-table-string": (tamper_schedule(z_table={"2": "4"}), "z_table"),
 }
 
 

@@ -7,6 +7,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from normnum.badsets import BadFamily, FamilyComponent, Schedule, SetEnclosure
+from normnum.constructor import Certificate, StepRecord, VerificationReport
+from normnum.enclose import Enclosure
+from normnum.mc import SamplerSpec
 from normnum.measure import (
     BudgetError,
     Interval,
@@ -16,6 +20,7 @@ from normnum.measure import (
     format_fraction,
     parse_fraction,
 )
+from normnum.orbit import Band, Window
 
 F = Fraction
 
@@ -370,3 +375,82 @@ def test_periodic_materialize_round_trip():
         x = F(2 * k + 1, 128)
         assert flat.contains(x) == p.contains(x)
 
+
+
+# -- records -------------------------------------------------------------
+
+_SCHEDULE = Schedule(
+    "t", F(-2, 5), F(1, 8), ((2, 4),), 4, 2, 4, ((F(0), F(1, 2)),)
+)
+_REGION = iset((0, F(1, 4)), (F(1, 2), F(3, 4)))
+_COMPONENT = FamilyComponent("block", "block", _REGION, 3)
+_STEP = StepRecord(
+    1, 4, UNIT, 0, Interval(0, F(1, 2)), F(1, 8), None, F(1, 16), F(1, 2), 64,
+    ({"label": "block"},),
+)
+
+# class: (every field in slot order, the defaults of the trailing fields);
+# the values are already in the form the constructor stores
+RECORDS = {
+    Interval: ((F(1, 4), F(1, 2)), ()),
+    Enclosure: ((F(1, 3), F(1, 2)), ()),
+    Band: ((1, 2), ()),
+    Window: ((2, 3, 8), ()),
+    Schedule: (
+        ("t", F(-2, 5), F(1, 8), ((2, 4),), 4, 2, 4, ((F(0), F(1, 2)),)),
+        (None, None, None, None, None),
+    ),
+    SetEnclosure: (
+        ("s", Window(2, 0, 16), Band(0, 1), Enclosure(1, 2), _REGION), (),
+    ),
+    FamilyComponent: (("block", "block", _REGION, 3), (0,)),
+    BadFamily: ((4, _SCHEDULE, (_COMPONENT,)), ()),
+    StepRecord: (
+        (1, 4, UNIT, 0, Interval(0, F(1, 2)), F(1, 8), None, F(1, 16), F(1, 2), 64,
+         ({"label": "block"},)),
+        (),
+    ),
+    Certificate: ((_SCHEDULE, "0", (_STEP,)), ()),
+    VerificationReport: ((True, 1, ("step 1: digit 1, schedule says 0",)), ()),
+    SamplerSpec: ((1, 100, 2), (0,)),
+}
+# component rows are JSON objects, so these records cannot be hashed
+UNHASHABLE = {StepRecord, Certificate}
+
+
+@pytest.mark.parametrize("cls", list(RECORDS), ids=lambda cls: cls.__name__)
+def test_record_contract(cls):
+    values, defaults = RECORDS[cls]
+    fields = [name for name in cls.__slots__ if not name.startswith("_")]
+    assert len(fields) == len(values)
+    record = cls(*values)
+    assert [getattr(record, name) for name in fields] == list(values)
+    assert cls(**dict(zip(fields, values))) == record
+    required = len(values) - len(defaults)
+    bare = cls(*values[:required])
+    assert [getattr(bare, name) for name in fields[required:]] == list(defaults)
+    # reading every property (FamilyComponent caches its measure) leaves
+    # equality with a fresh copy intact
+    for name in dir(cls):
+        if isinstance(getattr(cls, name), property):
+            getattr(record, name)
+    copy = cls(*values)
+    assert copy == record and not copy != record
+    assert record != values and record != object()
+    if cls in UNHASHABLE:
+        with pytest.raises(TypeError):
+            hash(record)
+    else:
+        assert hash(copy) == hash(record)
+    for name in fields:
+        with pytest.raises(AttributeError):
+            setattr(record, name, getattr(record, name))
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+    assert [getattr(record, name) for name in fields] == list(values)
+
+
+def test_launcher_wrapped_methods_live_in_their_class():
+    # bench/launcher.py looks traced methods up in the class's own __dict__
+    assert {"dump", "load"} <= set(Certificate.__dict__)
+    assert "outer_intersect_bound" in BadFamily.__dict__

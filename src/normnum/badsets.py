@@ -45,7 +45,6 @@ from .orbit import (
     Band,
     Window,
     count_cutoffs,
-    cutoff_measure,
     cutoff_region,
     f_value,
     sweep_cost,
@@ -132,6 +131,16 @@ class Schedule(Record):
         index_cap: Optional[int] = None,
         obstacle: Optional[tuple] = None,
     ):
+        for key, value in (
+            ("p_const", p_const), ("base_cap", base_cap), ("index_cap", index_cap)
+        ):
+            if value is not None and type(value) is not int:
+                raise ValueError("schedule field %r must be an integer or null" % key)
+        if z_table is not None:
+            z_table = dict(z_table)
+            if any(type(b) is not int or type(z) is not int for b, z in z_table.items()):
+                raise ValueError("schedule field 'z_table' must map bases to integers")
+            z_table = tuple(sorted(z_table.items()))
         delta = as_fraction(delta)
         eta = as_fraction(eta)
         if not (0 < eta < 1):
@@ -141,7 +150,6 @@ class Schedule(Record):
         if base_cap is not None and not 2 <= base_cap <= MAX_BASE_CAP:
             raise ValueError("base_cap must lie in [2, %d]" % MAX_BASE_CAP)
         if z_table is not None:
-            z_table = tuple(sorted((int(b), int(z)) for b, z in dict(z_table).items()))
             if base_cap is None:
                 raise ValueError("an explicit start table requires base_cap")
             for b, z in z_table:
@@ -244,13 +252,7 @@ class Schedule(Record):
         """Parse a schedule object; any malformed field raises ValueError."""
         if not isinstance(data, Mapping):
             raise ValueError("schedule must be a JSON object")
-        for key in ("p_const", "base_cap", "index_cap"):
-            value = data.get(key)
-            if value is not None and type(value) is not int:
-                raise ValueError("schedule field %r must be an integer or null" % key)
         z_table = data.get("z_table")
-        if isinstance(z_table, Mapping) and any(type(z) is not int for z in z_table.values()):
-            raise ValueError("schedule field 'z_table' must map bases to integers")
         try:
             return cls(
                 tag=str(data["tag"]),
@@ -445,22 +447,6 @@ def _decide_cutoffs(
     )
 
 
-def _band_region(
-    base: int, length: int, band: Band, cutoffs: tuple[int, int], budget: int
-) -> IntervalSet:
-    """Second step of a bad set: the region of decided cutoffs for one band
-    over the orbit indices 0..length-1.
-
-    Every walked part has positive length, so a zero weight of the
-    qualifying counts in the exact hit-count distribution means an empty
-    region, found without a walk.
-    """
-    c_lo, c_hi = cutoffs
-    if cutoff_measure(base, length, 2**band.k, band.a, c_lo, c_hi):
-        return cutoff_region(base, length, band, c_lo, c_hi, budget)
-    return IntervalSet.empty()
-
-
 def _bad_set(
     label: str,
     window: Window,
@@ -472,8 +458,8 @@ def _bad_set(
     budget: int,
 ) -> SetEnclosure:
     """Where the window's deviation for the band reaches 2**exponent times
-    the threshold scale of `scale_length`: `_decide_cutoffs`, then
-    `_band_region` when the cutoffs leave the set nonempty.
+    the threshold scale of `scale_length`: `_decide_cutoffs`, then the
+    region of those cutoffs for the band's cell (`cutoff_region`).
 
     An offset window's set is the preimage of the core's under
     x -> frac(base**offset * x); a set empty by its cutoffs stays the plain
@@ -485,7 +471,7 @@ def _bad_set(
     )
     region: RegionLike = IntervalSet.empty()
     if cutoffs is not None:
-        region = _band_region(base, length, band, cutoffs, budget)
+        region = cutoff_region(base, length, 2**band.k, band.a, *cutoffs, budget)
         if window.offset:
             region = PeriodicIntervalSet(region, base, window.offset)
     return SetEnclosure(label, window, band, threshold, region)
@@ -623,7 +609,9 @@ def _window_cores(
                 if mirror is not None:
                     region = mirror.reflected()
                 else:
-                    region = _band_region(base, length, Band(a, depth), cutoffs, budget)
+                    region = cutoff_region(
+                        base, length, 2**depth, a, *cutoffs, budget
+                    )
                 regions[key] = region
             if not region.is_empty():
                 yield region

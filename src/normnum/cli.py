@@ -366,8 +366,7 @@ def _lemma_deviation_grid(args) -> tuple[list[dict], bool]:
 
 
 def _seeded_rationals(seed: int, count: int, denominator_bits: int = 16):
-    spec = SamplerSpec(seed=seed, count=max(count, 100))
-    for raw in sample_integers(spec)[:count]:
+    for raw in sample_integers(SamplerSpec(seed=seed, count=count)):
         den = (raw & ((1 << denominator_bits) - 1)) | 1
         num = (raw >> denominator_bits) % (den + 1)
         yield Fraction(num % max(den, 1), den) if den > 1 else Fraction(0)

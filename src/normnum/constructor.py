@@ -17,7 +17,7 @@ from functools import partial
 from itertools import count, islice
 from typing import Iterator, Optional, Union
 
-from .badsets import BadFamily, Schedule, bad_family, tail_mass_bound
+from .badsets import Schedule, bad_family, tail_mass_bound
 from .enclose import Enclosure, enclose_log2
 from .measure import (
     UNIT,
@@ -184,19 +184,20 @@ def _records(
 ) -> Iterator[StepRecord]:
     """The construction itself: one record per digit step, without end.
 
-    One family is built per size index and one tail bound per step. Each
-    step halves the interval the previous step chose and keeps the first
-    half whose summed component overlaps plus the tail stay under
-    2**-step. Raises IndeterminateError at the first step where neither
-    half passes.
+    One family is built per size index and one tail bound per step; size
+    indices never decrease along the steps, so only the current family is
+    kept. Each step halves the interval the previous step chose and keeps
+    the first half whose summed component overlaps plus the tail stay
+    under 2**-step. Raises IndeterminateError at the first step where
+    neither half passes.
     """
-    families: dict[int, BadFamily] = {}
+    built_index, family = None, None
     interval = UNIT
     for step in count(1):
         size_index = schedule.family_index(step)
-        if size_index not in families:
-            families[size_index] = bad_family(size_index, schedule, precision, budget)
-        family = families[size_index]
+        if size_index != built_index:
+            family = bad_family(size_index, schedule, precision, budget)
+            built_index = size_index
         tail = tail_mass_bound(size_index, schedule)
         threshold = Fraction(1, 2**step)
         half0, half1 = interval.halves()

@@ -22,8 +22,6 @@ class SamplerSpec(Record):
     __slots__ = ("seed", "count", "counter")
 
     def __init__(self, seed: int, count: int, counter: int = 0):
-        if count < 100:
-            raise ValueError("sample count below 100 is statistically useless")
         if seed < 0 or counter < 0:
             raise ValueError("seed and counter must be non-negative")
         self._fill(seed, count, counter)

@@ -9,15 +9,16 @@ ways, each exact:
 * pointwise, by walking the orbit of a rational;
 * as a region {x : deviation meets a threshold}, keyed by the threshold's
   two integer count cutoffs and built by a pruned depth-first walk of the
-  cell chain of the digit process over a common power denominator;
+  cell chain of the digit process;
 * as a measure alone, from the exact distribution of the window's hit
-  count along the cell chain of the digit process; this stays feasible
-  when windows are far too long for the region itself to be materialized.
-  The DP runs on the chain's minimal automaton: cells with identical
-  futures merge into classes (for base**m cells, the m + 1 KMP states of
-  the target's digit pattern), each class starts with a weight
-  proportional to its size, and each class's count polynomial is packed
-  into one integer.
+  count along the same chain; this stays feasible when windows are far
+  too long for the region itself to be materialized.
+
+The target is one of `cells` equal cells of [0, 1), and digit r moves
+cell c to cell (base * c + r) % cells. `_chain` gives the walk and the DP
+that chain on its minimal automaton: cells with identical futures merge
+into classes (for base**m cells, the m + 1 KMP states of the target's
+digit pattern).
 
 The region and cutoff-measure kernels take a window's base and length and
 count the orbit indices 0..length-1. The event over [offset, offset +
@@ -28,7 +29,7 @@ callers keep it as a `PeriodicIntervalSet`, and its measure is the same.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import ceil, floor, lcm
+from math import ceil, floor
 from typing import Optional, Union
 
 from .measure import (
@@ -168,43 +169,42 @@ def count_cutoffs(
 
 
 def cutoff_region(
-    base: int, length: int, band: BandLike, c_lo: int, c_hi: int, budget: int
+    base: int, length: int, cells: int, target: int, c_lo: int, c_hi: int, budget: int
 ) -> IntervalSet:
     """Exact region {x : count <= c_lo or count >= c_hi} of the hit count
-    of the orbit indices 0..length-1 in the band.
+    of the orbit indices 0..length-1 in cell `target` of the uniform
+    partition into `cells` pieces.
 
-    Every preimage endpoint is an integer over the grid q * base**(length
-    - 1), q the lcm of the band's denominators. Grid index c0 *
-    base**(length - 1) + t starts in cell c0 of q cells and moves to
-    (base * cell + r) % q on each next digit r of t, the chain
-    `_cell_classes` refines. A depth-first walk in ascending order keeps the
-    hit count so far, emits a node's whole span once count >= c_hi or count
-    plus the indices still to come <= c_lo, and drops a node that can reach
-    neither side. Adjacent spans merge on integers, and the run ends go to
-    `IntervalSet.on_grid` as they are.
+    A zero weight of the qualifying counts (`cutoff_measure`) means an
+    empty region, found without a walk. Otherwise every end is an integer
+    over cells * base**(length - 1): grid index c0 * base**(length - 1) + t
+    starts in cell c0's class and steps along `_chain` on each next digit of
+    t, a hit being a step onto the target's class. A depth-first walk in ascending
+    order keeps the hit count so far, emits a node's whole span once count
+    >= c_hi or count plus the indices still to come <= c_lo, and drops a
+    node that can reach neither side. Adjacent spans merge on integers, and
+    the run ends go to `IntervalSet.on_grid` as they are.
     """
     if c_hi <= c_lo + 1:
         # every integer count qualifies
         return IntervalSet.unit()
     if c_lo < 0 and c_hi > length:
         return IntervalSet.empty()
-    lo, hi = _band_bounds(band)
     sweep_cost(base, length, budget)
-    q = lcm(lo.denominator, hi.denominator)
     # the walk starts one branch per cell
-    if q > budget:
+    if cells > budget:
         raise BudgetError(
-            "region walk starts %d cell branches, budget is %d" % (q, budget)
+            "region walk starts %d cell branches, budget is %d" % (cells, budget)
         )
-    lo_cell = lo.numerator * (q // lo.denominator)
-    hi_cell = hi.numerator * (q // hi.denominator)
-    hits = [int(lo_cell <= cell < hi_cell) for cell in range(q)]
+    if not cutoff_measure(base, length, cells, target, c_lo, c_hi):
+        return IntervalSet.empty()
+    classes, succ, hit = _chain(base, cells, target)
     # a node at depth d spans spans[d] grid points, and length - 1 - d
     # indices after it are still to be counted
     spans = [base ** (length - 1 - d) for d in range(length)]
     ends: list[int] = []  # run starts and stops, alternating
 
-    def walk(pos: int, d: int, cell: int, count: int) -> None:
+    def walk(pos: int, d: int, cls: int, count: int) -> None:
         rest = length - 1 - d
         if count >= c_hi or count + rest <= c_lo:
             if ends and ends[-1] == pos:
@@ -213,14 +213,13 @@ def cutoff_region(
                 ends.extend((pos, pos + spans[d]))
         elif count <= c_lo or count + rest >= c_hi:
             d += 1
-            for r in range(base):
-                nxt = (base * cell + r) % q
-                walk(pos, d, nxt, count + hits[nxt])
+            for nxt in succ[cls]:
+                walk(pos, d, nxt, count + (nxt == hit))
                 pos += spans[d]
 
-    for cell in range(q):
-        walk(cell * spans[0], 0, cell, hits[cell])
-    return IntervalSet.on_grid(q * spans[0], ends)
+    for cell, cls in enumerate(classes):
+        walk(cell * spans[0], 0, cls, int(cls == hit))
+    return IntervalSet.on_grid(cells * spans[0], ends)
 
 
 def _cell_classes(base: int, cells: int, target: int) -> list[int]:
@@ -250,6 +249,21 @@ def _cell_classes(base: int, cells: int, target: int) -> list[int]:
         classes, count = refined, len(ids)
 
 
+def _chain(base: int, cells: int, target: int) -> tuple[list, list, int]:
+    """The cell chain on its minimal automaton: each cell's class
+    (`_cell_classes`), each class's successor class per digit in digit
+    order, and the target's class, a class of its own."""
+    if cells < 1:
+        raise ValueError("cell count must be positive")
+    if not 0 <= target < cells:
+        raise ValueError("target cell out of range")
+    classes = _cell_classes(base, cells, target)
+    succ: list = [None] * (max(classes) + 1)
+    for cell, cls in enumerate(classes):
+        succ[cls] = [classes[(base * cell + r) % cells] for r in range(base)]
+    return classes, succ, classes[target]
+
+
 def _count_distribution(
     base: int, length: int, cells: int, target: int
 ) -> list[int]:
@@ -258,7 +272,7 @@ def _count_distribution(
 
     Weighted over the uniform initial cell distribution; the implied
     denominator is cells * base**(length - 1). The DP runs on the minimal
-    automaton of the chain (`_cell_classes`): cells with identical futures
+    automaton of the chain (`_chain`): cells with identical futures
     are merged, the target stays a class of its own, and each class starts
     with weight its size. For cells = base**m that is the m + 1 KMP states
     of the target's digit pattern instead of the base**m cells. Each class
@@ -269,14 +283,11 @@ def _count_distribution(
     by width for the target.
     """
     width = (cells * base ** (length - 1)).bit_length()
-    classes = _cell_classes(base, cells, target)
-    states = max(classes) + 1
-    succ = [None] * states
+    classes, succ, hit = _chain(base, cells, target)
+    states = len(succ)
     polys = [0] * states
-    for cell, cls in enumerate(classes):
-        succ[cls] = [classes[(base * cell + r) % cells] for r in range(base)]
+    for cls in classes:
         polys[cls] += 1
-    hit = classes[target]
     polys[hit] <<= width
     for _ in range(length - 1):
         new = [0] * states
@@ -331,10 +342,6 @@ def deviation_measure(
     outside the threshold's cutoffs. The chain is stationary, so the
     measure does not depend on the window's offset.
     """
-    if cells < 1:
-        raise ValueError("cell count must be positive")
-    if not 0 <= target < cells:
-        raise ValueError("target cell out of range")
     c_lo, c_hi = count_cutoffs(
         Fraction(window.length, cells), as_fraction(threshold), strict
     )

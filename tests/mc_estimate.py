@@ -63,6 +63,8 @@ def estimate_measure(
     With a reference value or enclosure, attaches a four-sigma verdict:
     "consistent" or "inconsistent".
     """
+    if spec.count < 100:
+        raise ValueError("sample count below 100 is statistically useless")
     hits = 0
     for point in sample_points(spec):
         if member(point):

@@ -129,7 +129,7 @@ def test_criterion_01_region_vs_cylinder_oracle():
         band = Band(a, k)
         # the offset-0 region, pulled back by x -> frac(base**offset * x)
         cutoffs = count_cutoffs(band.length * length, threshold, strict)
-        core = cutoff_region(base, length, band, *cutoffs, DEFAULT_EVENT_BUDGET)
+        core = cutoff_region(base, length, 2**k, a, *cutoffs, DEFAULT_EVENT_BUDGET)
         region = PeriodicIntervalSet(core, base, offset).materialize()
         if base == 2:
             expected = cylinder_oracle_base2(window, band, threshold, strict)

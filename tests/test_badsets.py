@@ -48,8 +48,11 @@ def swept_at(piece, end):
     """The offset-0 region of a piece's window length, for the cutoffs of
     one threshold end."""
     base, length = piece.window.base, piece.window.length
-    cutoffs = count_cutoffs(piece.band.length * length, end)
-    return cutoff_region(base, length, piece.band, *cutoffs, DEFAULT_EVENT_BUDGET)
+    band = piece.band
+    cutoffs = count_cutoffs(band.length * length, end)
+    return cutoff_region(
+        base, length, 2**band.k, band.a, *cutoffs, DEFAULT_EVENT_BUDGET
+    )
 
 
 def assert_region_exact(piece):
@@ -145,6 +148,32 @@ def test_schedule_validation():
         Schedule("bad", F(1, 2), F(1, 8), z_table={2: 4})  # needs base_cap
     with pytest.raises(ValueError):
         Schedule("bad", F(1, 2), F(1, 8), obstacle=((F(1, 2), F(3, 2)),))
+
+
+TOY_FIELDS = dict(z_table={2: 4}, p_const=4, base_cap=2, index_cap=4)
+
+
+@pytest.mark.parametrize(
+    "field, value, phrase",
+    [
+        ("z_table", {2: 4.9}, "'z_table' must map bases to integers"),
+        ("z_table", {2: True}, "'z_table' must map bases to integers"),
+        ("z_table", {2.0: 4}, "'z_table' must map bases to integers"),
+        ("z_table", {"2": 4}, "'z_table' must map bases to integers"),
+        ("p_const", 4.5, "'p_const' must be an integer or null"),
+        ("p_const", True, "'p_const' must be an integer or null"),
+        ("base_cap", 2.5, "'base_cap' must be an integer or null"),
+        ("base_cap", 2.0, "'base_cap' must be an integer or null"),
+        ("index_cap", 4.5, "'index_cap' must be an integer or null"),
+        ("index_cap", False, "'index_cap' must be an integer or null"),
+    ],
+)
+def test_schedule_refuses_non_integer_fields(field, value, phrase):
+    # nothing is coerced with int(): 4.9 would otherwise become start index 4
+    fields = dict(TOY_FIELDS, **{field: value})
+    with pytest.raises(ValueError, match=phrase):
+        Schedule("bad", F(-2, 5), F(1, 8), **fields)
+    Schedule("good", F(-2, 5), F(1, 8), **TOY_FIELDS)
 
 
 def test_schedule_json_round_trip():
@@ -564,9 +593,9 @@ def test_union_decides_each_scale_and_walks_each_region_once(monkeypatch, name):
         thresholds.append((length, base, exponent, precision))
         return real_threshold(length, base, delta, exponent, precision)
 
-    def walk_spy(base, length, band, c_lo, c_hi, budget):
-        walks.append((base, length, band.a, band.k, c_lo, c_hi))
-        return real_walk(base, length, band, c_lo, c_hi, budget)
+    def walk_spy(base, length, cells, target, c_lo, c_hi, budget):
+        walks.append((base, length, target, cells, c_lo, c_hi))
+        return real_walk(base, length, cells, target, c_lo, c_hi, budget)
 
     monkeypatch.setattr(badsets_module, "_tilted_threshold", threshold_spy)
     monkeypatch.setattr(badsets_module, "cutoff_region", walk_spy)
@@ -575,9 +604,9 @@ def test_union_decides_each_scale_and_walks_each_region_once(monkeypatch, name):
     # and tail windows of 1, 2 and 2 scales
     assert len(thresholds) == len(set(thresholds)) == 8
     assert len(walks) == len(set(walks))
-    for base, length, a, k, c_lo, c_hi in walks:
-        mirror = 2**k - 1 - a
-        assert mirror == a or (base, length, mirror, k, c_lo, c_hi) not in walks
+    for base, length, a, cells, c_lo, c_hi in walks:
+        mirror = cells - 1 - a
+        assert mirror == a or (base, length, mirror, cells, c_lo, c_hi) not in walks
 
 
 def test_family_intersect_bound_additivity():

@@ -1174,6 +1174,14 @@ def test_lemma_grids_call_swapped_functions(capsys, monkeypatch, which, names):
     assert set(calls) == set(names)
 
 
+@pytest.mark.parametrize("which", ["depth", "cover"])
+def test_lemma_refuses_negative_seed(capsys, which):
+    code, report, err = run(capsys, "lemma", "--which", which, "--seed", "-1")
+    assert code == 2
+    assert report is None
+    assert "seed and counter must be non-negative" in err
+
+
 def test_lemma_masstail_boundary(capsys):
     # the strict margin evaporates exactly at start 7
     code, report, _ = run(capsys, "lemma", "--which", "masstail", "--start", "7")

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+import normnum.constructor
 from normnum.badsets import Schedule, bad_family, preset
 from normnum.constructor import (
     MAX_DIGIT_COUNT,
@@ -153,6 +154,33 @@ def test_component_measures_summed_once(monkeypatch):
     monkeypatch.setattr(IntervalSet, "measure", counting)
     cert = run_construction(preset("toy-seeded"), 50)
     assert 0 < len(calls) <= len(cert.steps[0].components) == 3
+
+
+@pytest.mark.parametrize(
+    "schedule, indices",
+    [
+        (preset("toy-mixed"), [4, 4, 4, 4]),
+        # no p_const: the size index grows with every step
+        (
+            Schedule("growing", F(-2, 5), F(1, 8), z_table={2: 4}, base_cap=2, index_cap=4),
+            [16, 64, 256, 1024],
+        ),
+    ],
+    ids=["constant", "growing"],
+)
+def test_one_family_per_size_index(monkeypatch, schedule, indices):
+    built = []
+    real = normnum.constructor.bad_family
+
+    def spy(index, *args):
+        built.append(index)
+        return real(index, *args)
+
+    monkeypatch.setattr(normnum.constructor, "bad_family", spy)
+    # size indices never decrease, so each is built once and then dropped
+    cert = run_construction(schedule, 4)
+    assert [record.size_index for record in cert.steps] == indices
+    assert built == list(dict.fromkeys(indices))
 
 
 # -- failure modes -------------------------------------------------------------

@@ -46,12 +46,18 @@ def test_stream_reproducible_and_splittable():
 
 def test_spec_validation():
     with pytest.raises(ValueError):
-        SamplerSpec(1, 99)
-    with pytest.raises(ValueError):
         SamplerSpec(-1, 100)
     with pytest.raises(ValueError):
         SamplerSpec(1, 100, counter=-1)
     SamplerSpec(0, 100)
+    # a short stream is the prefix of a longer one
+    assert sample_integers(SamplerSpec(1, 40)) == sample_integers(SamplerSpec(1, 100))[:40]
+
+
+def test_estimator_refuses_short_streams():
+    with pytest.raises(ValueError, match="below 100"):
+        estimate_measure(lambda x: True, SamplerSpec(1, 99))
+    assert estimate_measure(lambda x: True, SamplerSpec(1, 100)).estimate == 1
 
 
 # -- measure estimation ------------------------------------------------------
@@ -137,7 +143,7 @@ def test_any_band_estimate_matches_exact_union():
     union = IntervalSet.empty()
     for a in range(4):
         union = union.union(
-            cutoff_region(2, 6, Band(a, 2), *cutoffs, DEFAULT_EVENT_BUDGET)
+            cutoff_region(2, 6, 4, a, *cutoffs, DEFAULT_EVENT_BUDGET)
         )
     exact = measure_of(union)
     assert exact == F(43, 64)

@@ -115,13 +115,21 @@ def test_window_validation():
 # -- sweep regions ---------------------------------------------------------
 
 
+def cell_of(band):
+    """(cells, target) of a band that is one cell of a uniform partition."""
+    lo, hi = orbit._band_bounds(band)
+    cells = lcm(lo.denominator, hi.denominator)
+    assert (hi - lo) * cells == 1, band
+    return cells, int(lo * cells)
+
+
 def window_region(window, band, threshold, strict=False, budget=DEFAULT_EVENT_BUDGET):
     """The deviation region of a window, built the way the construction
     builds it: the region of the same length at offset 0, pulled back by
     x -> frac(base**offset * x), then expanded into its copies."""
     lo, hi = orbit._band_bounds(band)
     cutoffs = count_cutoffs((hi - lo) * window.length, F(threshold), strict)
-    core = cutoff_region(window.base, window.length, band, *cutoffs, budget)
+    core = cutoff_region(window.base, window.length, *cell_of(band), *cutoffs, budget)
     return PeriodicIntervalSet(core, window.base, window.offset).materialize()
 
 
@@ -227,8 +235,8 @@ KERNEL_BANDS = {
     "a0": (F(0), F(1, 4)),  # an on event at 0
     "hi1": (F(3, 4), F(1)),  # an off event at the denominator
     "sixth": (F(0), F(1, 6)),  # a non-dyadic common denominator
-    "third_to_1": (F(1, 3), F(1)),
-    "interior": (F(1, 5), F(3, 5)),  # a multi-cell hit range inside (0, 1)
+    "third_to_1": (F(2, 3), F(1)),  # the last of three cells
+    "interior": (F(1, 3), F(2, 3)),  # a non-dyadic cell inside (0, 1)
 }
 KERNEL_LENGTHS = {2: 5, 3: 3, 5: 2}
 
@@ -253,7 +261,9 @@ def test_region_kernel_matches_reference_loop(base, offset, band, strict):
     )
     regions = [
         PeriodicIntervalSet(
-            cutoff_region(base, length, (lo, hi), c_lo, c_hi, DEFAULT_EVENT_BUDGET),
+            cutoff_region(
+                base, length, *cell_of((lo, hi)), c_lo, c_hi, DEFAULT_EVENT_BUDGET
+            ),
             base,
             offset,
         ).materialize()
@@ -294,11 +304,11 @@ def test_region_cell_guard():
     w = Window(2, 0, 2)
     band = (F(0), F(1, 64))
     pairs = [count_cutoffs(band[1] * 2, F(1))]
-    region = cutoff_region(2, 2, band, *pairs[0], 64)
+    region = cutoff_region(2, 2, 64, 0, *pairs[0], 64)
     assert not region.is_empty()
     assert [region] == reference_regions(w, *band, pairs)
     with pytest.raises(BudgetError):
-        cutoff_region(2, 2, (F(0), F(1, 128)), *count_cutoffs(F(1, 64), F(1)), 64)
+        cutoff_region(2, 2, 128, 0, *count_cutoffs(F(1, 64), F(1)), 64)
     for k in (61, 62):
         with pytest.raises(BudgetError):
             window_region(w, (F(0), F(1, 2**k)), F(1))
@@ -318,7 +328,16 @@ def test_sweep_budget_guard():
     with pytest.raises(BudgetError):
         sweep_cost(2, 64, 10**6)
     with pytest.raises(BudgetError):
-        cutoff_region(2, 64, Band(0, 1), *count_cutoffs(F(32), F(1)), 10**6)
+        cutoff_region(2, 64, 2, 0, *count_cutoffs(F(32), F(1)), 10**6)
+
+
+@pytest.mark.parametrize("cells, target", [(4, -1), (4, 4), (0, 0), (-2, 0)])
+def test_cell_chain_refuses_bad_cells(cells, target):
+    # live cutoffs, so both kernels reach the cell chain
+    with pytest.raises(ValueError):
+        cutoff_region(2, 4, cells, target, 0, 3, DEFAULT_EVENT_BUDGET)
+    with pytest.raises(ValueError):
+        cutoff_measure(2, 4, cells, target, 0, 3)
 
 
 # -- exact deviation measure through the cell chain -------------------------
@@ -633,11 +652,11 @@ def test_mirror_band_region_is_reflection(base):
                     oracle = cylinder_counts_base2(Window(2, 0, length), mirror)
                 for c_lo, c_hi in cutoffs:
                     region = cutoff_region(
-                        base, length, Band(a, k), c_lo, c_hi, DEFAULT_EVENT_BUDGET
+                        base, length, 2**k, a, c_lo, c_hi, DEFAULT_EVENT_BUDGET
                     )
                     reflected = region.reflected()
                     assert reflected == cutoff_region(
-                        base, length, mirror, c_lo, c_hi, DEFAULT_EVENT_BUDGET
+                        base, length, 2**k, mirror.a, c_lo, c_hi, DEFAULT_EVENT_BUDGET
                     ), (length, k, a, c_lo, c_hi)
                     if base == 2:
                         assert reflected == cylinder_region(*oracle, c_lo, c_hi)

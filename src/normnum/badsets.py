@@ -136,11 +136,6 @@ class Schedule(Record):
         ):
             if value is not None and type(value) is not int:
                 raise ValueError("schedule field %r must be an integer or null" % key)
-        if z_table is not None:
-            z_table = dict(z_table)
-            if any(type(b) is not int or type(z) is not int for b, z in z_table.items()):
-                raise ValueError("schedule field 'z_table' must map bases to integers")
-            z_table = tuple(sorted(z_table.items()))
         delta = as_fraction(delta)
         eta = as_fraction(eta)
         if not (0 < eta < 1):
@@ -150,6 +145,10 @@ class Schedule(Record):
         if base_cap is not None and not 2 <= base_cap <= MAX_BASE_CAP:
             raise ValueError("base_cap must lie in [2, %d]" % MAX_BASE_CAP)
         if z_table is not None:
+            z_table = dict(z_table)
+            if any(type(b) is not int or type(z) is not int for b, z in z_table.items()):
+                raise ValueError("schedule field 'z_table' must map bases to integers")
+            z_table = tuple(sorted(z_table.items()))
             if base_cap is None:
                 raise ValueError("an explicit start table requires base_cap")
             for b, z in z_table:

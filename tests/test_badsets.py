@@ -150,9 +150,6 @@ def test_schedule_validation():
         Schedule("bad", F(1, 2), F(1, 8), obstacle=((F(1, 2), F(3, 2)),))
 
 
-TOY_FIELDS = dict(z_table={2: 4}, p_const=4, base_cap=2, index_cap=4)
-
-
 @pytest.mark.parametrize(
     "field, value, phrase",
     [
@@ -170,10 +167,9 @@ TOY_FIELDS = dict(z_table={2: 4}, p_const=4, base_cap=2, index_cap=4)
 )
 def test_schedule_refuses_non_integer_fields(field, value, phrase):
     # nothing is coerced with int(): 4.9 would otherwise become start index 4
-    fields = dict(TOY_FIELDS, **{field: value})
+    fields = dict(badsets_module._TOY_COMMON, **{field: value})
     with pytest.raises(ValueError, match=phrase):
         Schedule("bad", F(-2, 5), F(1, 8), **fields)
-    Schedule("good", F(-2, 5), F(1, 8), **TOY_FIELDS)
 
 
 def test_schedule_json_round_trip():

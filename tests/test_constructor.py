@@ -162,7 +162,9 @@ def test_component_measures_summed_once(monkeypatch):
         (preset("toy-mixed"), [4, 4, 4, 4]),
         # no p_const: the size index grows with every step
         (
-            Schedule("growing", F(-2, 5), F(1, 8), z_table={2: 4}, base_cap=2, index_cap=4),
+            Schedule(
+                "growing", F(-2, 5), F(1, 8), z_table={2: 4}, base_cap=2, index_cap=4
+            ),
             [16, 64, 256, 1024],
         ),
     ],

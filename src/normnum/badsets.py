@@ -12,10 +12,10 @@ a schedule the module builds, for any base and size index:
 
 Hit counts are integers, so each bad set is decided by the integer count
 cutoffs of its threshold. The threshold enclosure is refined until both of
-its ends give the same cutoffs. The exact hit-count distribution then
-gives the set's measure, and the region of a set of positive measure is
-built exactly by a walk of the same cell chain, a true rational interval
-set rather than a floating approximation.
+its ends give the same cutoffs. The set's region is then built exactly by
+a walk of the cell chain of the digit process (`orbit.cutoff_region`),
+which finds an empty set by itself: a true rational interval set rather
+than a floating approximation.
 """
 
 from __future__ import annotations
@@ -434,7 +434,7 @@ def _decide_cutoffs(
         if c_lo < 0 and c_hi > length:
             return threshold, None
         # the low end already needs the region: refuse a window beyond the
-        # budget first, which also bounds the length of the DP below
+        # budget first, which also bounds the depth of the region walk
         sweep_cost(base, length, budget)
         if (c_lo, c_hi) == count_cutoffs(expected, threshold.hi):
             return threshold, (c_lo, c_hi)

@@ -44,10 +44,8 @@ from .constructor import (
 )
 from .discrepancy import (
     extreme_discrepancy,
-    fukuyama_constant,
     normalized_ratio,
     orbit_points,
-    philipp_constant,
     sorted_points,
     star_discrepancy,
 )
@@ -369,7 +367,7 @@ def _seeded_rationals(seed: int, count: int, denominator_bits: int = 16):
     for raw in sample_integers(SamplerSpec(seed=seed, count=count)):
         den = (raw & ((1 << denominator_bits) - 1)) | 1
         num = (raw >> denominator_bits) % (den + 1)
-        yield Fraction(num % max(den, 1), den) if den > 1 else Fraction(0)
+        yield Fraction(num % den, den)
 
 
 def _lemma_depth(args) -> tuple[list[dict], bool]:

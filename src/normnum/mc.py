@@ -1,11 +1,10 @@
 """Seeded sample streams, for the lemma grids and Monte Carlo cross checks.
 
 Sampling is a counter-mode hash construction: point i of a stream is
-derived from blake2b(seed, counter, i), so streams are reproducible
-bit for bit, splittable by counter, and independent of Python's RNG
-state. Each point is a 128-bit integer, an exact rational in [0, 1)
-once divided by 2**128, so membership tests against exact regions
-inherit no rounding at all.
+derived from blake2b(seed, 0, i), so streams are reproducible bit for
+bit and independent of Python's RNG state. Each point is a 128-bit
+integer, an exact rational in [0, 1) once divided by 2**128, so
+membership tests against exact regions inherit no rounding at all.
 """
 
 from __future__ import annotations
@@ -16,15 +15,15 @@ from .measure import Record
 
 
 class SamplerSpec(Record):
-    """A reproducible sample stream: seed picks the family, counter the
-    stream, count its length."""
+    """A reproducible sample stream: seed picks the stream, count its
+    length."""
 
-    __slots__ = ("seed", "count", "counter")
+    __slots__ = ("seed", "count")
 
-    def __init__(self, seed: int, count: int, counter: int = 0):
-        if seed < 0 or counter < 0:
-            raise ValueError("seed and counter must be non-negative")
-        self._fill(seed, count, counter)
+    def __init__(self, seed: int, count: int):
+        if seed < 0:
+            raise ValueError("seed must be non-negative")
+        self._fill(seed, count)
 
 
 def sample_integers(spec: SamplerSpec) -> list[int]:
@@ -35,7 +34,8 @@ def sample_integers(spec: SamplerSpec) -> list[int]:
     pack = struct.pack
     for i in range(spec.count):
         digest = hashlib.blake2b(
-            pack("<QQQ", spec.seed & (2**64 - 1), spec.counter, i),
+            # a constant 0 fills the middle word of the hashed layout
+            pack("<QQQ", spec.seed & (2**64 - 1), 0, i),
             digest_size=16,
         ).digest()
         out.append(int.from_bytes(digest, "big"))

@@ -194,10 +194,6 @@ class IntervalSet:
     def empty(cls) -> "IntervalSet":
         return cls.on_grid(1, ())
 
-    @classmethod
-    def unit(cls) -> "IntervalSet":
-        return cls.on_grid(1, (0, 1))
-
     @property
     def pairs(self) -> tuple:
         # consecutive ends pair up as (start, stop)
@@ -313,7 +309,7 @@ class IntervalSet:
         return [list(pair) for pair in zip(points, points)]
 
 
-class PeriodicIntervalSet:
+class PeriodicIntervalSet(Record):
     """Preimage of a core subset of [0, 1) under x -> frac(base**level * x).
 
     Geometrically: base**level translated and scaled copies of the core,
@@ -328,28 +324,7 @@ class PeriodicIntervalSet:
             raise ValueError("base must be at least 2")
         if level < 0:
             raise ValueError("level must be non-negative")
-        self.core = core
-        self.base = base
-        self.level = level
-        self._measure = None
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, PeriodicIntervalSet)
-            and self.base == other.base
-            and self.level == other.level
-            and self.core == other.core
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.base, self.level, self.core))
-
-    def __repr__(self) -> str:
-        return "PeriodicIntervalSet(base=%d, level=%d, core=%r)" % (
-            self.base,
-            self.level,
-            self.core,
-        )
+        self._fill(core, base, level, None)
 
     def is_empty(self) -> bool:
         return self.core.is_empty()
@@ -358,7 +333,7 @@ class PeriodicIntervalSet:
         # each of the base**level copies has measure core/base**level; the
         # core never changes, so its measure is summed once
         if self._measure is None:
-            self._measure = self.core.measure()
+            object.__setattr__(self, "_measure", self.core.measure())
         return self._measure
 
     def contains(self, x: RationalLike) -> bool:

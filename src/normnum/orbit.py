@@ -8,11 +8,12 @@ ways, each exact:
 
 * pointwise, by walking the orbit of a rational;
 * as a region {x : deviation meets a threshold}, keyed by the threshold's
-  two integer count cutoffs and built by a pruned depth-first walk of the
-  cell chain of the digit process;
+  two integer count cutoffs and built by a depth-first walk of the cell
+  chain of the digit process, pruned on the exact fewest and most hits
+  still to come;
 * as a measure alone, from the exact distribution of the window's hit
-  count along the same chain; this stays feasible when windows are far
-  too long for the region itself to be materialized.
+  count along the same chain (the lemma grids); this stays feasible when
+  windows are far too long for the region itself to be materialized.
 
 The target is one of `cells` equal cells of [0, 1), and digit r moves
 cell c to cell (base * c + r) % cells. `_chain` gives the walk and the DP
@@ -175,43 +176,44 @@ def cutoff_region(
     of the orbit indices 0..length-1 in cell `target` of the uniform
     partition into `cells` pieces.
 
-    A zero weight of the qualifying counts (`cutoff_measure`) means an
-    empty region, found without a walk. Otherwise every end is an integer
-    over cells * base**(length - 1): grid index c0 * base**(length - 1) + t
-    starts in cell c0's class and steps along `_chain` on each next digit of
-    t, a hit being a step onto the target's class. A depth-first walk in ascending
-    order keeps the hit count so far, emits a node's whole span once count
-    >= c_hi or count plus the indices still to come <= c_lo, and drops a
-    node that can reach neither side. Adjacent spans merge on integers, and
-    the run ends go to `IntervalSet.on_grid` as they are.
+    Every end is an integer over cells * base**(length - 1): grid index
+    c0 * base**(length - 1) + t starts in cell c0's class and steps along
+    `_chain` on each next digit of t, a hit being a step onto the target's
+    class. Backward tables give the fewest and the most hits still to come
+    from each class, so every node knows the exact range [low, high] of
+    the counts below it. A depth-first walk in ascending order emits a
+    node's whole span once low >= c_hi or high <= c_lo, descends while low
+    <= c_lo or high >= c_hi (some count below it qualifies) and drops the
+    node otherwise, so an empty region costs one visit per cell. Adjacent
+    spans merge on integers, and the run ends go to `IntervalSet.on_grid`
+    as they are.
     """
-    if c_hi <= c_lo + 1:
-        # every integer count qualifies
-        return IntervalSet.unit()
-    if c_lo < 0 and c_hi > length:
-        return IntervalSet.empty()
     sweep_cost(base, length, budget)
     # the walk starts one branch per cell
     if cells > budget:
         raise BudgetError(
             "region walk starts %d cell branches, budget is %d" % (cells, budget)
         )
-    if not cutoff_measure(base, length, cells, target, c_lo, c_hi):
-        return IntervalSet.empty()
     classes, succ, hit = _chain(base, cells, target)
-    # a node at depth d spans spans[d] grid points, and length - 1 - d
-    # indices after it are still to be counted
+    # fewest[r][s] and most[r][s]: the fewest and the most hits over the
+    # next r digits from class s
+    fewest, most = [[0] * len(succ)], [[0] * len(succ)]
+    for _ in range(length - 1):
+        fewest.append([min(fewest[-1][n] + (n == hit) for n in nxt) for nxt in succ])
+        most.append([max(most[-1][n] + (n == hit) for n in nxt) for nxt in succ])
+    # a node at depth d spans spans[d] grid points
     spans = [base ** (length - 1 - d) for d in range(length)]
     ends: list[int] = []  # run starts and stops, alternating
 
     def walk(pos: int, d: int, cls: int, count: int) -> None:
         rest = length - 1 - d
-        if count >= c_hi or count + rest <= c_lo:
+        low, high = count + fewest[rest][cls], count + most[rest][cls]
+        if low >= c_hi or high <= c_lo:
             if ends and ends[-1] == pos:
                 ends[-1] = pos + spans[d]
             else:
                 ends.extend((pos, pos + spans[d]))
-        elif count <= c_lo or count + rest >= c_hi:
+        elif low <= c_lo or high >= c_hi:
             d += 1
             for nxt in succ[cls]:
                 walk(pos, d, nxt, count + (nxt == hit))
@@ -249,14 +251,18 @@ def _cell_classes(base: int, cells: int, target: int) -> list[int]:
         classes, count = refined, len(ids)
 
 
-def _chain(base: int, cells: int, target: int) -> tuple[list, list, int]:
-    """The cell chain on its minimal automaton: each cell's class
-    (`_cell_classes`), each class's successor class per digit in digit
-    order, and the target's class, a class of its own."""
+def _check_cell(cells: int, target: int) -> None:
     if cells < 1:
         raise ValueError("cell count must be positive")
     if not 0 <= target < cells:
         raise ValueError("target cell out of range")
+
+
+def _chain(base: int, cells: int, target: int) -> tuple[list, list, int]:
+    """The cell chain on its minimal automaton: each cell's class
+    (`_cell_classes`), each class's successor class per digit in digit
+    order, and the target's class, a class of its own."""
+    _check_cell(cells, target)
     classes = _cell_classes(base, cells, target)
     succ: list = [None] * (max(classes) + 1)
     for cell, cls in enumerate(classes):
@@ -310,8 +316,9 @@ def cutoff_measure(
 
     The weight of the qualifying counts in the exact hit-count distribution
     (`_count_distribution`); it equals the measure of `cutoff_region` for
-    the same cutoffs, so a zero weight means an empty region.
+    the same cutoffs.
     """
+    _check_cell(cells, target)
     if c_hi <= c_lo + 1:
         # every integer count qualifies
         return ONE
@@ -342,6 +349,7 @@ def deviation_measure(
     outside the threshold's cutoffs. The chain is stationary, so the
     measure does not depend on the window's offset.
     """
+    _check_cell(cells, target)
     c_lo, c_hi = count_cutoffs(
         Fraction(window.length, cells), as_fraction(threshold), strict
     )

@@ -31,7 +31,6 @@ class EstimateReport:
     def to_json(self) -> dict:
         return {
             "seed": self.spec.seed,
-            "counter": self.spec.counter,
             "count": self.spec.count,
             "hits": self.hits,
             "estimate": format_fraction(self.estimate),

@@ -29,6 +29,7 @@ from normnum.badsets import (
     window_cover_check,
 )
 import normnum.badsets as badsets_module
+from normnum import orbit
 from normnum.cli import main
 from normnum.enclose import Enclosure, eval_iv_tight
 from normnum.measure import IntervalSet, PeriodicIntervalSet
@@ -603,6 +604,19 @@ def test_union_decides_each_scale_and_walks_each_region_once(monkeypatch, name):
     for base, length, a, cells, c_lo, c_hi in walks:
         mirror = cells - 1 - a
         assert mirror == a or (base, length, mirror, cells, c_lo, c_hi) not in walks
+
+
+@pytest.mark.parametrize("name", ["toy-mixed", "toy-seeded", "toy-sparse"])
+def test_family_regions_need_no_hit_count_dp(monkeypatch, name):
+    # the region walk decides empty regions by itself, so a family builds
+    # the same components with the hit-count DP out of reach
+    components = bad_family(4, preset(name)).components
+
+    def no_dp(*args):
+        raise AssertionError("a region asked the hit-count DP")
+
+    monkeypatch.setattr(orbit, "_count_distribution", no_dp)
+    assert bad_family(4, preset(name)).components == components
 
 
 def test_family_intersect_bound_additivity():

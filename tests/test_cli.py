@@ -1179,7 +1179,7 @@ def test_lemma_refuses_negative_seed(capsys, which):
     code, report, err = run(capsys, "lemma", "--which", which, "--seed", "-1")
     assert code == 2
     assert report is None
-    assert "seed and counter must be non-negative" in err
+    assert "seed must be non-negative" in err
 
 
 def test_lemma_masstail_boundary(capsys):

@@ -82,8 +82,10 @@ def test_unit_interval():
 def test_empty_and_unit_sets():
     assert IntervalSet.empty().measure() == 0
     assert IntervalSet.empty().is_empty()
-    assert IntervalSet.unit().measure() == 1
-    assert not IntervalSet.unit().is_empty()
+    unit = IntervalSet([(0, 1)])
+    assert unit.measure() == 1
+    assert not unit.is_empty()
+    assert unit == IntervalSet.on_grid(8, (0, 8))
 
 
 def test_overlapping_parts_merge():
@@ -412,7 +414,8 @@ RECORDS = {
     ),
     Certificate: ((_SCHEDULE, "0", (_STEP,)), ()),
     VerificationReport: ((True, 1, ("step 1: digit 1, schedule says 0",)), ()),
-    SamplerSpec: ((1, 100, 2), (0,)),
+    SamplerSpec: ((1, 100), ()),
+    PeriodicIntervalSet: ((_REGION, 2, 3), ()),
 }
 # component rows are JSON objects, so these records cannot be hashed
 UNHASHABLE = {StepRecord, Certificate}

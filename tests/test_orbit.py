@@ -1,6 +1,7 @@
 """Windowed orbit statistics: exact counts, sweeps, and the cell DP."""
 
 import random
+import sys
 import tracemalloc
 from fractions import Fraction
 from math import lcm
@@ -135,8 +136,9 @@ def window_region(window, band, threshold, strict=False, budget=DEFAULT_EVENT_BU
 
 def test_deviation_region_trivial_thresholds():
     w = Window(2, 0, 4)
-    assert window_region(w, Band(0, 1), F(-1)) == IntervalSet.unit()
-    assert window_region(w, Band(0, 1), F(0)) == IntervalSet.unit()
+    unit = IntervalSet([(0, 1)])
+    assert window_region(w, Band(0, 1), F(-1)) == unit
+    assert window_region(w, Band(0, 1), F(0)) == unit
     # strict > 0 excludes perfectly balanced points but still covers most
     r = window_region(w, Band(0, 1), F(0), strict=True)
     assert not r.contains(F(1, 3))
@@ -327,17 +329,44 @@ def test_region_cell_guard():
 def test_sweep_budget_guard():
     with pytest.raises(BudgetError):
         sweep_cost(2, 64, 10**6)
-    with pytest.raises(BudgetError):
-        cutoff_region(2, 64, 2, 0, *count_cutoffs(F(32), F(1)), 10**6)
+    # cutoffs that decide the region alone (no count, every count) pass
+    # the same gate
+    for c_lo, c_hi in [count_cutoffs(F(32), F(1)), (-1, 65), (3, 3)]:
+        with pytest.raises(BudgetError):
+            cutoff_region(2, 64, 2, 0, c_lo, c_hi, 10**6)
 
 
-@pytest.mark.parametrize("cells, target", [(4, -1), (4, 4), (0, 0), (-2, 0)])
+@pytest.mark.parametrize("cells, target", [(4, -1), (4, 4), (4, 7), (0, 0), (-2, 0)])
 def test_cell_chain_refuses_bad_cells(cells, target):
-    # live cutoffs, so both kernels reach the cell chain
-    with pytest.raises(ValueError):
-        cutoff_region(2, 4, cells, target, 0, 3, DEFAULT_EVENT_BUDGET)
-    with pytest.raises(ValueError):
-        cutoff_measure(2, 4, cells, target, 0, 3)
+    # live cutoffs, and cutoffs that decide the answer alone (every count,
+    # no count): the cell is checked before either
+    for c_lo, c_hi in [(0, 3), (0, 1), (-1, 100)]:
+        with pytest.raises(ValueError):
+            cutoff_region(2, 4, cells, target, c_lo, c_hi, DEFAULT_EVENT_BUDGET)
+        with pytest.raises(ValueError):
+            cutoff_measure(2, 4, cells, target, c_lo, c_hi)
+    for threshold in (0, 1, 100):
+        with pytest.raises(ValueError):
+            deviation_measure(Window(2, 0, 4), cells, target, threshold)
+
+
+def test_empty_region_costs_one_visit_per_cell():
+    # the digit pattern 01 cannot overlap itself, so 8 digits hit its cell
+    # at most 4 times: the region of 5 or more hits is empty, and the walk
+    # drops each cell's branch at its root
+    visits = []
+
+    def count_walks(frame, event, arg):
+        if event == "call" and frame.f_code.co_name == "walk":
+            visits.append(frame.f_locals["d"])
+
+    sys.setprofile(count_walks)
+    try:
+        region = cutoff_region(2, 8, 4, 1, -1, 5, DEFAULT_EVENT_BUDGET)
+    finally:
+        sys.setprofile(None)
+    assert region.is_empty()
+    assert visits == [0, 0, 0, 0]
 
 
 # -- exact deviation measure through the cell chain -------------------------

@@ -313,15 +313,13 @@ PRESET_NAMES = tuple(sorted(_PRESETS))
 
 
 def _scale_expr(length: int, base: int, delta: Fraction):
-    from mpmath import iv
-
-    n = iv.mpf(length)
+    n = iv_fraction(length)
     coef = (
         2
         * (1 + 2 * iv_fraction(delta))
-        * (iv.mpf(1) / 2 + 2 / (iv.sqrt(iv.mpf(base)) - 1))
+        * (iv_fraction(1) / 2 + 2 / (iv_fraction(base).sqrt() - 1))
     )
-    return coef * iv.sqrt(n * iv.log(iv.log(n)))
+    return coef * (n * n.log().log()).sqrt()
 
 
 def _tilted_threshold(
@@ -335,11 +333,9 @@ def _tilted_threshold(
     """
     if length < 16:
         raise DomainError("threshold scale needs window length >= 16")
-    from mpmath import iv
-
     return eval_iv_tight(
         precision,
-        lambda: iv.exp(iv_fraction(exponent) * iv.log(iv.mpf(2)))
+        lambda: (iv_fraction(exponent) * iv_fraction(2).log()).exp()
         * _scale_expr(length, base, delta),
     )
 
@@ -809,10 +805,8 @@ def badic_deviation_bound(
         )
     coefficient = 2 * base ** (2 * m - 2) * m
     exponent = -(eps * eps) * length * base**m / (6 * m)
-    from mpmath import iv
-
     return eval_iv_tight(
-        precision, lambda: coefficient * iv.exp(iv_fraction(exponent))
+        precision, lambda: coefficient * iv_fraction(exponent).exp()
     )
 
 
@@ -834,10 +828,8 @@ def dyadic_deviation_bound(
         raise DomainError("eps must be positive")
     coefficient = 9 * 2 ** (2 * (k + 2)) * (k + 2)
     exponent = -(eps * eps) * length * 2 ** (k + 2) / (6 * (k + 2))
-    from mpmath import iv
-
     return eval_iv_tight(
-        precision, lambda: coefficient * iv.exp(iv_fraction(exponent))
+        precision, lambda: coefficient * iv_fraction(exponent).exp()
     )
 
 

@@ -90,13 +90,12 @@ def normalized_ratio(
     """
     if count < 16:
         raise ValueError("normalized ratio needs count >= 16")
-    from mpmath import iv
 
-    return eval_iv_tight(
-        precision,
-        lambda: iv_fraction(disc)
-        * iv.sqrt(iv.mpf(count) / iv.log(iv.log(iv.mpf(count)))),
-    )
+    def ratio():
+        n = iv_fraction(count)
+        return iv_fraction(disc) * (n / n.log().log()).sqrt()
+
+    return eval_iv_tight(precision, ratio)
 
 
 def philipp_constant(base: int, precision: int = 64) -> Enclosure:
@@ -106,11 +105,8 @@ def philipp_constant(base: int, precision: int = 64) -> Enclosure:
     root = _exact_sqrt(Fraction(base))
     if root is not None:
         return Enclosure.exact(166 + Fraction(664, 1) / (root - 1))
-    from mpmath import iv
-
     return eval_iv_tight(
-        precision,
-        lambda: 166 + 664 / (iv.sqrt(iv.mpf(base)) - 1),
+        precision, lambda: 166 + 664 / (iv_fraction(base).sqrt() - 1)
     )
 
 
@@ -135,9 +131,7 @@ def fukuyama_constant(theta: int, precision: int = 64) -> Enclosure:
     root = _exact_sqrt(radicand)
     if root is not None:
         return Enclosure.exact(root)
-    from mpmath import iv
-
-    return eval_iv_tight(precision, lambda: iv.sqrt(iv_fraction(radicand)))
+    return eval_iv_tight(precision, lambda: iv_fraction(radicand).sqrt())
 
 
 def _exact_sqrt(value: Fraction):

@@ -1,18 +1,31 @@
 """Certified enclosures of real quantities with exact rational endpoints.
 
-Transcendental evaluation is delegated to mpmath's interval type, which
-rounds outward, so every returned Enclosure genuinely brackets its target.
-Endpoint floats convert to fractions exactly (binary floats are rationals),
-no decimal round trip is involved.
+Irrational quantities are evaluated by a small outward-rounded interval
+kernel, `DyadicInterval`. Each endpoint is a dyadic number m * 2**e rounded
+to the working precision `DyadicInterval.prec` (in bits), toward -inf for a
+lower endpoint and toward +inf for an upper one:
 
-mpmath is imported by the functions that evaluate an interval, not by the
-module: a call that never evaluates one (exact enclosures, powers of two,
-the pointwise and DP checks) never pays for loading it.
+- +, -, * and / take the exact extreme result and round it outward. An
+  `int` operand is first rounded outward to the working precision; a
+  `Fraction` is its rounded numerator over its rounded denominator
+  (`iv_fraction`).
+- `sqrt` comes from `math.isqrt`.
+- `log` and `exp` come from fixed-point series that carry a floor and a
+  ceiling bound: atanh after square-root reduction for log, and Taylor
+  after reduction by k ln 2 and by halving for exp. A Ziv loop widens the
+  series until both bounds round to the same endpoint, so each endpoint is
+  correctly rounded. After `_ZIV_ROUNDS` rounds it stops and rounds each
+  bound outward, which still brackets the value.
+
+mpmath's interval type follows the same rules and its operations are
+correctly rounded too, so an expression gets the endpoints mpmath gives it
+at the same precision. Endpoints convert to fractions exactly.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import isqrt
 from typing import Callable
 
 from .measure import RationalLike, Record, as_fraction, format_fraction
@@ -53,45 +66,387 @@ class Enclosure(Record):
         return [format_fraction(self.lo), format_fraction(self.hi)]
 
 
-def _mpf_to_fraction(raw) -> Fraction:
-    # raw is an mpf value tuple as stored inside an iv endpoint
-    from mpmath import libmp
-
-    if raw in (libmp.finf, libmp.fninf, libmp.fnan):
-        raise ValueError("enclosure endpoint is not finite")
-    num, den = libmp.to_rational(raw)
-    return Fraction(int(num), int(den))
+# An endpoint is a pair (m, e) standing for m * 2**e.
 
 
-def from_iv(value) -> Enclosure:
-    lo_raw, hi_raw = value._mpi_
-    return Enclosure(_mpf_to_fraction(lo_raw), _mpf_to_fraction(hi_raw))
+def _round(m: int, e: int, prec: int, up: bool) -> tuple:
+    """m * 2**e rounded to prec bits, toward +inf if up else toward -inf."""
+    shift = m.bit_length() - prec
+    if shift > 0:
+        m = -(-m >> shift) if up else m >> shift
+        e += shift
+        if m.bit_length() > prec:  # the rounding carried into a new bit
+            m >>= 1
+            e += 1
+    return m, e
 
 
-def iv_fraction(x: RationalLike):
-    """Interval element enclosing an exact rational (division rounds outward)."""
-    from mpmath import iv
+def _fraction(x: tuple) -> Fraction:
+    m, e = x
+    return Fraction(m << e) if e >= 0 else Fraction(m, 1 << -e)
 
+
+def _sum(x: tuple, y: tuple, prec: int, up: bool) -> tuple:
+    """x + y rounded to prec bits."""
+    (m1, e1), (m2, e2) = x, y
+    if e1 > e2:
+        return _round((m1 << (e1 - e2)) + m2, e2, prec, up)
+    return _round(m1 + (m2 << (e2 - e1)), e1, prec, up)
+
+
+def _div(x: tuple, y: tuple, prec: int, up: bool) -> tuple:
+    """x / y rounded to prec bits, for y > 0."""
+    (m1, e1), (m2, e2) = x, y
+    if not m1:
+        return 0, 0
+    # a quotient of at least prec + 2 bits rounds like the exact one
+    shift = max(0, prec + 2 + m2.bit_length() - m1.bit_length())
+    q = -(-(m1 << shift) // m2) if up else (m1 << shift) // m2
+    return _round(q, e1 - e2 - shift, prec, up)
+
+
+def _sqrt(x: tuple, prec: int, up: bool) -> tuple:
+    m, e = x
+    if m < 0:
+        raise ValueError("square root of an interval reaching below zero")
+    # at least 2 * prec + 2 bits under the root, and an even exponent
+    shift = max(0, 2 * prec + 2 - m.bit_length())
+    shift += (e - shift) & 1
+    m <<= shift
+    r = isqrt(m)
+    if up and r * r != m:
+        r += 1
+    return _round(r, (e - shift) // 2, prec, up)
+
+
+_LN2 = [0, 0]  # bits p and a value l with l <= ln(2) * 2**p <= l + 2
+
+
+def _ln2(p: int) -> int:
+    """l with l <= ln(2) * 2**p <= l + 2, from the widest value cached."""
+    if _LN2[0] < p:
+        # ln 2 = 2 atanh(1/3), every term floored at b + g bits; the n
+        # terms lose under 3n + 2 units in all, which is below 2**g. b is
+        # p rounded up to 256 bits, so nearby precisions share one value.
+        b = -(-p // 256) * 256
+        g = b.bit_length() + 2
+        power = (2 << (b + g)) // 3
+        total, n = power, 1
+        while power:
+            power //= 9
+            n += 2
+            total += power // n
+        _LN2[:] = b, total >> g
+    bits, value = _LN2
+    return value >> (bits - p)
+
+
+def _powers(x: int, count: int, big: int) -> list:
+    """[x**0, ..., x**count] at fixed point 2**-big, each floored; the
+    i-th is short by under i units when x < 2**big."""
+    powers = [1 << big]
+    for _ in range(count):
+        powers.append(powers[-1] * x >> big)
+    return powers
+
+
+def _exp_bounds(x: tuple, work: int) -> tuple:
+    """(lo, hi, e) with lo * 2**e <= exp(x) <= hi * 2**e, hi - lo of about
+    2**-work relative, for x = m * 2**e.
+
+    x = k ln 2 + r with 0 <= r < ln 2 and exp(x) = 2**k exp(r); exp(r) is
+    the Taylor sum at t = r / 2**s squared s times. r is known to p bits
+    and the sum runs at big = p + s bits, so s squarings leave p good bits.
+    The sum keeps u partial sums, the i-th over the terms t**n / n! with
+    n = i mod u, so t**u is the only full product a term needs, once in u
+    terms; term n is a running quotient divided by n.
+    """
+    m, e = x
+    if not m:
+        return 1, 1, 0
+    t = m.bit_length() + e  # 2**(t - 1) <= |x| < 2**t
+    if t < -work:
+        # 1 + |x| < exp(|x|) < 1 + 2|x| and 1 - |x| < exp(-|x|) < 1 - |x|/2
+        one = 1 << (2 - t)
+        return (one + 2, one + 8, t - 2) if m > 0 else (one - 4, one - 1, t - 2)
+    top = max(t, 0)  # |k| < 2**(top + 1)
+    root = isqrt(work)
+    s, u = root // 3 + 1, root // 8 + 1
+    p = work + top + 20
+    if e + p >= 0:
+        x_lo = x_hi = m << (e + p)
+    else:
+        x_lo, x_hi = m >> -(e + p), -(-m >> -(e + p))
+    ln2 = _ln2(p)
+    # r in [r_lo, r_hi] * 2**-p, with 0 <= r_lo < (ln 2) * 2**p + 2
+    if x_lo >= 0:
+        k = x_lo // (ln2 + 2)
+        r_lo, r_hi = x_lo - k * (ln2 + 2), x_hi - k * ln2
+    else:
+        k = x_lo // ln2
+        r_lo, r_hi = x_lo - k * ln2, x_hi - k * (ln2 + 2)
+    big = p + s
+    # every step floors, so each partial sum is short by under u + 3
+    # units a term, and each power of t by under u units
+    powers = _powers(r_lo, u, big)
+    step = powers.pop()
+    sums = [0] * u
+    term, n = powers[0], 0
+    while term:
+        for i in range(u):
+            sums[i] += term
+            n += 1
+            term //= n
+        term = term * step >> big
+    lo = sum(part * power for part, power in zip(sums, powers)) >> big
+    err = (u + 3) * n + 2 * u * u + 8
+    for _ in range(s):
+        # (lo + err)**2 = lo**2 + err (2 lo + err)
+        lo, err = lo * lo >> big, (err * (2 * lo + err) >> big) + 2
+    # exp(r_hi) <= exp(r_lo) (1 + 2 (r_hi - r_lo) 2**-p) and exp(r_lo) < 4
+    return lo, lo + err + ((r_hi - r_lo) << (s + 3)), k - big
+
+
+def _log_bounds(x: tuple, work: int) -> tuple:
+    """(lo, hi, e) with lo * 2**e <= log(x) <= hi * 2**e, hi - lo of about
+    2**-work relative, for x = m * 2**e positive.
+
+    x = 2**k y with 3/4 <= y < 3/2, and log(x) = k ln 2 + 2**(j+1)
+    atanh(z) with z = (y' - 1) / (y' + 1) for y' the j-th square root of
+    y, so |z| <= 1/5 / 2**j. atanh(z) = z * sum(w**n / (2n + 1)) with
+    w = z**2, summed in u partial sums as in `_exp_bounds`.
+    """
+    m, e = x
+    bits = m.bit_length()
+    k = bits + e - 1
+    if bits > 1 and m >> (bits - 2) == 3:  # y >= 3/2
+        k += 1
+    tiny = 0  # log(x) is at least 2**-(tiny + 2) in size
+    if k == 0:  # x = y, and y - 1 = d * 2**e
+        d = m - (1 << -e)
+        if not d:
+            return 0, 0, 0
+        tiny = max(0, -(d.bit_length() + e))
+    root = isqrt(work)
+    j, u = root // 8, root // 8 + 1
+    big = work + tiny + j + 20
+    one = 1 << big
+    # y in [y_lo, y_lo + 3] * 2**-big, through every square root taken
+    shift = big + e - k
+    y_lo = m << shift if shift >= 0 else m >> -shift
+    if y_lo != one:
+        for _ in range(j):
+            y_lo = isqrt(y_lo << big)
+    # z in [z_lo, z_lo + 3] * 2**-big, as dz/dy < 2/3 for y >= 3/4
+    z_lo = ((y_lo - one) << big) // (y_lo + one)
+    # atanh(|z_lo|) from below; every step floors, so it is short by
+    # under u + 4 units a term and 2 u + 2 units a partial sum
+    z = abs(z_lo)
+    powers = _powers(z * z >> big, u, big)
+    step = powers.pop()
+    sums = [0] * u
+    power, n = one, 0
+    while power:
+        for i in range(u):
+            sums[i] += power // (2 * n + 1)
+            n += 1
+        power = power * step >> big
+    total = sum(part * power for part, power in zip(sums, powers)) >> big
+    total = total * z >> big
+    err = (u + 4) * n + 2 * u * u + 8
+    a_lo = total if z_lo >= 0 else -(total + err)
+    # atanh(z) <= atanh(z_lo) + 3 * 1.05 for |z| <= 1/5
+    a_hi = a_lo + err + 4
+    ln2 = _ln2(big)
+    k_lo, k_hi = (k * ln2, k * (ln2 + 2)) if k >= 0 else (k * (ln2 + 2), k * ln2)
+    return k_lo + (a_lo << (j + 1)), k_hi + (a_hi << (j + 1)), -big
+
+
+def _exp_near(l: int, h: int, e: int, d: tuple, x: tuple):
+    """Bounds on exp(x + d) * 2**-e from l <= exp(x) * 2**-e <= h, for a
+    gap 0 < d < 1: exp(d) lies in [1 + d, 1 + d + d**2]. None if d >= 1."""
+    dm, de = d
+    if dm.bit_length() + de > 0:
+        return None
+    q = dm * ((1 << -de) + dm)  # (d + d**2) * 2**(-2 de)
+    return l + (l * dm >> -de), h - (-h * q >> -2 * de)
+
+
+def _log_near(l: int, h: int, e: int, d: tuple, x: tuple) -> tuple:
+    """Bounds on log(x + d) * 2**-e from l <= log(x) * 2**-e <= h, for a
+    gap d > 0: log(1 + t) lies in [t - t**2 / 2, t] for t = d / x."""
+    (dm, de), (xm, xe) = d, x
+    shift = de - e - xe  # t * 2**-e = dm * 2**shift / xm
+    num, den = (dm << shift, xm) if shift >= 0 else (dm, xm << -shift)
+    t_lo, t_hi = num // den, -(-num // den)
+    return l + t_lo + (-t_hi * t_hi >> 1 - e), h + t_hi
+
+
+# Ziv rounds for log and exp: the working precision starts at prec + 24
+# bits and doubles, so the third round carries over 4 * prec bits, more
+# than any value this close to a rounding boundary needs.
+_ZIV_ROUNDS = 3
+
+
+def _monotone(bounds, near, lo: tuple, hi: tuple, prec: int) -> tuple:
+    """[f(lo) rounded down, f(hi) rounded up] for an increasing f.
+
+    bounds(x, work) gives (l, h, e) with l * 2**e <= f(x) <= h * 2**e,
+    about work bits apart. When hi is not lo, near(l, h, e, hi - lo, lo)
+    turns the bounds on f(lo) into bounds on f(hi) on the same scale (or
+    gives None), which for a thin interval saves a second evaluation;
+    f(hi) is evaluated on its own when they do not settle its rounding.
+    The Ziv loop ends once each endpoint's two bounds round alike; after
+    `_ZIV_ROUNDS` rounds each endpoint is its bound rounded outward.
+    """
+    gap = None
+    if lo != hi:
+        (m1, e1), (m2, e2) = lo, hi
+        g = min(e1, e2)
+        gap = (m2 << (e2 - g)) - (m1 << (e1 - g)), g
+    work = prec + 24
+    for _ in range(_ZIV_ROUNDS):
+        l, h, e = bounds(lo, work)
+        l2, h2, e2 = l, h, e
+        if gap is not None:
+            moved = near(l, h, e, gap, lo)
+            if moved is not None:
+                l2, h2 = moved
+            if moved is None or _round(l2, e, prec, True) != _round(h2, e, prec, True):
+                l2, h2, e2 = bounds(hi, work)
+        down, up = _round(l, e, prec, False), _round(h2, e2, prec, True)
+        if down == _round(h, e, prec, False) and up == _round(l2, e2, prec, True):
+            break
+        work *= 2
+    return down, up
+
+
+class DyadicInterval:
+    """Closed interval [lo, hi] with dyadic endpoints (m, e), m * 2**e.
+
+    Operations round outward to `prec` bits; `eval_iv` sets it for the
+    length of one evaluation, as mpmath's `iv.prec`.
+    """
+
+    __slots__ = ("lo", "hi")
+    prec = 53
+
+    def __init__(self, lo: tuple, hi: tuple):
+        self.lo = lo
+        self.hi = hi
+
+    @classmethod
+    def from_int(cls, n: int) -> "DyadicInterval":
+        prec = cls.prec
+        return cls(_round(n, 0, prec, False), _round(n, 0, prec, True))
+
+    def to_enclosure(self) -> Enclosure:
+        return Enclosure(_fraction(self.lo), _fraction(self.hi))
+
+    def __neg__(self) -> "DyadicInterval":
+        (m1, e1), (m2, e2) = self.lo, self.hi
+        return DyadicInterval((-m2, e2), (-m1, e1))
+
+    def __add__(self, other) -> "DyadicInterval":
+        other = _coerce(other)
+        prec = self.prec
+        return DyadicInterval(
+            _sum(self.lo, other.lo, prec, False), _sum(self.hi, other.hi, prec, True)
+        )
+
+    __radd__ = __add__
+
+    def __sub__(self, other) -> "DyadicInterval":
+        return self + -_coerce(other)
+
+    def __rsub__(self, other) -> "DyadicInterval":
+        return _coerce(other) + -self
+
+    def __mul__(self, other) -> "DyadicInterval":
+        other = _coerce(other)
+        prec = self.prec
+        (a, ae), (b, be) = self.lo, self.hi
+        (c, ce), (d, de) = other.lo, other.hi
+        if a >= 0 and c >= 0:
+            return DyadicInterval(
+                _round(a * c, ae + ce, prec, False), _round(b * d, be + de, prec, True)
+            )
+        products = [
+            (m1 * m2, e1 + e2)
+            for m1, e1 in (self.lo, self.hi)
+            for m2, e2 in (other.lo, other.hi)
+        ]
+        e = min(pe for _, pe in products)
+        exact = [pm << (pe - e) for pm, pe in products]
+        return DyadicInterval(
+            _round(min(exact), e, prec, False), _round(max(exact), e, prec, True)
+        )
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other) -> "DyadicInterval":
+        other = _coerce(other)
+        prec = self.prec
+        a, b, c, d = self.lo, self.hi, other.lo, other.hi
+        if d[0] < 0:
+            a, b, c, d = (-b[0], b[1]), (-a[0], a[1]), (-d[0], d[1]), (-c[0], c[1])
+        elif c[0] <= 0:
+            raise ValueError("interval division by an interval containing zero")
+        return DyadicInterval(
+            _div(a, d if a[0] >= 0 else c, prec, False),
+            _div(b, c if b[0] >= 0 else d, prec, True),
+        )
+
+    def __rtruediv__(self, other) -> "DyadicInterval":
+        return _coerce(other) / self
+
+    def sqrt(self) -> "DyadicInterval":
+        prec = self.prec
+        return DyadicInterval(_sqrt(self.lo, prec, False), _sqrt(self.hi, prec, True))
+
+    def log(self) -> "DyadicInterval":
+        if self.lo[0] <= 0:
+            raise ValueError("logarithm of an interval reaching zero or below")
+        ends = _monotone(_log_bounds, _log_near, self.lo, self.hi, self.prec)
+        return DyadicInterval(*ends)
+
+    def exp(self) -> "DyadicInterval":
+        ends = _monotone(_exp_bounds, _exp_near, self.lo, self.hi, self.prec)
+        return DyadicInterval(*ends)
+
+
+def _coerce(x) -> DyadicInterval:
+    if isinstance(x, DyadicInterval):
+        return x
+    if isinstance(x, int):
+        return DyadicInterval.from_int(x)
+    return iv_fraction(x)
+
+
+def iv_fraction(x: RationalLike) -> DyadicInterval:
+    """Interval enclosing an exact rational: its numerator and denominator
+    rounded outward, then divided with outward rounding."""
     x = as_fraction(x)
-    return iv.mpf(x.numerator) / iv.mpf(x.denominator)
+    num = DyadicInterval.from_int(x.numerator)
+    if x.denominator == 1:
+        return num
+    return num / DyadicInterval.from_int(x.denominator)
 
 
-def eval_iv(bits: int, fn: Callable[[], object]) -> Enclosure:
+def eval_iv(bits: int, fn: Callable[[], DyadicInterval]) -> Enclosure:
     """Evaluate an interval expression at the given working precision.
 
-    The iv context precision is process global; it is restored on exit.
+    The kernel precision is process global; it is restored on exit.
     """
-    from mpmath import iv
-
-    old = iv.prec
-    iv.prec = max(int(bits), 16)
+    old = DyadicInterval.prec
+    DyadicInterval.prec = max(int(bits), 16)
     try:
-        return from_iv(fn())
+        return fn().to_enclosure()
     finally:
-        iv.prec = old
+        DyadicInterval.prec = old
 
 
-def eval_iv_tight(precision: int, fn: Callable[[], object]) -> Enclosure:
+def eval_iv_tight(precision: int, fn: Callable[[], DyadicInterval]) -> Enclosure:
     """Evaluate until the relative width is at most 2**-precision.
 
     The working precision doubles at most 12 times. Successive evaluations
@@ -117,8 +472,6 @@ def enclose_log2(x: RationalLike, precision: int = 64) -> Enclosure:
     num, den = x.numerator, x.denominator
     if num & (num - 1) == 0 and den & (den - 1) == 0:
         return Enclosure.exact(num.bit_length() - den.bit_length())
-    from mpmath import iv
-
     return eval_iv_tight(
-        precision, lambda: iv.log(iv_fraction(x)) / iv.log(iv.mpf(2))
+        precision, lambda: iv_fraction(x).log() / DyadicInterval.from_int(2).log()
     )

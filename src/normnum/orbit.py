@@ -182,11 +182,12 @@ def cutoff_region(
     class. Backward tables give the fewest and the most hits still to come
     from each class, so every node knows the exact range [low, high] of
     the counts below it. A depth-first walk in ascending order emits a
-    node's whole span once low >= c_hi or high <= c_lo, descends while low
-    <= c_lo or high >= c_hi (some count below it qualifies) and drops the
-    node otherwise, so an empty region costs one visit per cell. Adjacent
-    spans merge on integers, and the run ends go to `IntervalSet.on_grid`
-    as they are.
+    node's whole span once no count in [low, high] lies strictly between
+    the cutoffs, descends while low <= c_lo or high >= c_hi (some count
+    below it qualifies) and drops the node otherwise. So an empty region,
+    and one every count qualifies for (c_hi <= c_lo + 1), costs one visit
+    per cell. Adjacent spans merge on integers, and the run ends go to
+    `IntervalSet.on_grid` as they are.
     """
     sweep_cost(base, length, budget)
     # the walk starts one branch per cell
@@ -204,11 +205,14 @@ def cutoff_region(
     # a node at depth d spans spans[d] grid points
     spans = [base ** (length - 1 - d) for d in range(length)]
     ends: list[int] = []  # run starts and stops, alternating
+    # the counts strictly between the cutoffs, none when c_hi <= c_lo + 1
+    inner_lo, inner_hi = c_lo + 1, c_hi - 1
 
     def walk(pos: int, d: int, cls: int, count: int) -> None:
         rest = length - 1 - d
         low, high = count + fewest[rest][cls], count + most[rest][cls]
-        if low >= c_hi or high <= c_lo:
+        # [low, high] and [inner_lo, inner_hi] do not meet
+        if low > inner_hi or high < inner_lo or inner_lo > inner_hi:
             if ends and ends[-1] == pos:
                 ends[-1] = pos + spans[d]
             else:

@@ -42,6 +42,8 @@ from normnum.orbit import (
     f_value,
 )
 
+from mpmath_iv import mpmath_expr
+
 F = Fraction
 
 
@@ -132,11 +134,7 @@ def test_start_index_rule():
 
 def test_hard_floor_exceeds_exponential():
     # exp(12/ln 2) < HARD_START_FLOOR <= exp(12/ln 2) + 1
-    import mpmath
-
-    from normnum.enclose import eval_iv_tight
-
-    enc = eval_iv_tight(80, lambda: mpmath.iv.exp(12 / mpmath.iv.log(2)))
+    enc = eval_iv_tight(80, mpmath_expr(lambda: iv.exp(12 / iv.log(2))))
     assert enc.hi < HARD_START_FLOOR < enc.lo + 1
 
 
@@ -194,7 +192,9 @@ def test_toy_universe_is_finite():
 def test_threshold_scale_flagship_coefficient():
     # at delta = 1/2 and base 4 the coefficient is exactly 10
     enc = _tilted_threshold(64, 4, F(1, 2), F(0), 64)
-    root = eval_iv_tight(96, lambda: iv.sqrt(64 * iv.log(iv.log(iv.mpf(64)))))
+    root = eval_iv_tight(
+        96, mpmath_expr(lambda: iv.sqrt(64 * iv.log(iv.log(iv.mpf(64)))))
+    )
     # compare against 10 * sqrt(64 ln ln 64) computed independently
     lo_ref = 10 * root.lo
     assert abs(enc.midpoint() - lo_ref) < F(1, 10**6) * lo_ref
@@ -668,7 +668,7 @@ def test_toy_tail_mass_is_exactly_zero():
 def test_badic_bound_reference_value():
     # base 2, one digit deep, quarter tilt, window 256: bound 2 e^(-16/3)
     bound = badic_deviation_bound(2, 1, 256, F(1, 4))
-    ref = eval_iv_tight(96, lambda: 2 * iv.exp(iv.mpf(-16) / 3))
+    ref = eval_iv_tight(96, mpmath_expr(lambda: 2 * iv.exp(iv.mpf(-16) / 3)))
     assert bound.lo <= ref.hi and ref.lo <= bound.hi
     assert bound.width < F(1, 2**40)
 
@@ -691,7 +691,7 @@ def test_badic_bound_scaling_in_m():
 def test_dyadic_bound_reference_value():
     # depth 1, half tilt, window 32: coefficient 1728, exponent -32/9
     bound = dyadic_deviation_bound(2, 1, 32, F(1, 2))
-    ref = eval_iv_tight(96, lambda: 1728 * iv.exp(iv.mpf(-32) / 9))
+    ref = eval_iv_tight(96, mpmath_expr(lambda: 1728 * iv.exp(iv.mpf(-32) / 9)))
     assert bound.lo <= ref.hi and ref.lo <= bound.hi
 
 

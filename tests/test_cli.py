@@ -195,9 +195,9 @@ def test_cli_runs_without_numpy(argv):
 
 @pytest.mark.parametrize("module", ["mpmath", "dataclasses", "inspect", "hashlib"])
 def test_cli_import_leaves_module_unloaded(module):
-    # every CLI call is a fresh process: mpmath loads on the first interval
-    # evaluation, hashlib on the first digest or sample stream, and records
-    # are plain slotted classes, so none of these is paid at import
+    # every CLI call is a fresh process: nothing imports mpmath, hashlib
+    # loads on the first digest or sample stream, and records are plain
+    # slotted classes, so none of these is paid at import
     done = run_python("import normnum.cli; print(%r in sys.modules)" % module)
     assert done.returncode == 0, done.stderr
     assert done.stdout == "False\n"
@@ -227,11 +227,30 @@ def test_cli_import_loads_every_layer():
         ["lemma", "--which", "masstail"],
         ["lemma", "--which", "depth"],
         ["lemma", "--which", "cover"],
+        ["digits", "--preset", "toy-mixed", "--count", "2"],
+        ["verify", "{certificate}"],
+        ["lemma", "--which", "badic"],
+        ["lemma", "--which", "dyadic"],
+        ["discrepancy", "--x", "1/3", "--base", "2", "--count", "20", "--ratio"],
+        [
+            "badset", "--preset", "toy-mixed", "--which", "block", "--index", "4",
+            "--band-scale", "3", "--band-index", "0",
+        ],
     ],
-    ids=["cost", "chain", "masstail", "depth", "cover"],
+    ids=[
+        "cost", "chain", "masstail", "depth", "cover",
+        "digits", "verify", "badic", "dyadic", "ratio", "badset",
+    ],
 )
-def test_cli_runs_without_mpmath(argv):
-    # these commands evaluate no interval, so they never import mpmath
+def test_cli_runs_without_mpmath(capsys, tmp_path, argv):
+    # intervals are evaluated by normnum.enclose's own kernel, so no command
+    # needs mpmath: those that print thresholds, bounds and ratios included
+    if "{certificate}" in argv:
+        certificate = tmp_path / "cert.json"
+        digits = ["digits", "--preset", "toy-mixed", "--count", "2"]
+        assert main(digits + ["--cert-out", str(certificate)]) == 0
+        capsys.readouterr()
+        argv = [arg.format(certificate=certificate) for arg in argv]
     assert_runs_blocked("mpmath", argv)
 
 
@@ -242,30 +261,6 @@ def test_paper_refusal_runs_without_mpmath():
     assert_runs_blocked("mpmath", argv, code=3)
     done = run_python(CLI_MAIN, *argv)
     assert done.stderr.startswith("budget exceeded: sweep needs at least 2**")
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["lemma", "--which", "dyadic"],
-        ["digits", "--preset", "toy-sparse", "--count", "2"],
-    ],
-    ids=["dyadic", "digits"],
-)
-def test_cli_loads_mpmath_on_first_interval(capsys, argv):
-    # mpmath is absent after the import and loaded by the command's first
-    # interval evaluation; the report matches a run in this process, where
-    # mpmath was loaded up front
-    done = run_python(
-        "from normnum.cli import main; loaded = 'mpmath' in sys.modules; "
-        "code = main(sys.argv[1:]); "
-        "print(loaded, 'mpmath' in sys.modules, file=sys.stderr); sys.exit(code)",
-        *argv,
-    )
-    assert done.returncode == 0, done.stderr
-    assert done.stderr.splitlines()[-1] == "False True"
-    assert main(argv) == 0
-    assert done.stdout == capsys.readouterr().out
 
 
 def test_help_exits_zero(capsys):

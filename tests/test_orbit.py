@@ -369,6 +369,26 @@ def test_empty_region_costs_one_visit_per_cell():
     assert visits == [0, 0, 0, 0]
 
 
+def test_unit_region_costs_one_visit_per_cell():
+    # with c_hi <= c_lo + 1 every count qualifies, so no count lies strictly
+    # between the cutoffs anywhere and each cell's whole span is emitted at
+    # its root (a walk that only emitted below c_lo or above c_hi made
+    # 87,512 calls here)
+    visits = []
+
+    def count_walks(frame, event, arg):
+        if event == "call" and frame.f_code.co_name == "walk":
+            visits.append(frame.f_locals["d"])
+
+    sys.setprofile(count_walks)
+    try:
+        region = cutoff_region(2, 16, 4, 1, 3, 4, 5_000_000)
+    finally:
+        sys.setprofile(None)
+    assert region == IntervalSet([(0, 1)])
+    assert len(visits) <= 4
+
+
 # -- exact deviation measure through the cell chain -------------------------
 
 

@@ -473,5 +473,5 @@ def enclose_log2(x: RationalLike, precision: int = 64) -> Enclosure:
     if num & (num - 1) == 0 and den & (den - 1) == 0:
         return Enclosure.exact(num.bit_length() - den.bit_length())
     return eval_iv_tight(
-        precision, lambda: iv_fraction(x).log() / DyadicInterval.from_int(2).log()
+        precision, lambda: iv_fraction(x).log() / iv_fraction(2).log()
     )

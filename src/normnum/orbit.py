@@ -12,14 +12,16 @@ ways, each exact:
   chain of the digit process, pruned on the exact fewest and most hits
   still to come;
 * as a measure alone, from the exact distribution of the window's hit
-  count along the same chain (the lemma grids); this stays feasible when
-  windows are far too long for the region itself to be materialized.
+  count (the lemma grids); this stays feasible when windows are far too
+  long for the region itself to be materialized.
 
 The target is one of `cells` equal cells of [0, 1), and digit r moves
-cell c to cell (base * c + r) % cells. `_chain` gives the walk and the DP
-that chain on its minimal automaton: cells with identical futures merge
-into classes (for base**m cells, the m + 1 KMP states of the target's
-digit pattern).
+cell c to cell (base * c + r) % cells. `_chain` gives that chain on its
+minimal automaton: cells with identical futures merge into classes (for
+base**m cells, the m + 1 KMP states of the target's digit pattern). One
+backward table on it, `_future_hits`, holds the hit-count polynomial of
+the next r digits from each class; the walk reads its fewest and most
+hits from it, and the measure sums its last row over the cells.
 
 The region and cutoff-measure kernels take a window's base and length and
 count the orbit indices 0..length-1. The event over [offset, offset +
@@ -139,8 +141,10 @@ def f_value(x: RationalLike, window: Window, band: BandLike) -> Fraction:
 
 
 def sweep_cost(base: int, length: int, budget: Optional[int] = None) -> int:
-    """Number of breakpoint events a region sweep of a window of the given
-    length, starting at index 0, would generate."""
+    """Event count of a window of the given length, starting at index 0:
+    2 * (base**length - 1) / (base - 1), twice the node count of one
+    cell's walk tree in `cutoff_region`, which also bounds the region's
+    parts."""
     # total >= 2 * base**(length-1) >= 2**length, so reject oversized
     # windows before materializing the power itself
     if budget is not None and length > budget.bit_length():
@@ -179,15 +183,16 @@ def cutoff_region(
     Every end is an integer over cells * base**(length - 1): grid index
     c0 * base**(length - 1) + t starts in cell c0's class and steps along
     `_chain` on each next digit of t, a hit being a step onto the target's
-    class. Backward tables give the fewest and the most hits still to come
-    from each class, so every node knows the exact range [low, high] of
-    the counts below it. A depth-first walk in ascending order emits a
-    node's whole span once no count in [low, high] lies strictly between
-    the cutoffs, descends while low <= c_lo or high >= c_hi (some count
-    below it qualifies) and drops the node otherwise. So an empty region,
-    and one every count qualifies for (c_hi <= c_lo + 1), costs one visit
-    per cell. Adjacent spans merge on integers, and the run ends go to
-    `IntervalSet.on_grid` as they are.
+    class. The lowest and the highest nonzero slot of each entry of the
+    future-hit table (`_future_hits`) are the fewest and the most hits
+    still to come from each class, so every node knows the exact range
+    [low, high] of the counts below it. A depth-first walk in ascending
+    order emits a node's whole span once no count in [low, high] lies
+    strictly between the cutoffs, descends while low <= c_lo or high >=
+    c_hi (some count below it qualifies) and drops the node otherwise. So
+    an empty region, and one every count qualifies for (c_hi <= c_lo + 1),
+    costs one visit per cell. Adjacent spans merge on integers, and the run
+    ends go to `IntervalSet.on_grid` as they are.
     """
     sweep_cost(base, length, budget)
     # the walk starts one branch per cell
@@ -196,14 +201,14 @@ def cutoff_region(
             "region walk starts %d cell branches, budget is %d" % (cells, budget)
         )
     classes, succ, hit = _chain(base, cells, target)
-    # fewest[r][s] and most[r][s]: the fewest and the most hits over the
-    # next r digits from class s
-    fewest, most = [[0] * len(succ)], [[0] * len(succ)]
-    for _ in range(length - 1):
-        fewest.append([min(fewest[-1][n] + (n == hit) for n in nxt) for nxt in succ])
-        most.append([max(most[-1][n] + (n == hit) for n in nxt) for nxt in succ])
     # a node at depth d spans spans[d] grid points
     spans = [base ** (length - 1 - d) for d in range(length)]
+    width = (cells * spans[0]).bit_length()
+    # fewest[r][s] and most[r][s]: the fewest and the most hits over the
+    # next r digits from class s
+    rows = list(_future_hits(succ, hit, length, width))
+    fewest = [[((p & -p).bit_length() - 1) // width for p in row] for row in rows]
+    most = [[(p.bit_length() - 1) // width for p in row] for row in rows]
     ends: list[int] = []  # run starts and stops, alternating
     # the counts strictly between the cutoffs, none when c_hi <= c_lo + 1
     inner_lo, inner_hi = c_lo + 1, c_hi - 1
@@ -234,8 +239,8 @@ def _cell_classes(base: int, cells: int, target: int) -> list[int]:
     Moore partition refinement of the cell chain: start from the split
     {target} / rest and split classes by their tuple of successor classes,
     one entry per digit, until the split is stable. Cells of one class see
-    the same hit sequence on every digit string, so the hit-count DP can
-    run on the classes. For cells = base**m the classes are the m + 1
+    the same hit sequence on every digit string, so the future-hit table
+    can run on the classes. For cells = base**m the classes are the m + 1
     match-length states of the target pattern's KMP automaton.
     """
     classes = [int(cell == target) for cell in range(cells)]
@@ -274,41 +279,25 @@ def _chain(base: int, cells: int, target: int) -> tuple[list, list, int]:
     return classes, succ, classes[target]
 
 
-def _count_distribution(
-    base: int, length: int, cells: int, target: int
-) -> list[int]:
-    """Weights of the hit counts 0..length of the orbit indices
-    0..length-1 over the cell chain.
+def _future_hits(succ: list, hit: int, length: int, width: int):
+    """Rows 0..length-1 of the backward future-hit table of the cell chain,
+    yielded one at a time.
 
-    Weighted over the uniform initial cell distribution; the implied
-    denominator is cells * base**(length - 1). The DP runs on the minimal
-    automaton of the chain (`_chain`): cells with identical futures
-    are merged, the target stays a class of its own, and each class starts
-    with weight its size. For cells = base**m that is the m + 1 KMP states
-    of the target's digit pattern instead of the base**m cells. Each class
-    carries its hit-count polynomial sum_c w_c z**c packed into one int,
-    with slot c at bit c * width (Kronecker substitution). The width holds
-    the total weight, which bounds every slot, so slots never carry into
-    each other: a step is one big-int add per (class, digit) and one shift
-    by width for the target.
+    Entry s of row r is the hit-count polynomial sum_c w_c z**c of the next
+    r digits from class s of `_chain`: w_c of the base**r digit strings
+    step onto the target's class exactly c times. It is packed into one
+    int with slot c at bit c * width (Kronecker substitution); the width
+    must hold the largest weight a caller adds into one slot, so slots
+    never carry into each other. A row is one big-int add per (class,
+    digit) and one shift by width for the target.
     """
-    width = (cells * base ** (length - 1)).bit_length()
-    classes, succ, hit = _chain(base, cells, target)
-    states = len(succ)
-    polys = [0] * states
-    for cls in classes:
-        polys[cls] += 1
-    polys[hit] <<= width
+    row = [1] * len(succ)
+    yield row
     for _ in range(length - 1):
-        new = [0] * states
-        for cls, poly in enumerate(polys):
-            for nxt in succ[cls]:
-                new[nxt] += poly
-        new[hit] <<= width
-        polys = new
-    total = sum(polys)
-    mask = (1 << width) - 1
-    return [(total >> (c * width)) & mask for c in range(length + 1)]
+        moved = row.copy()
+        moved[hit] <<= width
+        row = [sum(moved[n] for n in nxt) for nxt in succ]
+        yield row
 
 
 def cutoff_measure(
@@ -318,20 +307,28 @@ def cutoff_measure(
     count of the orbit indices 0..length-1 in cell `target` of the uniform
     partition into `cells` pieces.
 
-    The weight of the qualifying counts in the exact hit-count distribution
-    (`_count_distribution`); it equals the measure of `cutoff_region` for
-    the same cutoffs.
+    Each cell starts a digit path of length - 1 steps, with a hit of its
+    own when it is the target, so the last row of the future-hit table
+    (`_future_hits`), summed over the cells with the target's class
+    shifted one slot, is the exact hit-count distribution over
+    cells * base**(length - 1) equal weights. The measure is the weight of
+    the qualifying slots; it equals the measure of `cutoff_region` for the
+    same cutoffs.
     """
-    _check_cell(cells, target)
-    if c_hi <= c_lo + 1:
-        # every integer count qualifies
-        return ONE
-    if c_lo < 0 and c_hi > length:
-        return ZERO
-    weights = _count_distribution(base, length, cells, target)
+    classes, succ, hit = _chain(base, cells, target)
+    denom = cells * base ** (length - 1)
+    width = denom.bit_length()
+    for row in _future_hits(succ, hit, length, width):
+        pass  # only the last row is needed
+    total = sum(row[cls] << width * (cls == hit) for cls in classes)
+    mask = (1 << width) - 1
     return Fraction(
-        sum(w for c, w in enumerate(weights) if c <= c_lo or c >= c_hi),
-        cells * base ** (length - 1),
+        sum(
+            (total >> (c * width)) & mask
+            for c in range(length + 1)
+            if c <= c_lo or c >= c_hi
+        ),
+        denom,
     )
 
 

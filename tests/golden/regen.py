@@ -70,6 +70,7 @@ def cases():
                 ("verify", "cert.json"),
             ]
     yield "refuse-paper", [("digits", "--preset", "paper", "--count", "12")]
+    yield "verify-missing-file", [("verify", "missing.json")]
     for which in LEMMAS:
         yield "lemma-" + which, [("lemma", "--which", which)]
     for name, x, base, count in (
@@ -81,6 +82,14 @@ def cases():
             ("discrepancy", "--x", x, "--base", str(base), "--count", str(count),
              "--ratio"),
         ]
+    yield "digits-file-discrepancy", [
+        ("digits", "--preset", "toy-sparse", "--count", "64", "--digits-out",
+         "digits.txt"),
+    ] + [
+        ("discrepancy", "--digits-file", "digits.txt", "--base", str(base),
+         "--count", "64", "--ratio")
+        for base in (2, 3)
+    ]
     for preset in TOY_PRESETS:
         yield "family-%s" % preset, [
             ("badset", "--preset", preset, "--which", "family", "--index", "4",

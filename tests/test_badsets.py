@@ -609,13 +609,13 @@ def test_union_decides_each_scale_and_walks_each_region_once(monkeypatch, name):
 @pytest.mark.parametrize("name", ["toy-mixed", "toy-seeded", "toy-sparse"])
 def test_family_regions_need_no_hit_count_dp(monkeypatch, name):
     # the region walk decides empty regions by itself, so a family builds
-    # the same components with the hit-count DP out of reach
+    # the same components with the exact measure out of reach
     components = bad_family(4, preset(name)).components
 
-    def no_dp(*args):
-        raise AssertionError("a region asked the hit-count DP")
+    def no_measure(*args):
+        raise AssertionError("a region asked for the exact measure")
 
-    monkeypatch.setattr(orbit, "_count_distribution", no_dp)
+    monkeypatch.setattr(orbit, "cutoff_measure", no_measure)
     assert bad_family(4, preset(name)).components == components
 
 

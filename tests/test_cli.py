@@ -219,6 +219,34 @@ def test_cli_import_loads_every_layer():
     assert set(done.stdout.split()) >= {"normnum." + layer for layer in LAYERS}
 
 
+def test_launcher_traces_every_kind_of_call(tmp_path):
+    # bench/launcher.py wraps functions and methods by name and binds
+    # counter arguments by name, so a rename under src/ that breaks it
+    # shows here as a failed run or an empty trace
+    launcher = Path(__file__).parents[1] / "bench" / "launcher.py"
+    src = str(Path(normnum.__file__).resolve().parent.parent)
+    for argv in (
+        ["digits", "--preset", "toy-mixed", "--count", "2", "--cert-out", "cert.json"],
+        ["verify", "cert.json"],
+        ["lemma", "--which", "badic"],
+        ["discrepancy", "--x", "1/7", "--count", "32", "--ratio"],
+    ):
+        trace = tmp_path / "trace.json"
+        trace.unlink(missing_ok=True)
+        done = subprocess.run(
+            [sys.executable, str(launcher), str(trace), *argv],
+            cwd=tmp_path,
+            env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode == 0, (argv, done.stderr)
+        spans = json.loads(trace.read_text(encoding="utf-8"))["spans"]
+        assert spans["cli.main"][0] == 1, argv
+        assert len(spans) > 2, argv
+
+
 @pytest.mark.parametrize(
     "argv",
     [

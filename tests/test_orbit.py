@@ -1,8 +1,9 @@
-"""Windowed orbit statistics: exact counts, sweeps, and the cell DP."""
+"""Windowed orbit statistics: exact counts, regions, and the future-hit table."""
 
 import random
 import sys
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 from math import lcm
 
@@ -522,6 +523,74 @@ def test_count_distribution_matches_reference_dp():
                 )
 
 
+def exhaustive_visits(base, cells, start, depth):
+    """For r = 0..depth, a Counter of the visit vectors of the base**r digit
+    strings from cell `start`, one string at a time: cell c's visits after
+    the start, in bits 8c to 8c + 7 (depth < 256)."""
+    steps = [[(base * cell + d) % cells for d in range(base)] for cell in range(cells)]
+    level = [(start, 0)]
+    counters = [Counter({0: 1})]
+    for _ in range(depth):
+        level = [(n, v + (1 << 8 * n)) for cell, v in level for n in steps[cell]]
+        counters.append(Counter(v for _, v in level))
+    return counters
+
+
+def reference_hit_bounds(succ, hit, length):
+    """The fewest and the most hits over the next r digits from each class
+    of `_chain`, by the min/max recurrence the region walk once kept."""
+    fewest, most = [[0] * len(succ)], [[0] * len(succ)]
+    for _ in range(length - 1):
+        fewest.append([min(fewest[-1][n] + (n == hit) for n in nxt) for nxt in succ])
+        most.append([max(most[-1][n] + (n == hit) for n in nxt) for nxt in succ])
+    return fewest, most
+
+
+def test_future_hit_table_matches_exhaustive_histograms():
+    # every slot of every entry F[r][s] is the number of the base**r digit
+    # strings from class s that step onto the target exactly that often;
+    # its lowest and highest nonzero slots are the old min/max recurrence,
+    # and the last row summed over the cells is the window's distribution
+    depth = 6
+    for base in (2, 3, 5):
+        for cells in range(1, 13):
+            visits = [exhaustive_visits(base, cells, start, depth) for start in range(cells)]
+            for target in range(cells):
+                # hists[start][r][c]: strings of r digits from start with c hits
+                hists = []
+                for counters in visits:
+                    hists.append([[0] * (r + 1) for r in range(depth + 1)])
+                    for r, counter in enumerate(counters):
+                        for v, strings in counter.items():
+                            hists[-1][r][(v >> 8 * target) & 255] += strings
+                classes, succ, hit = orbit._chain(base, cells, target)
+                for length in range(1, depth + 2):
+                    width = (cells * base ** (length - 1)).bit_length()
+                    mask = (1 << width) - 1
+                    rows = list(orbit._future_hits(succ, hit, length, width))
+                    assert len(rows) == length
+                    fewest, most = reference_hit_bounds(succ, hit, length)
+                    for r, row in enumerate(rows):
+                        assert len(row) == len(succ)
+                        for s, poly in enumerate(row):
+                            hist = hists[classes.index(s)][r]
+                            slots = [(poly >> (c * width)) & mask for c in range(r + 1)]
+                            assert slots == hist and poly >> ((r + 1) * width) == 0, (
+                                base, cells, target, length, r, s
+                            )
+                            nonzero = [c for c, w in enumerate(slots) if w]
+                            assert (nonzero[0], nonzero[-1]) == (fewest[r][s], most[r][s])
+                    denom = cells * base ** (length - 1)
+                    window = [0] * (length + 1)
+                    for start, hist in enumerate(hists):
+                        for c, strings in enumerate(hist[length - 1]):
+                            window[c + (start == target)] += strings
+                    for c in range(length + 1):
+                        assert cutoff_measure(
+                            base, length, cells, target, c - 1, c + 1
+                        ) == 1 - F(window[c], denom), (base, cells, target, length, c)
+
+
 def test_cell_classes_are_kmp_states(monkeypatch):
     # base**m cells merge into the m + 1 match-length states of the target's
     # digit pattern; coprime cells keep one class each
@@ -532,7 +601,7 @@ def test_cell_classes_are_kmp_states(monkeypatch):
     assert len(set(_cell_classes(2, 12, 5))) == 5
     assert len(set(_cell_classes(3, 6, 1))) == 3
     assert len(set(_cell_classes(3, 8, 3))) == 8
-    # and the DP runs on those classes
+    # and the future-hit table runs on those classes
     calls = []
     real = orbit._cell_classes
     monkeypatch.setattr(

@@ -10,60 +10,52 @@ verification or bound check failure.
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import sys
 from fractions import Fraction
 
-from .badsets import (
-    DomainError,
-    PRESET_NAMES,
-    Schedule,
-    StraddleError,
-    bad_family,
-    badic_deviation_bound,
-    band_depth_triangle_check,
-    block_bad_set,
-    dyadic_deviation_bound,
-    preset,
-    summed_mass_tail_check,
-    tail_bad_set,
-    tail_mass_bound,
-    window_cover_check,
-)
-from .constructor import (
-    MAX_DIGIT_COUNT,
-    Certificate,
-    IndeterminateError,
-    chain_margin_check,
-    digits_to_fraction,
-    naive_cost_log2,
-    read_digit_file,
-    run_construction,
-    verify_certificate,
-    write_digit_file,
-)
-from .discrepancy import (
-    extreme_discrepancy,
-    normalized_ratio,
-    orbit_points,
-    sorted_points,
-    star_discrepancy,
-)
-from .enclose import Enclosure
+from .enclose import Enclosure, naive_cost_log2
 from .measure import (
+    DEFAULT_EVENT_BUDGET,
+    MAX_DIGIT_COUNT,
+    MAX_EVENT_BUDGET,
     BudgetError,
+    decimal_string,
     format_fraction,
     parse_fraction,
     region_to_json,
 )
-from .orbit import (
-    DEFAULT_EVENT_BUDGET,
-    MAX_EVENT_BUDGET,
-    Window,
-    deviation_measure,
-    relabelling_representatives,
-)
-from .mc import SamplerSpec, sample_integers
+from .schedule import PRESET_NAMES, Schedule, preset
+
+
+def _deferred(name: str):
+    """The layer `normnum.<name>`, put in `sys.modules` and on the package
+    as an import would (an already imported one is returned as it is),
+    with its body run on its first attribute access: the stdlib
+    `LazyLoader` recipe.
+
+    So a command runs only the layers it uses. Imports inside the handlers
+    would too, but `bench/launcher.py` wraps the functions of every layer
+    it finds in `sys.modules` right after `import normnum.cli`; its
+    `vars(module)` runs the body then."""
+    fullname = "%s.%s" % (__package__, name)
+    module = sys.modules.get(fullname)
+    if module is None:
+        spec = importlib.util.find_spec(fullname)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[fullname] = module
+        spec.loader.exec_module(module)
+        setattr(sys.modules[__package__], name, module)
+    return module
+
+
+orbit = _deferred("orbit")
+badsets = _deferred("badsets")
+constructor = _deferred("constructor")
+discrepancy = _deferred("discrepancy")
+mc = _deferred("mc")
 
 DEFAULT_SEED = 20260819
 
@@ -137,7 +129,7 @@ def _check_digit_count(count: int) -> None:
 def _cmd_digits(args) -> int:
     _check_digit_count(args.count)
     schedule = _load_schedule(args)
-    certificate = run_construction(
+    certificate = constructor.run_construction(
         schedule, args.count, precision=args.precision, budget=args.budget
     )
     report = {
@@ -148,7 +140,7 @@ def _cmd_digits(args) -> int:
         "digits": certificate.digits,
     }
     if args.digits_out:
-        write_digit_file(args.digits_out, certificate)
+        constructor.write_digit_file(args.digits_out, certificate)
         report["digits_path"] = args.digits_out
     if args.cert_out:
         with open(args.cert_out, "w", encoding="ascii") as handle:
@@ -161,7 +153,7 @@ def _cmd_digits(args) -> int:
 def _cmd_badset(args) -> int:
     schedule = _load_schedule(args)
     if args.which == "family":
-        family = bad_family(args.index, schedule, args.precision, args.budget)
+        family = badsets.bad_family(args.index, schedule, args.precision, args.budget)
         report = {
             "schema": "normnum.badset/1",
             "which": "family",
@@ -170,7 +162,7 @@ def _cmd_badset(args) -> int:
             "components": family.component_count(),
             "outer_measure": format_fraction(family.outer_measure_bound()),
             "inner_measure": format_fraction(family.inner_measure_bound()),
-            "tail_bound": format_fraction(tail_mass_bound(args.index, schedule)),
+            "tail_bound": format_fraction(badsets.tail_mass_bound(args.index, schedule)),
             "labels": [comp.label for comp in family.components],
         }
         if args.list_parts:
@@ -186,7 +178,7 @@ def _cmd_badset(args) -> int:
     if args.band_scale is None:
         raise ValueError("--band-scale is required for block and tail sets")
     if args.which == "block":
-        piece = block_bad_set(
+        piece = badsets.block_bad_set(
             args.base,
             args.index,
             args.band_index,
@@ -198,7 +190,7 @@ def _cmd_badset(args) -> int:
     else:
         if args.window_scale is None:
             raise ValueError("--window-scale is required for tail sets")
-        piece = tail_bad_set(
+        piece = badsets.tail_bad_set(
             args.base,
             args.index,
             args.band_index,
@@ -248,14 +240,16 @@ def _cmd_discrepancy(args) -> int:
             )
         source = format_fraction(x)
     else:
-        digits, _meta = read_digit_file(args.digits_file)
-        x = digits_to_fraction(digits)
+        digits, _meta = constructor.read_digit_file(args.digits_file)
+        x = constructor.digits_to_fraction(digits)
         source = args.digits_file
     if not 0 <= x < 1:
         raise ValueError("the point must lie in [0, 1)")
-    points = sorted_points(orbit_points(x, args.base, args.count))
-    star = star_discrepancy(points)
-    extreme = extreme_discrepancy(points)
+    points = discrepancy.sorted_points(
+        discrepancy.orbit_points(x, args.base, args.count)
+    )
+    star = discrepancy.star_discrepancy(points)
+    extreme = discrepancy.extreme_discrepancy(points)
     report = {
         "schema": "normnum.discrepancy/1",
         "source": source,
@@ -267,7 +261,7 @@ def _cmd_discrepancy(args) -> int:
         "star_approx": _approx(star),
     }
     if args.ratio:
-        ratio = normalized_ratio(extreme, args.count, args.precision)
+        ratio = discrepancy.normalized_ratio(extreme, args.count, args.precision)
         report["ratio"] = ratio.to_json()
         report["ratio_approx"] = _approx(ratio)
     _emit(report)
@@ -278,12 +272,12 @@ def _cmd_verify(args) -> int:
     with open(args.certificate, "r", encoding="utf-8") as handle:
         text = handle.read()
     try:
-        certificate = Certificate.load(text)
+        certificate = constructor.Certificate.load(text)
     except (ValueError, KeyError, TypeError) as exc:
         print("malformed certificate: %s" % exc, file=sys.stderr)
         return 5
     _check_digit_count(len(certificate.steps))
-    report = verify_certificate(certificate, budget=args.budget)
+    report = constructor.verify_certificate(certificate, budget=args.budget)
     _emit({"schema": "normnum.verify/1", "digits": certificate.digits, **report.to_json()})
     return 0 if report.ok else 5
 
@@ -302,9 +296,9 @@ def _cmd_verify(args) -> int:
 def _deviation_grid(which: str) -> tuple:
     return {
         "badic": (
-            badic_deviation_bound,
+            badsets.badic_deviation_bound,
             lambda base, m: base**m,
-            relabelling_representatives,
+            orbit.relabelling_representatives,
             True,
             "band_scale",
             [
@@ -316,7 +310,7 @@ def _deviation_grid(which: str) -> tuple:
             ],
         ),
         "dyadic": (
-            dyadic_deviation_bound,
+            badsets.dyadic_deviation_bound,
             lambda base, k: 2**k,
             lambda base, k: range((2**k + 1) // 2),
             False,
@@ -340,8 +334,8 @@ def _lemma_deviation_grid(args) -> tuple[list[dict], bool]:
         bound = bound_of(base, scale, length, eps, args.precision)
         cells = cells_of(base, scale)
         worst = max(
-            deviation_measure(
-                Window(base, 0, length), cells, a, eps * length, strict=strict
+            orbit.deviation_measure(
+                orbit.Window(base, 0, length), cells, a, eps * length, strict=strict
             )
             for a in targets_of(base, scale)
         )
@@ -364,7 +358,7 @@ def _lemma_deviation_grid(args) -> tuple[list[dict], bool]:
 
 
 def _seeded_rationals(seed: int, count: int, denominator_bits: int = 16):
-    for raw in sample_integers(SamplerSpec(seed=seed, count=count)):
+    for raw in mc.sample_integers(mc.SamplerSpec(seed=seed, count=count)):
         den = (raw & ((1 << denominator_bits) - 1)) | 1
         num = (raw >> denominator_bits) % (den + 1)
         yield Fraction(num % den, den)
@@ -380,7 +374,7 @@ def _lemma_depth(args) -> tuple[list[dict], bool]:
         depth = i % 4
         lo = x / 2
         hi = lo + Fraction(1, 2)
-        result = band_depth_triangle_check(x, base, length, lo, hi, depth)
+        result = badsets.band_depth_triangle_check(x, base, length, lo, hi, depth)
         ok = ok and result["holds"]
         rows.append(
             {
@@ -405,7 +399,7 @@ def _lemma_cover(args) -> tuple[list[dict], bool]:
         length = 4 + (i * 5) % 21
         h = 1 + (i % 3)
         a = i % 2**h
-        result = window_cover_check(x, base, length, a, h)
+        result = badsets.window_cover_check(x, base, length, a, h)
         ok = ok and result["holds"]
         rows.append(
             {
@@ -422,7 +416,7 @@ def _lemma_cover(args) -> tuple[list[dict], bool]:
 
 
 def _lemma_chain(args) -> tuple[list[dict], bool]:
-    result = chain_margin_check(preset("paper"), max_step=20)
+    result = constructor.chain_margin_check(preset("paper"), max_step=20)
     rows = [
         {
             "step": i + 1,
@@ -444,7 +438,7 @@ def _lemma_chain(args) -> tuple[list[dict], bool]:
 
 
 def _lemma_masstail(args) -> tuple[list[dict], bool]:
-    result = summed_mass_tail_check(args.start, Fraction(1, 2), Fraction(1, 8))
+    result = badsets.summed_mass_tail_check(args.start, Fraction(1, 2), Fraction(1, 8))
     row = {
         "start_index": args.start,
         "bound": format_fraction(result["bound"]),
@@ -481,17 +475,8 @@ def _cmd_lemma(args) -> int:
 def _cmd_cost(args) -> int:
     value = naive_cost_log2(args.n, args.precision)
     exact = not isinstance(value, Enclosure)
-    # the logarithm has up to 1.3 million digits (--n 10); raise the
-    # process-wide int-string limit for this one conversion only
-    scoped = hasattr(sys, "set_int_max_str_digits")
-    if scoped:
-        limit = sys.get_int_max_str_digits()
-        sys.set_int_max_str_digits(2_000_000)
-    try:
-        log2_states = str(value) if exact else value.to_json()
-    finally:
-        if scoped:
-            sys.set_int_max_str_digits(limit)
+    # the ends run to 1.3 million digits (--n 10), past the int-string limit
+    log2_states = decimal_string(value) if exact else value.to_json()
     _emit(
         {
             "schema": "normnum.cost/1",
@@ -581,12 +566,14 @@ def main(argv=None) -> int:
     except BudgetError as exc:
         print("budget exceeded: %s" % exc, file=sys.stderr)
         return 3
-    except (IndeterminateError, StraddleError) as exc:
-        print("indeterminate: %s" % exc, file=sys.stderr)
-        return 4
-    except (DomainError, ValueError) as exc:
+    except ValueError as exc:  # badsets.DomainError included
         print("error: %s" % exc, file=sys.stderr)
         return 2
+    except (constructor.IndeterminateError, badsets.StraddleError) as exc:
+        # evaluated only when such an error propagates, so a command that
+        # never used these layers does not run them here
+        print("indeterminate: %s" % exc, file=sys.stderr)
+        return 4
     except OSError as exc:
         print("i/o error: %s" % exc, file=sys.stderr)
         return 1

@@ -15,11 +15,12 @@ import json
 from fractions import Fraction
 from functools import partial
 from itertools import count, islice
-from typing import Iterator, Optional, Union
+from typing import Iterator, Optional
 
-from .badsets import Schedule, bad_family, tail_mass_bound
-from .enclose import Enclosure, enclose_log2
+from .badsets import bad_family, tail_mass_bound
 from .measure import (
+    DEFAULT_EVENT_BUDGET,
+    MAX_DIGIT_COUNT,
     UNIT,
     ZERO,
     BudgetError,
@@ -28,17 +29,11 @@ from .measure import (
     format_fraction,
     parse_fraction,
 )
-from .orbit import DEFAULT_EVENT_BUDGET
+from .schedule import Schedule
 
 CERTIFICATE_SCHEMA = "normnum.certificate/1"
 DIGIT_FILE_HEADER = "# normnum digit file v1"
 DIGITS_PER_LINE = 64
-
-# Digit steps above which `digits --count` and `verify` are refused before
-# any family is built, and digits above which a digit file is refused: step
-# k carries k-bit denominators in every field, and a point of k digits has
-# a 2**k denominator that every orbit point carries.
-MAX_DIGIT_COUNT = 1 << 12
 
 
 class IndeterminateError(RuntimeError):
@@ -374,25 +369,6 @@ def chain_margin_check(schedule: Schedule, max_step: int = 20) -> dict:
         "holds_seven_eighths": partial < Fraction(7, 8),
         "holds_with_eta": schedule.eta + partial < 1,
     }
-
-
-def naive_cost_log2(n: int, precision: int = 96) -> Union[int, Enclosure]:
-    """log2 of the brute-force state count a depth-n exhaustive scan visits.
-
-    Exact integer when the alphabet size 2n+2 is a power of two, otherwise
-    a rational enclosure. Rejects n > 10, where even the logarithm stops
-    being printable.
-    """
-    if n < 1:
-        raise ValueError("n must be positive")
-    if n > 10:
-        raise ValueError("n larger than 10 is not supported")
-    states = 2 * n + 2
-    factor = 2 ** (2 ** (2 * n + 2))
-    if states & (states - 1) == 0:
-        return factor * (states.bit_length() - 1)
-    lg = enclose_log2(states, precision)
-    return Enclosure(factor * lg.lo, factor * lg.hi)
 
 
 def digits_to_fraction(digits: str, base: int = 2) -> Fraction:

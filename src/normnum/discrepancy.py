@@ -8,13 +8,17 @@ Sequences, ch. 2, Thms 1.4-1.5):
     D_N  = 1/N + max(i/N - x_(i)) - min(i/N - x_(i))
     D*_N = 1/(2N) + max |x_(i) - (2i-1)/(2N)|
 
-Each is one pass over the sorted points in exact rationals, so the cost is
-the O(N log N) sort, done once for both: no search, no rounding.
+Each is one pass over the sorted points, so the cost is the O(N log N)
+sort, done once for both: no search, no rounding. The points are kept as
+integer numerators over one common denominator Q (an orbit's points all
+sit on the grid of x's denominator), so the sort and both passes compare
+integers, and each form builds one `Fraction`, at the end.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 from .enclose import Enclosure, eval_iv_tight, iv_fraction
@@ -38,44 +42,55 @@ def orbit_points(x: RationalLike, base: int, count: int) -> list[Fraction]:
 
 
 class _SortedPoints(tuple):
-    """Points already checked and sorted by `sorted_points`."""
+    """Points checked and sorted by `sorted_points`: ascending integer
+    numerators over the common denominator `denominator`."""
+
+    denominator: int
 
 
-def sorted_points(points: Sequence[RationalLike]) -> Sequence[Fraction]:
-    """The points as exact rationals in ascending order, checked to lie in
-    [0, 1). Both discrepancy functions take the result as it is, so one
-    sort serves both."""
+def sorted_points(points: Sequence[RationalLike]) -> Sequence[int]:
+    """The points in ascending order, checked to lie in [0, 1), as integer
+    numerators over their least common denominator. Both discrepancy
+    functions take the result as it is, so one sort serves both."""
     if isinstance(points, _SortedPoints):
         return points
     if not points:
         raise ValueError("discrepancy needs at least one point")
-    values = sorted(as_fraction(p) for p in points)
-    if values[0] < 0 or values[-1] >= 1:
+    values = [as_fraction(p) for p in points]
+    common = lcm(*{v.denominator for v in values})
+    grid = _SortedPoints(
+        sorted(v.numerator * (common // v.denominator) for v in values)
+    )
+    if grid[0] < 0 or grid[-1] >= common:
         raise ValueError("points must lie in [0, 1)")
-    return _SortedPoints(values)
+    grid.denominator = common
+    return grid
 
 
 def extreme_discrepancy(points: Sequence[RationalLike]) -> Fraction:
     """Exact two-sided interval discrepancy of a finite point multiset.
 
     D_N = 1/N + max(i/N - x_(i)) - min(i/N - x_(i)) over the sorted points
-    x_(1) <= ... <= x_(N), repeats counted with multiplicity.
+    x_(1) <= ... <= x_(N), repeats counted with multiplicity. With
+    x_(i) = m_i / Q each gap is (i*Q - N*m_i) / (N*Q).
     """
     pts = sorted_points(points)
-    n = len(pts)
-    gaps = [Fraction(i, n) - x for i, x in enumerate(pts, 1)]
-    return Fraction(1, n) + max(gaps) - min(gaps)
+    n, q = len(pts), pts.denominator
+    gaps = [i * q - n * m for i, m in enumerate(pts, 1)]
+    return Fraction(q + max(gaps) - min(gaps), n * q)
 
 
 def star_discrepancy(points: Sequence[RationalLike]) -> Fraction:
     """Exact anchored discrepancy sup over [0, v), 0 < v <= 1.
 
-    D*_N = 1/(2N) + max |x_(i) - (2i-1)/(2N)| over the sorted points.
+    D*_N = 1/(2N) + max |x_(i) - (2i-1)/(2N)| over the sorted points; with
+    x_(i) = m_i / Q each term is |2N*m_i - (2i-1)*Q| / (2N*Q).
     """
     pts = sorted_points(points)
-    n = len(pts)
-    return Fraction(1, 2 * n) + max(
-        abs(x - Fraction(2 * i - 1, 2 * n)) for i, x in enumerate(pts, 1)
+    n, q = len(pts), pts.denominator
+    return Fraction(
+        q + max(abs(2 * n * m - (2 * i - 1) * q) for i, m in enumerate(pts, 1)),
+        2 * n * q,
     )
 
 

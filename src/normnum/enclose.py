@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import isqrt
-from typing import Callable
+from typing import Callable, Union
 
 from .measure import RationalLike, Record, as_fraction, format_fraction
 
@@ -475,3 +475,22 @@ def enclose_log2(x: RationalLike, precision: int = 64) -> Enclosure:
     return eval_iv_tight(
         precision, lambda: iv_fraction(x).log() / iv_fraction(2).log()
     )
+
+
+def naive_cost_log2(n: int, precision: int = 96) -> Union[int, Enclosure]:
+    """log2 of the brute-force state count a depth-n exhaustive scan visits.
+
+    Exact integer when the alphabet size 2n+2 is a power of two, otherwise
+    a rational enclosure. Rejects n > 10, where even the logarithm stops
+    being printable.
+    """
+    if n < 1:
+        raise ValueError("n must be positive")
+    if n > 10:
+        raise ValueError("n larger than 10 is not supported")
+    states = 2 * n + 2
+    factor = 2 ** (2 ** (2 * n + 2))
+    if states & (states - 1) == 0:
+        return factor * (states.bit_length() - 1)
+    lg = enclose_log2(states, precision)
+    return Enclosure(factor * lg.lo, factor * lg.hi)

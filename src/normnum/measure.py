@@ -32,6 +32,62 @@ class BudgetError(RuntimeError):
     """An operation would exceed its explicit work budget."""
 
 
+# Events a region walk may visit unless a caller grants another budget.
+DEFAULT_EVENT_BUDGET = 5_000_000
+
+# Largest event budget a caller may grant a sweep. It bounds the leaves of
+# each cell branch of the region walk, base**(end - 1), and the region's
+# parts, one per two events; an unbounded budget means unbounded memory.
+MAX_EVENT_BUDGET = 1 << 23
+
+# Digit steps above which `digits --count` and `verify` are refused before
+# any family is built, and digits above which a digit file is refused: step
+# k carries k-bit denominators in every field, and a point of k digits has
+# a 2**k denominator that every orbit point carries.
+MAX_DIGIT_COUNT = 1 << 12
+
+# Bit length up to which an integer is printed with "%d". CPython converts
+# an int to decimal in quadratic time, so longer ones are split in halves by
+# a power of two and joined in `decimal`, whose products are subquadratic.
+# The bound sits below the 4300 digits of the default int-string limit.
+_PLAIN_DECIMAL_BITS = 1 << 13
+
+
+def decimal_string(value: int) -> str:
+    """The integer in decimal, as "%d" gives it, in subquadratic time."""
+    if value.bit_length() <= _PLAIN_DECIMAL_BITS:
+        return "%d" % value
+    import decimal
+
+    powers = {}
+
+    def power(bits):  # 2**bits as a Decimal, each size built once
+        if bits not in powers:
+            if bits <= _PLAIN_DECIMAL_BITS:
+                powers[bits] = decimal.Decimal(1 << bits)
+            else:
+                half = bits >> 1
+                powers[bits] = power(half) * power(bits - half)
+        return powers[bits]
+
+    def convert(n, bits):  # n < 2**bits
+        if bits <= _PLAIN_DECIMAL_BITS:
+            return decimal.Decimal(n)
+        half = bits >> 1
+        high = n >> half
+        return convert(high, bits - half) * power(half) + convert(
+            n - (high << half), half
+        )
+
+    with decimal.localcontext() as ctx:
+        # integers only, each exact: no rounding, no exponent
+        ctx.prec = decimal.MAX_PREC
+        ctx.Emax = decimal.MAX_EMAX
+        ctx.traps[decimal.Inexact] = True
+        text = str(convert(abs(value), value.bit_length()))
+    return "-" + text if value < 0 else text
+
+
 def as_fraction(value: RationalLike) -> Fraction:
     if isinstance(value, Fraction):
         return value
@@ -43,7 +99,10 @@ def as_fraction(value: RationalLike) -> Fraction:
 def format_fraction(value: RationalLike) -> str:
     """Serialize as "num/den", always with an explicit denominator."""
     x = as_fraction(value)
-    return "%d/%d" % (x.numerator, x.denominator)
+    num, den = x.numerator, x.denominator
+    if num.bit_length() > _PLAIN_DECIMAL_BITS or den.bit_length() > _PLAIN_DECIMAL_BITS:
+        return "%s/%s" % (decimal_string(num), decimal_string(den))
+    return "%d/%d" % (num, den)
 
 
 def parse_fraction(text: str) -> Fraction:

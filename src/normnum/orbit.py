@@ -45,13 +45,6 @@ from .measure import (
     as_fraction,
 )
 
-DEFAULT_EVENT_BUDGET = 5_000_000
-
-# Largest event budget a caller may grant a sweep. It bounds the leaves of
-# each cell branch of the region walk, base**(end - 1), and the region's
-# parts, one per two events; an unbounded budget means unbounded memory.
-MAX_EVENT_BUDGET = 1 << 23
-
 
 class Band(Record):
     """Dyadic target interval [a / 2**k, (a + 1) / 2**k)."""

@@ -116,6 +116,8 @@ def cases():
         ("badset", "--preset", "toy-mixed", "--which", "block", "--base", "3",
          "--index", "4", "--band-scale", "1"),
     ]
+    for n in (2, 9, 10):
+        yield "cost-n%d" % n, [("cost", "--n", str(n))]
 
 
 def main() -> int:

@@ -17,14 +17,12 @@ from normnum.badsets import (
     badic_deviation_bound,
     band_depth_triangle_check,
     dyadic_deviation_bound,
-    preset,
     window_cover_check,
 )
 from normnum.cli import main
 from normnum.constructor import (
     Certificate,
     chain_margin_check,
-    naive_cost_log2,
     run_construction,
     verify_certificate,
 )
@@ -34,17 +32,17 @@ from normnum.discrepancy import (
     philipp_constant,
     star_discrepancy,
 )
-from normnum.enclose import Enclosure
+from normnum.enclose import Enclosure, naive_cost_log2
 from normnum.mc import SamplerSpec
-from normnum.measure import IntervalSet, PeriodicIntervalSet
+from normnum.measure import DEFAULT_EVENT_BUDGET, IntervalSet, PeriodicIntervalSet
 from normnum.orbit import (
-    DEFAULT_EVENT_BUDGET,
     Band,
     Window,
     count_cutoffs,
     cutoff_region,
     deviation_measure,
 )
+from normnum.schedule import preset
 
 from mc_estimate import estimate_measure
 

@@ -9,9 +9,6 @@ from mpmath import iv
 
 from normnum.badsets import (
     DomainError,
-    HARD_START_FLOOR,
-    PRESET_NAMES,
-    Schedule,
     StraddleError,
     _tilted_threshold,
     bad_family,
@@ -21,7 +18,6 @@ from normnum.badsets import (
     block_bad_union,
     depth_limit,
     dyadic_deviation_bound,
-    preset,
     summed_mass_tail_check,
     tail_bad_set,
     tail_bad_union,
@@ -32,14 +28,20 @@ import normnum.badsets as badsets_module
 from normnum import orbit
 from normnum.cli import main
 from normnum.enclose import Enclosure, eval_iv_tight
-from normnum.measure import IntervalSet, PeriodicIntervalSet
+from normnum.measure import DEFAULT_EVENT_BUDGET, IntervalSet, PeriodicIntervalSet
 from normnum.orbit import (
-    DEFAULT_EVENT_BUDGET,
     Band,
     Window,
     count_cutoffs,
     cutoff_region,
     f_value,
+)
+from normnum.schedule import (
+    HARD_START_FLOOR,
+    PRESET_NAMES,
+    Schedule,
+    _TOY_COMMON,
+    preset,
 )
 
 from mpmath_iv import mpmath_expr
@@ -166,7 +168,7 @@ def test_schedule_validation():
 )
 def test_schedule_refuses_non_integer_fields(field, value, phrase):
     # nothing is coerced with int(): 4.9 would otherwise become start index 4
-    fields = dict(badsets_module._TOY_COMMON, **{field: value})
+    fields = dict(_TOY_COMMON, **{field: value})
     with pytest.raises(ValueError, match=phrase):
         Schedule("bad", F(-2, 5), F(1, 8), **fields)
 
@@ -538,7 +540,7 @@ def reference_family(index, schedule):
 
 
 def toy_schedule(delta):
-    return Schedule("toy-delta", delta, F(1, 8), **badsets_module._TOY_COMMON)
+    return Schedule("toy-delta", delta, F(1, 8), **_TOY_COMMON)
 
 
 # two tilts whose top band scale gets other cutoffs than the scale below

@@ -24,7 +24,7 @@ from normnum.badsets import MAX_SIZE_INDEX
 from normnum.cli import MAX_DIGIT_COUNT, MAX_ORBIT_POINTS, MAX_PRECISION, main
 from normnum.constructor import read_digit_file
 from normnum.enclose import Enclosure
-from normnum.orbit import MAX_EVENT_BUDGET
+from normnum.measure import MAX_EVENT_BUDGET
 
 
 def run(capsys, *argv):
@@ -217,6 +217,32 @@ def test_cli_import_loads_every_layer():
     )
     assert done.returncode == 0, done.stderr
     assert set(done.stdout.split()) >= {"normnum." + layer for layer in LAYERS}
+
+
+@pytest.mark.parametrize(
+    "argv, executed",
+    [
+        (
+            ["discrepancy", "--x", "1/7", "--count", "32", "--ratio"],
+            {"cli", "discrepancy", "enclose", "measure", "schedule"},
+        ),
+        (["cost", "--n", "1"], {"cli", "enclose", "measure", "schedule"}),
+    ],
+    ids=["discrepancy", "cost"],
+)
+def test_commands_run_only_the_layers_they_use(argv, executed):
+    # the CLI defers the other layers: each is in sys.modules from the
+    # import on, and its body runs on its first attribute access. Until
+    # then it is a lazy module subclass, which type() reads without a load
+    done = run_python(
+        "import types; from normnum.cli import main; code = main(sys.argv[1:]); "
+        "print(' '.join(name for name, module in sys.modules.items() "
+        "if name.startswith('normnum.') and type(module) is types.ModuleType), "
+        "file=sys.stderr); sys.exit(code)",
+        *argv,
+    )
+    assert done.returncode == 0, done.stderr
+    assert set(done.stderr.split()) == {"normnum." + layer for layer in executed}
 
 
 def test_launcher_traces_every_kind_of_call(tmp_path):
@@ -978,10 +1004,8 @@ def test_discrepancy_computed_once(capsys, monkeypatch, ratio):
         sorts.append(len(values))
         return values
 
-    # the CLI holds its own bindings; the module's cover any internal caller
-    monkeypatch.setattr(normnum.cli, "extreme_discrepancy", counted)
+    # the CLI calls both through their module
     monkeypatch.setattr(normnum.discrepancy, "extreme_discrepancy", counted)
-    monkeypatch.setattr(normnum.cli, "orbit_points", counted_orbit)
     monkeypatch.setattr(normnum.discrepancy, "orbit_points", counted_orbit)
     # the closed forms sort with the builtin, looked up in the module
     monkeypatch.setattr(normnum.discrepancy, "sorted", counted_sort, raising=False)
@@ -1004,7 +1028,6 @@ def test_discrepancy_count_above_bound_exits_three(
     def refuse(*args):
         raise AssertionError("orbit computed past the bound")
 
-    monkeypatch.setattr(normnum.cli, "orbit_points", refuse)
     monkeypatch.setattr(normnum.discrepancy, "orbit_points", refuse)
     if source == "x":
         argv = ["discrepancy", "--x", "1/3"]
@@ -1035,7 +1058,7 @@ def test_discrepancy_point_above_bound_exits_three(capsys, monkeypatch, tmp_path
     def refuse(*args):
         raise AssertionError("orbit computed past the bound")
 
-    monkeypatch.setattr(normnum.cli, "orbit_points", refuse)
+    monkeypatch.setattr(normnum.discrepancy, "orbit_points", refuse)
     if source == "x":
         argv = ["--x", "1/%d" % (2**MAX_DIGIT_COUNT + 1)]
     else:
@@ -1171,8 +1194,8 @@ def test_lemma_grids_pin_worst_measures(capsys, which):
 @pytest.mark.parametrize(
     "which, names",
     [
-        ("badic", ("badic_deviation_bound", "relabelling_representatives")),
-        ("dyadic", ("dyadic_deviation_bound",)),
+        ("badic", ("badsets.badic_deviation_bound", "orbit.relabelling_representatives")),
+        ("dyadic", ("badsets.dyadic_deviation_bound",)),
     ],
 )
 def test_lemma_grids_call_swapped_functions(capsys, monkeypatch, which, names):
@@ -1183,15 +1206,16 @@ def test_lemma_grids_call_swapped_functions(capsys, monkeypatch, which, names):
     plain = capsys.readouterr().out
     calls = []
     for name in names:
-        original = getattr(normnum.cli, name)
+        layer, attr = name.split(".")
+        original = getattr(sys.modules["normnum." + layer], attr)
 
         def swapped(*args, _name=name, _original=original):
             calls.append(_name)
             return _original(*args)
 
         for module_name, module in list(sys.modules.items()):
-            if module_name.startswith("normnum") and getattr(module, name, None) is original:
-                monkeypatch.setattr(module, name, swapped)
+            if module_name.startswith("normnum") and getattr(module, attr, None) is original:
+                monkeypatch.setattr(module, attr, swapped)
     assert main(["lemma", "--which", which]) == 0
     assert capsys.readouterr().out == plain
     assert set(calls) == set(names)

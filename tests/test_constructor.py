@@ -6,22 +6,22 @@ from fractions import Fraction
 import pytest
 
 import normnum.constructor
-from normnum.badsets import Schedule, bad_family, preset
+from normnum.badsets import bad_family
 from normnum.constructor import (
     MAX_DIGIT_COUNT,
     Certificate,
     IndeterminateError,
     chain_margin_check,
     digits_to_fraction,
-    naive_cost_log2,
     read_digit_file,
     run_construction,
     verify_certificate,
     write_digit_file,
 )
-from normnum.enclose import Enclosure
+from normnum.enclose import Enclosure, naive_cost_log2
 from normnum.measure import BudgetError, IntervalSet
 from normnum.orbit import f_value
+from normnum.schedule import Schedule, preset
 
 F = Fraction
 

@@ -7,7 +7,6 @@ from hypothesis import example, given, settings, strategies as st
 from mpmath import iv, libmp
 
 from normnum import badsets, discrepancy, enclose
-from normnum.badsets import HARD_START_FLOOR
 from normnum.enclose import (
     Enclosure,
     DyadicInterval,
@@ -16,6 +15,7 @@ from normnum.enclose import (
     eval_iv_tight,
     iv_fraction,
 )
+from normnum.schedule import HARD_START_FLOOR
 
 from mpmath_iv import mp_fraction, mpmath_expr
 

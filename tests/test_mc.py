@@ -4,18 +4,18 @@ from fractions import Fraction as F
 
 import pytest
 
-from normnum.badsets import block_bad_union, preset, tail_bad_union
+from normnum.badsets import block_bad_union, tail_bad_union
 from normnum.enclose import Enclosure
 from normnum.mc import SamplerSpec, sample_integers
-from normnum.measure import IntervalSet
+from normnum.measure import DEFAULT_EVENT_BUDGET, IntervalSet
 from normnum.orbit import (
-    DEFAULT_EVENT_BUDGET,
     Band,
     Window,
     count_cutoffs,
     cutoff_region,
     f_value,
 )
+from normnum.schedule import preset
 
 from mc_estimate import estimate_measure, sample_points
 

@@ -2,6 +2,8 @@
 
 import importlib.util
 import math
+import random
+import sys
 from bisect import bisect_right
 from fractions import Fraction
 from pathlib import Path
@@ -9,20 +11,23 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from normnum.badsets import BadFamily, FamilyComponent, Schedule, SetEnclosure
+from normnum.badsets import BadFamily, FamilyComponent, SetEnclosure
 from normnum.constructor import Certificate, StepRecord, VerificationReport
 from normnum.enclose import Enclosure
 from normnum.mc import SamplerSpec
+from normnum import measure
 from normnum.measure import (
     BudgetError,
     Interval,
     IntervalSet,
     PeriodicIntervalSet,
     UNIT,
+    decimal_string,
     format_fraction,
     parse_fraction,
 )
 from normnum.orbit import Band, Window
+from normnum.schedule import Schedule
 
 F = Fraction
 
@@ -50,6 +55,51 @@ def test_parse_rejects_garbage():
         parse_fraction("1/2/3")
     with pytest.raises(ValueError):
         parse_fraction("pi")
+
+
+@pytest.fixture
+def no_int_string_limit():
+    # str() of an integer past 4300 digits needs the limit lifted
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    yield
+    sys.set_int_max_str_digits(limit)
+
+
+def test_decimal_string_matches_str(no_int_string_limit):
+    rng = random.Random(20261019)
+    bound = measure._PLAIN_DECIMAL_BITS
+    values = [0, 1, -1, 10**2466, 10**2467 - 1, rng.getrandbits(1 << 20)]
+    for bits in [*range(bound - 2, bound + 3), 2 * bound + 1, 5 * bound]:
+        top = 1 << bits
+        values += [top - 1, top, top + 1, rng.getrandbits(bits) | top >> 1]
+    for value in values:
+        assert decimal_string(value) == str(value)
+        assert decimal_string(-value) == str(-value)
+    assert format_fraction(F(-values[-1], 3)) == "-%d/3" % values[-1]
+
+
+def _parse_decimal(text: str) -> int:
+    # int(text) by halves, so only products of the halves are big: none
+    # of CPython's quadratic int/str conversions, which take minutes here
+    powers = {}
+
+    def parse(text):
+        if len(text) <= 2000:
+            return int(text)
+        low = len(text) // 2
+        if low not in powers:
+            powers[low] = 10**low
+        return parse(text[:-low]) * powers[low] + parse(text[-low:])
+
+    return parse(text)
+
+
+def test_decimal_string_at_seven_megabits():
+    value = random.Random(7).getrandbits(7 << 20) | 1 << (7 << 20) - 1
+    text = decimal_string(value)
+    assert text[0] != "0"
+    assert _parse_decimal(text) == value
 
 
 # -- intervals ------------------------------------------------------------

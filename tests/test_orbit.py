@@ -10,9 +10,13 @@ from math import lcm
 import pytest
 
 from normnum import orbit
-from normnum.measure import BudgetError, IntervalSet, PeriodicIntervalSet
-from normnum.orbit import (
+from normnum.measure import (
     DEFAULT_EVENT_BUDGET,
+    BudgetError,
+    IntervalSet,
+    PeriodicIntervalSet,
+)
+from normnum.orbit import (
     Band,
     Window,
     _cell_classes,
@@ -490,7 +494,7 @@ LONG_WINDOWS = [
 ]
 
 
-def test_count_distribution_matches_reference_dp():
+def test_deviation_measure_matches_reference_dp():
     cases = [
         (base, cells, offset, length, critical_thresholds(length, cells))
         for base in (2, 3, 5)

@@ -357,10 +357,11 @@ def _lemma_deviation_grid(args) -> tuple[list[dict], bool]:
     return rows, ok
 
 
-def _seeded_rationals(seed: int, count: int, denominator_bits: int = 16):
+def _seeded_rationals(seed: int, count: int):
+    """Seeded rationals in [0, 1) over odd denominators below 2**16."""
     for raw in mc.sample_integers(mc.SamplerSpec(seed=seed, count=count)):
-        den = (raw & ((1 << denominator_bits) - 1)) | 1
-        num = (raw >> denominator_bits) % (den + 1)
+        den = (raw & 0xFFFF) | 1
+        num = (raw >> 16) % (den + 1)
         yield Fraction(num % den, den)
 
 
@@ -416,7 +417,7 @@ def _lemma_cover(args) -> tuple[list[dict], bool]:
 
 
 def _lemma_chain(args) -> tuple[list[dict], bool]:
-    result = constructor.chain_margin_check(preset("paper"), max_step=20)
+    result = constructor.chain_margin_check(preset("paper"))
     rows = [
         {
             "step": i + 1,
@@ -496,14 +497,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, with_budget=True):
+    def add_common(p):
         p.add_argument("--preset", default="paper", choices=PRESET_NAMES)
         p.add_argument("--config", help="JSON schedule file overriding --preset")
         p.add_argument("--precision", type=_precision_arg, default=64)
-        if with_budget:
-            p.add_argument(
-                "--budget", type=_budget_arg, default=DEFAULT_EVENT_BUDGET
-            )
+        p.add_argument("--budget", type=_budget_arg, default=DEFAULT_EVENT_BUDGET)
 
     p_digits = sub.add_parser("digits", help="emit digits with a certificate")
     add_common(p_digits)

@@ -179,21 +179,21 @@ def _records(
 ) -> Iterator[StepRecord]:
     """The construction itself: one record per digit step, without end.
 
-    One family is built per size index and one tail bound per step; size
-    indices never decrease along the steps, so only the current family is
+    One family and one tail bound are computed per size index; size
+    indices never decrease along the steps, so only the current ones are
     kept. Each step halves the interval the previous step chose and keeps
     the first half whose summed component overlaps plus the tail stay
     under 2**-step. Raises IndeterminateError at the first step where
     neither half passes.
     """
-    built_index, family = None, None
+    built_index, family, tail = None, None, None
     interval = UNIT
     for step in count(1):
         size_index = schedule.family_index(step)
         if size_index != built_index:
             family = bad_family(size_index, schedule, precision, budget)
+            tail = tail_mass_bound(size_index, schedule)
             built_index = size_index
-        tail = tail_mass_bound(size_index, schedule)
         threshold = Fraction(1, 2**step)
         half0, half1 = interval.halves()
         overlaps = family.overlaps(half0.lo, half0.hi)
@@ -335,8 +335,8 @@ def verify_certificate(
     return VerificationReport(not problems, len(certificate.steps), tuple(problems))
 
 
-def chain_margin_check(schedule: Schedule, max_step: int = 20) -> dict:
-    """Exact partial sums of the doubled residual tails across digit steps.
+def chain_margin_check(schedule: Schedule) -> dict:
+    """Exact partial sums of the doubled residual tails of steps 1 to 20.
 
     Only meaningful for the uncapped derived schedule, whose residuals
     shrink fast enough; capped or tabled schedules are rejected.
@@ -348,12 +348,10 @@ def chain_margin_check(schedule: Schedule, max_step: int = 20) -> dict:
         or schedule.index_cap is not None
     ):
         raise ValueError("margin chain assumes the derived, uncapped schedule")
-    if max_step < 1:
-        raise ValueError("max_step must be positive")
     partial = ZERO
     partials = []
     terms = []
-    for step in range(1, max_step + 1):
+    for step in range(1, 21):
         residual = tail_mass_bound(schedule.family_index(step), schedule)
         term = 2 ** (step - 1) * residual
         terms.append(term)
@@ -371,17 +369,14 @@ def chain_margin_check(schedule: Schedule, max_step: int = 20) -> dict:
     }
 
 
-def digits_to_fraction(digits: str, base: int = 2) -> Fraction:
-    """The rational 0.d1 d2 ... in the given base."""
-    if base < 2:
-        raise ValueError("base must be at least 2")
+def digits_to_fraction(digits: str) -> Fraction:
+    """The rational 0.d1 d2 ... in base 2."""
     value = 0
     for ch in digits:
-        d = int(ch)
-        if not 0 <= d < base:
-            raise ValueError("digit %r out of range for base %d" % (ch, base))
-        value = value * base + d
-    return Fraction(value, base ** len(digits))
+        if ch not in "01":
+            raise ValueError("digit %r out of range for base 2" % ch)
+        value = value * 2 + int(ch)
+    return Fraction(value, 2 ** len(digits))
 
 
 def write_digit_file(path: str, certificate: Certificate) -> None:

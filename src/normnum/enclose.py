@@ -10,12 +10,12 @@ lower endpoint and toward +inf for an upper one:
   `Fraction` is its rounded numerator over its rounded denominator
   (`iv_fraction`).
 - `sqrt` comes from `math.isqrt`.
-- `log` and `exp` come from fixed-point series that carry a floor and a
-  ceiling bound: atanh after square-root reduction for log, and Taylor
-  after reduction by k ln 2 and by halving for exp. A Ziv loop widens the
-  series until both bounds round to the same endpoint, so each endpoint is
-  correctly rounded. After `_ZIV_ROUNDS` rounds it stops and rounds each
-  bound outward, which still brackets the value.
+- `log` and `exp` map [lo, hi] to [f(lo), f(hi)], each end from its own
+  fixed-point series with a floor and a ceiling bound: atanh after
+  square-root reduction for log, Taylor after reduction by k ln 2 and by
+  halving for exp. A Ziv loop widens the series until both bounds round
+  to the same endpoint, so each endpoint is correctly rounded. After
+  `_ZIV_ROUNDS` rounds it rounds each bound outward, still a bracket.
 
 mpmath's interval type follows the same rules and its operations are
 correctly rounded too, so an expression gets the endpoints mpmath gives it
@@ -262,58 +262,24 @@ def _log_bounds(x: tuple, work: int) -> tuple:
     return k_lo + (a_lo << (j + 1)), k_hi + (a_hi << (j + 1)), -big
 
 
-def _exp_near(l: int, h: int, e: int, d: tuple, x: tuple):
-    """Bounds on exp(x + d) * 2**-e from l <= exp(x) * 2**-e <= h, for a
-    gap 0 < d < 1: exp(d) lies in [1 + d, 1 + d + d**2]. None if d >= 1."""
-    dm, de = d
-    if dm.bit_length() + de > 0:
-        return None
-    q = dm * ((1 << -de) + dm)  # (d + d**2) * 2**(-2 de)
-    return l + (l * dm >> -de), h - (-h * q >> -2 * de)
-
-
-def _log_near(l: int, h: int, e: int, d: tuple, x: tuple) -> tuple:
-    """Bounds on log(x + d) * 2**-e from l <= log(x) * 2**-e <= h, for a
-    gap d > 0: log(1 + t) lies in [t - t**2 / 2, t] for t = d / x."""
-    (dm, de), (xm, xe) = d, x
-    shift = de - e - xe  # t * 2**-e = dm * 2**shift / xm
-    num, den = (dm << shift, xm) if shift >= 0 else (dm, xm << -shift)
-    t_lo, t_hi = num // den, -(-num // den)
-    return l + t_lo + (-t_hi * t_hi >> 1 - e), h + t_hi
-
-
 # Ziv rounds for log and exp: the working precision starts at prec + 24
 # bits and doubles, so the third round carries over 4 * prec bits, more
 # than any value this close to a rounding boundary needs.
 _ZIV_ROUNDS = 3
 
 
-def _monotone(bounds, near, lo: tuple, hi: tuple, prec: int) -> tuple:
+def _monotone(bounds, lo: tuple, hi: tuple, prec: int) -> tuple:
     """[f(lo) rounded down, f(hi) rounded up] for an increasing f.
 
     bounds(x, work) gives (l, h, e) with l * 2**e <= f(x) <= h * 2**e,
-    about work bits apart. When hi is not lo, near(l, h, e, hi - lo, lo)
-    turns the bounds on f(lo) into bounds on f(hi) on the same scale (or
-    gives None), which for a thin interval saves a second evaluation;
-    f(hi) is evaluated on its own when they do not settle its rounding.
-    The Ziv loop ends once each endpoint's two bounds round alike; after
-    `_ZIV_ROUNDS` rounds each endpoint is its bound rounded outward.
+    about work bits apart, and is evaluated at lo and, unless hi is lo, at
+    hi. The Ziv loop ends once each endpoint's two bounds round alike;
+    after `_ZIV_ROUNDS` rounds each endpoint is its bound rounded outward.
     """
-    gap = None
-    if lo != hi:
-        (m1, e1), (m2, e2) = lo, hi
-        g = min(e1, e2)
-        gap = (m2 << (e2 - g)) - (m1 << (e1 - g)), g
     work = prec + 24
     for _ in range(_ZIV_ROUNDS):
         l, h, e = bounds(lo, work)
-        l2, h2, e2 = l, h, e
-        if gap is not None:
-            moved = near(l, h, e, gap, lo)
-            if moved is not None:
-                l2, h2 = moved
-            if moved is None or _round(l2, e, prec, True) != _round(h2, e, prec, True):
-                l2, h2, e2 = bounds(hi, work)
+        l2, h2, e2 = (l, h, e) if lo == hi else bounds(hi, work)
         down, up = _round(l, e, prec, False), _round(h2, e2, prec, True)
         if down == _round(h, e, prec, False) and up == _round(l2, e2, prec, True):
             break
@@ -407,11 +373,11 @@ class DyadicInterval:
     def log(self) -> "DyadicInterval":
         if self.lo[0] <= 0:
             raise ValueError("logarithm of an interval reaching zero or below")
-        ends = _monotone(_log_bounds, _log_near, self.lo, self.hi, self.prec)
+        ends = _monotone(_log_bounds, self.lo, self.hi, self.prec)
         return DyadicInterval(*ends)
 
     def exp(self) -> "DyadicInterval":
-        ends = _monotone(_exp_bounds, _exp_near, self.lo, self.hi, self.prec)
+        ends = _monotone(_exp_bounds, self.lo, self.hi, self.prec)
         return DyadicInterval(*ends)
 
 

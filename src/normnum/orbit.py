@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import ceil, floor
-from typing import Optional, Union
+from typing import Union
 
 from .measure import (
     ONE,
@@ -65,10 +65,6 @@ class Band(Record):
     @property
     def hi(self) -> Fraction:
         return Fraction(self.a + 1, 2**self.k)
-
-    @property
-    def length(self) -> Fraction:
-        return Fraction(1, 2**self.k)
 
     def bounds(self) -> tuple[Fraction, Fraction]:
         return self.lo, self.hi
@@ -133,20 +129,20 @@ def f_value(x: RationalLike, window: Window, band: BandLike) -> Fraction:
     return abs(hit_count(x, window, (lo, hi)) - expected)
 
 
-def sweep_cost(base: int, length: int, budget: Optional[int] = None) -> int:
+def sweep_cost(base: int, length: int, budget: int) -> int:
     """Event count of a window of the given length, starting at index 0:
     2 * (base**length - 1) / (base - 1), twice the node count of one
     cell's walk tree in `cutoff_region`, which also bounds the region's
-    parts."""
+    parts. Raises BudgetError when it exceeds the budget."""
     # total >= 2 * base**(length-1) >= 2**length, so reject oversized
     # windows before materializing the power itself
-    if budget is not None and length > budget.bit_length():
+    if length > budget.bit_length():
         raise BudgetError(
             "sweep needs at least 2**(window end) events for a window end "
             "of %d bits, budget is %d" % (length.bit_length(), budget)
         )
     total = 2 * (base**length - 1) // (base - 1)
-    if budget is not None and total > budget:
+    if total > budget:
         raise BudgetError(
             "sweep needs %d events, budget is %d" % (total, budget)
         )

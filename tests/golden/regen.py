@@ -118,6 +118,24 @@ def cases():
     ]
     for n in (2, 9, 10):
         yield "cost-n%d" % n, [("cost", "--n", str(n))]
+    # endpoints above the default precision
+    for which, precision in (("badic", 4096), ("dyadic", 300)):
+        yield "lemma-%s-p%d" % (which, precision), [
+            ("lemma", "--which", which, "--precision", str(precision)),
+        ]
+    yield "discrepancy-1-1000003-p4096", [
+        ("discrepancy", "--x", "1/1000003", "--count", "240", "--ratio",
+         "--precision", "4096"),
+    ]
+    yield "block-h1-a0-p4096", [
+        ("badset", "--preset", "toy-mixed", "--which", "block", "--index", "4",
+         "--band-scale", "1", "--precision", "4096"),
+    ]
+    yield "digits-toy-mixed-6-p300-budget", [
+        ("digits", "--preset", "toy-mixed", "--count", "6", "--precision", "300",
+         "--budget", "4000000", "--cert-out", "cert.json"),
+        ("verify", "cert.json", "--budget", "4000000"),
+    ]
 
 
 def main() -> int:

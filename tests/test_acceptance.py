@@ -126,7 +126,7 @@ def test_criterion_01_region_vs_cylinder_oracle():
         window = Window(base, offset, length)
         band = Band(a, k)
         # the offset-0 region, pulled back by x -> frac(base**offset * x)
-        cutoffs = count_cutoffs(band.length * length, threshold, strict)
+        cutoffs = count_cutoffs(F(length, 2**k), threshold, strict)
         core = cutoff_region(base, length, 2**k, a, *cutoffs, DEFAULT_EVENT_BUDGET)
         region = PeriodicIntervalSet(core, base, offset).materialize()
         if base == 2:
@@ -263,7 +263,7 @@ def test_criterion_04_base_power_band_bound_grid():
 def test_criterion_05_inequality_chain():
     t0 = time.time()
     schedule = preset("paper")
-    result = chain_margin_check(schedule, 20)
+    result = chain_margin_check(schedule)
     elapsed = time.time() - t0
     partials = result["partials"]
     ok = (

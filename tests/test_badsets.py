@@ -54,7 +54,7 @@ def swept_at(piece, end):
     one threshold end."""
     base, length = piece.window.base, piece.window.length
     band = piece.band
-    cutoffs = count_cutoffs(band.length * length, end)
+    cutoffs = count_cutoffs(F(length, 2**band.k), end)
     return cutoff_region(
         base, length, 2**band.k, band.a, *cutoffs, DEFAULT_EVENT_BUDGET
     )

@@ -748,7 +748,7 @@ def test_sweep_against_cylinder_oracle_base2():
         strict = rng.random() < 0.5
         swept = window_region(w, band, t, strict=strict)
         oracle = brute_force_region_base2(
-            w, band, *count_cutoffs(band.length * length, t, strict)
+            w, band, *count_cutoffs(F(length, 2**k), t, strict)
         )
         assert swept == oracle, (offset, length, k, a, t, strict)
 

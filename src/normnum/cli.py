@@ -65,8 +65,8 @@ DEFAULT_SEED = 20260819
 MAX_PRECISION = 4096
 
 # Orbit length above which `discrepancy --count` is refused before any
-# point is computed: each point is an exact Fraction, so an unbounded count
-# means unbounded work and memory.
+# point is computed: each point is an integer numerator as wide as x's
+# denominator, so an unbounded count means unbounded work and memory.
 MAX_ORBIT_POINTS = 1 << 16
 
 
@@ -245,11 +245,10 @@ def _cmd_discrepancy(args) -> int:
         source = args.digits_file
     if not 0 <= x < 1:
         raise ValueError("the point must lie in [0, 1)")
-    points = discrepancy.sorted_points(
-        discrepancy.orbit_points(x, args.base, args.count)
-    )
-    star = discrepancy.star_discrepancy(points)
-    extreme = discrepancy.extreme_discrepancy(points)
+    points, q = discrepancy.orbit_points(x, args.base, args.count)
+    points.sort()  # so the closed forms' own sorts are linear
+    star = discrepancy.star_discrepancy(points, q)
+    extreme = discrepancy.extreme_discrepancy(points, q)
     report = {
         "schema": "normnum.discrepancy/1",
         "source": source,

@@ -21,10 +21,8 @@ from .badsets import bad_family, tail_mass_bound
 from .measure import (
     DEFAULT_EVENT_BUDGET,
     MAX_DIGIT_COUNT,
-    UNIT,
     ZERO,
     BudgetError,
-    Interval,
     Record,
     format_fraction,
     parse_fraction,
@@ -58,8 +56,20 @@ class IndeterminateError(RuntimeError):
         )
 
 
+def _interval_from_json(data) -> tuple[Fraction, Fraction]:
+    """A recorded [lo, hi] pair, parsed and checked: 0 <= lo <= hi <= 1."""
+    lo, hi = data
+    lo, hi = parse_fraction(lo), parse_fraction(hi)
+    if not (0 <= lo <= 1 and 0 <= hi <= 1):
+        raise ValueError("interval endpoints must lie in [0, 1]")
+    if lo > hi:
+        raise ValueError("interval endpoints out of order")
+    return lo, hi
+
+
 class StepRecord(Record):
-    """Everything recorded about one digit decision."""
+    """Everything recorded about one digit decision; `interval` and
+    `chosen` are (lo, hi) pairs of the half-open intervals [lo, hi)."""
 
     __slots__ = (
         "step", "size_index", "interval", "digit", "chosen", "chosen_bound",
@@ -70,9 +80,9 @@ class StepRecord(Record):
         self,
         step: int,
         size_index: int,
-        interval: Interval,
+        interval: tuple[Fraction, Fraction],
         digit: int,
-        chosen: Interval,
+        chosen: tuple[Fraction, Fraction],
         chosen_bound: Fraction,
         rejected_bound: Optional[Fraction],
         tail: Fraction,
@@ -89,9 +99,9 @@ class StepRecord(Record):
         return {
             "step": self.step,
             "size_index": self.size_index,
-            "interval": self.interval.to_json(),
+            "interval": [format_fraction(end) for end in self.interval],
             "digit": self.digit,
-            "chosen": self.chosen.to_json(),
+            "chosen": [format_fraction(end) for end in self.chosen],
             "chosen_bound": format_fraction(self.chosen_bound),
             "rejected_bound": (
                 None
@@ -115,9 +125,9 @@ class StepRecord(Record):
         return cls(
             step=data["step"],
             size_index=data["size_index"],
-            interval=Interval.from_json(data["interval"]),
+            interval=_interval_from_json(data["interval"]),
             digit=data["digit"],
-            chosen=Interval.from_json(data["chosen"]),
+            chosen=_interval_from_json(data["chosen"]),
             chosen_bound=parse_fraction(data["chosen_bound"]),
             rejected_bound=(
                 None
@@ -179,56 +189,57 @@ def _records(
 ) -> Iterator[StepRecord]:
     """The construction itself: one record per digit step, without end.
 
-    One family and one tail bound are computed per size index; size
-    indices never decrease along the steps, so only the current ones are
-    kept. Each step halves the interval the previous step chose and keeps
-    the first half whose summed component overlaps plus the tail stay
-    under 2**-step. Raises IndeterminateError at the first step where
+    One family, with its component rows, and one tail bound are built per
+    size index; size indices never decrease along the steps, so only the
+    current ones are kept. Step s halves [num, num + 1) / 2**(s - 1) at
+    (2*num + i) / 2**s, i = 0, 1, 2, keeps the first half whose summed
+    component overlaps plus the tail stay under 2**-s, and goes on with
+    num = 2*num + digit. Raises IndeterminateError at the first step where
     neither half passes.
     """
-    built_index, family, tail = None, None, None
-    interval = UNIT
+    built_index, family, rows, tail = None, None, None, None
+    num = 0
     for step in count(1):
         size_index = schedule.family_index(step)
         if size_index != built_index:
             family = bad_family(size_index, schedule, precision, budget)
+            rows = [
+                {"label": comp.label, "kind": comp.kind, "members": comp.members,
+                 "outer_measure": format_fraction(comp.measure)}
+                for comp in family.components
+            ]
             tail = tail_mass_bound(size_index, schedule)
             built_index = size_index
         threshold = Fraction(1, 2**step)
-        half0, half1 = interval.halves()
-        overlaps = family.overlaps(half0.lo, half0.hi)
+        ends = [Fraction(2 * num + i, 2**step) for i in range(3)]
+        interval = ends[0], ends[2]
+        overlaps = family.overlaps(ends[0], ends[1])
         bound0 = sum(overlaps, ZERO)
         if bound0 + tail < threshold:
-            digit, chosen, chosen_bound, rejected_bound = 0, half0, bound0, None
+            digit, chosen_bound, rejected_bound = 0, bound0, None
         else:
-            overlaps = family.overlaps(half1.lo, half1.hi)
+            overlaps = family.overlaps(ends[1], ends[2])
             bound1 = sum(overlaps, ZERO)
             if not bound1 + tail < threshold:
                 raise IndeterminateError(step, interval, (bound0, bound1), tail, threshold)
-            digit, chosen, chosen_bound, rejected_bound = 1, half1, bound1, bound0
+            digit, chosen_bound, rejected_bound = 1, bound1, bound0
         yield StepRecord(
             step=step,
             size_index=size_index,
             interval=interval,
             digit=digit,
-            chosen=chosen,
+            chosen=(ends[digit], ends[digit + 1]),
             chosen_bound=chosen_bound,
             rejected_bound=rejected_bound,
             tail=tail,
             threshold=threshold,
             precision=precision,
             components=tuple(
-                {
-                    "label": comp.label,
-                    "kind": comp.kind,
-                    "members": comp.members,
-                    "outer_measure": format_fraction(comp.measure),
-                    "chosen_overlap": format_fraction(overlap),
-                }
-                for comp, overlap in zip(family.components, overlaps)
+                {**row, "chosen_overlap": format_fraction(overlap)}
+                for row, overlap in zip(rows, overlaps)
             ),
         )
-        interval = chosen
+        num = 2 * num + digit
 
 
 def run_construction(

@@ -8,86 +8,71 @@ Sequences, ch. 2, Thms 1.4-1.5):
     D_N  = 1/N + max(i/N - x_(i)) - min(i/N - x_(i))
     D*_N = 1/(2N) + max |x_(i) - (2i-1)/(2N)|
 
-Each is one pass over the sorted points, so the cost is the O(N log N)
-sort, done once for both: no search, no rounding. The points are kept as
-integer numerators over one common denominator Q (an orbit's points all
-sit on the grid of x's denominator), so the sort and both passes compare
-integers, and each form builds one `Fraction`, at the end.
+Each is one pass over the sorted points: no search, no rounding. The points
+are integer numerators over one common denominator Q, the shape
+`orbit_points` gives: the orbit of x = p/q in lowest terms is the residue
+walk p * base**j mod q. So the sort and both passes compare integers, and
+each form builds one `Fraction`, at the end. Each form sorts its own input;
+on points already sorted that sort is linear.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 from typing import Sequence
 
 from .enclose import Enclosure, eval_iv_tight, iv_fraction
-from .measure import RationalLike, as_fraction
 
 
-def orbit_points(x: RationalLike, base: int, count: int) -> list[Fraction]:
-    """The first `count` points frac(base**j * x), j = 0, 1, ..."""
+def orbit_points(x: Fraction, base: int, count: int) -> tuple[list[int], int]:
+    """The first `count` points frac(base**j * x), j = 0, 1, ..., as their
+    numerators over x's reduced denominator q, with q."""
     if base < 2:
         raise ValueError("base must be at least 2")
     if count < 1:
         raise ValueError("count must be positive")
-    y = as_fraction(x)
-    y -= y.numerator // y.denominator
+    q = x.denominator
+    p = x.numerator % q
     points = []
     for _ in range(count):
-        points.append(y)
-        y = y * base
-        y -= y.numerator // y.denominator
-    return points
+        points.append(p)
+        p = p * base % q
+    return points, q
 
 
-class _SortedPoints(tuple):
-    """Points checked and sorted by `sorted_points`: ascending integer
-    numerators over the common denominator `denominator`."""
-
-    denominator: int
-
-
-def sorted_points(points: Sequence[RationalLike]) -> Sequence[int]:
-    """The points in ascending order, checked to lie in [0, 1), as integer
-    numerators over their least common denominator. Both discrepancy
-    functions take the result as it is, so one sort serves both."""
-    if isinstance(points, _SortedPoints):
-        return points
+def _sorted(points: Sequence[int], denominator: int) -> list[int]:
+    """The numerators in ascending order, checked to lie in [0, denominator)."""
     if not points:
         raise ValueError("discrepancy needs at least one point")
-    values = [as_fraction(p) for p in points]
-    common = lcm(*{v.denominator for v in values})
-    grid = _SortedPoints(
-        sorted(v.numerator * (common // v.denominator) for v in values)
-    )
-    if grid[0] < 0 or grid[-1] >= common:
+    pts = sorted(points)
+    if pts[0] < 0 or pts[-1] >= denominator:
         raise ValueError("points must lie in [0, 1)")
-    grid.denominator = common
-    return grid
+    return pts
 
 
-def extreme_discrepancy(points: Sequence[RationalLike]) -> Fraction:
-    """Exact two-sided interval discrepancy of a finite point multiset.
+def extreme_discrepancy(points: Sequence[int], denominator: int) -> Fraction:
+    """Exact two-sided interval discrepancy of the point multiset
+    {m / denominator : m in points}.
 
     D_N = 1/N + max(i/N - x_(i)) - min(i/N - x_(i)) over the sorted points
     x_(1) <= ... <= x_(N), repeats counted with multiplicity. With
     x_(i) = m_i / Q each gap is (i*Q - N*m_i) / (N*Q).
     """
-    pts = sorted_points(points)
-    n, q = len(pts), pts.denominator
+    pts = _sorted(points, denominator)
+    n, q = len(pts), denominator
     gaps = [i * q - n * m for i, m in enumerate(pts, 1)]
     return Fraction(q + max(gaps) - min(gaps), n * q)
 
 
-def star_discrepancy(points: Sequence[RationalLike]) -> Fraction:
-    """Exact anchored discrepancy sup over [0, v), 0 < v <= 1.
+def star_discrepancy(points: Sequence[int], denominator: int) -> Fraction:
+    """Exact anchored discrepancy sup over [0, v), 0 < v <= 1, of the point
+    multiset {m / denominator : m in points}.
 
     D*_N = 1/(2N) + max |x_(i) - (2i-1)/(2N)| over the sorted points; with
     x_(i) = m_i / Q each term is |2N*m_i - (2i-1)*Q| / (2N*Q).
     """
-    pts = sorted_points(points)
-    n, q = len(pts), pts.denominator
+    pts = _sorted(points, denominator)
+    n, q = len(pts), denominator
     return Fraction(
         q + max(abs(2 * n * m - (2 * i - 1) * q) for i, m in enumerate(pts, 1)),
         2 * n * q,

@@ -431,18 +431,6 @@ def eval_iv_tight(precision: int, fn: Callable[[], DyadicInterval]) -> Enclosure
     return enc
 
 
-def enclose_log2(x: RationalLike, precision: int = 64) -> Enclosure:
-    x = as_fraction(x)
-    if x <= 0:
-        raise ValueError("logarithm of a non-positive rational")
-    num, den = x.numerator, x.denominator
-    if num & (num - 1) == 0 and den & (den - 1) == 0:
-        return Enclosure.exact(num.bit_length() - den.bit_length())
-    return eval_iv_tight(
-        precision, lambda: iv_fraction(x).log() / iv_fraction(2).log()
-    )
-
-
 def naive_cost_log2(n: int, precision: int = 96) -> Union[int, Enclosure]:
     """log2 of the brute-force state count a depth-n exhaustive scan visits.
 
@@ -458,5 +446,7 @@ def naive_cost_log2(n: int, precision: int = 96) -> Union[int, Enclosure]:
     factor = 2 ** (2 ** (2 * n + 2))
     if states & (states - 1) == 0:
         return factor * (states.bit_length() - 1)
-    lg = enclose_log2(states, precision)
+    lg = eval_iv_tight(
+        precision, lambda: iv_fraction(states).log() / iv_fraction(2).log()
+    )
     return Enclosure(factor * lg.lo, factor * lg.hi)

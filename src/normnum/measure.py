@@ -18,7 +18,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Union
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -162,36 +162,6 @@ class Record:
 
     def __delattr__(self, name: str) -> None:
         raise AttributeError("cannot delete field %r" % name)
-
-
-class Interval(Record):
-    """Half-open interval [lo, hi) inside the unit interval."""
-
-    __slots__ = ("lo", "hi")
-
-    def __init__(self, lo: RationalLike, hi: RationalLike):
-        lo = as_fraction(lo)
-        hi = as_fraction(hi)
-        if not (ZERO <= lo <= ONE and ZERO <= hi <= ONE):
-            raise ValueError("interval endpoints must lie in [0, 1]")
-        if lo > hi:
-            raise ValueError("interval endpoints out of order")
-        self._fill(lo, hi)
-
-    def halves(self) -> tuple["Interval", "Interval"]:
-        mid = (self.lo + self.hi) / 2
-        return Interval(self.lo, mid), Interval(mid, self.hi)
-
-    def to_json(self) -> list:
-        return [format_fraction(self.lo), format_fraction(self.hi)]
-
-    @classmethod
-    def from_json(cls, data: Sequence[str]) -> "Interval":
-        lo, hi = data
-        return cls(parse_fraction(lo), parse_fraction(hi))
-
-
-UNIT = Interval(ZERO, ONE)
 
 
 def _merged_ends(runs: list) -> list:

@@ -6,7 +6,8 @@ between how many orbit points land in the target and how many a perfectly
 equidistributed orbit would deposit there. The module computes it three
 ways, each exact:
 
-* pointwise, by walking the orbit of a rational;
+* pointwise, by walking the orbit of a rational p/q as the residues
+  p * base**j mod q;
 * as a region {x : deviation meets a threshold}, keyed by the threshold's
   two integer count cutoffs and built by a depth-first walk of the cell
   chain of the digit process, pruned on the exact fewest and most hits
@@ -97,22 +98,19 @@ def _band_bounds(band: BandLike) -> tuple[Fraction, Fraction]:
     return lo, hi
 
 
-def orbit_point(x: RationalLike, base: int, j: int) -> Fraction:
-    """frac(base**j * x) as an exact rational."""
-    y = as_fraction(x) * base**j
-    return y - (y.numerator // y.denominator)
-
-
 def hit_count(x: RationalLike, window: Window, band: BandLike) -> int:
     """Orbit points of the window in the band, walked on integers.
 
-    With the first point p / q in lowest terms, every later point is
-    (p * base**i mod q) / q, and p / q lies in [lo, hi) iff
-    ceil(lo * q) <= p < ceil(hi * q).
+    With x = num / q in lowest terms, orbit point i is
+    (num * base**i mod q) / q: the window starts at numerator
+    num * base**offset mod q, one modular power, and each later numerator
+    is the previous one times base, mod q. A point p / q lies in [lo, hi)
+    iff ceil(lo * q) <= p < ceil(hi * q).
     """
     lo, hi = _band_bounds(band)
-    y = orbit_point(x, window.base, window.offset)
-    p, q, b = y.numerator, y.denominator, window.base
+    y = as_fraction(x)
+    q, b = y.denominator, window.base
+    p = y.numerator * pow(b, window.offset, q) % q
     p_lo, p_hi = ceil(lo * q), ceil(hi * q)
     count = 0
     for _ in range(window.length):

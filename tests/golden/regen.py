@@ -136,6 +136,21 @@ def cases():
          "--budget", "4000000", "--cert-out", "cert.json"),
         ("verify", "cert.json", "--budget", "4000000"),
     ]
+    # an orbit on denominator 1, and one that reaches 0 and stays there
+    yield "discrepancy-0-ratio", [
+        ("discrepancy", "--x", "0", "--count", "16", "--ratio"),
+    ]
+    yield "discrepancy-1-10-base10", [
+        ("discrepancy", "--x", "1/10", "--base", "10", "--count", "20"),
+    ]
+    for which in ("depth", "cover"):
+        yield "lemma-%s-seed1" % which, [("lemma", "--which", which, "--seed", "1")]
+    # step numerators and interval ends of 1024 bits
+    yield "digits-toy-seeded-1024", [
+        ("digits", "--preset", "toy-seeded", "--count", "1024", "--cert-out",
+         "cert.json"),
+        ("verify", "cert.json"),
+    ]
 
 
 def main() -> int:

@@ -44,6 +44,7 @@ from normnum.orbit import (
 )
 from normnum.schedule import preset
 
+from fraction_orbit import grid
 from mc_estimate import estimate_measure
 
 
@@ -178,8 +179,8 @@ def test_criterion_02_discrepancy_vs_brute_force():
         n = rng.randrange(1, 13)
         den = rng.choice([2, 3, 4, 6, 8, 12, 16, 24, 32, 64])
         pts = [F(rng.randrange(den), den) for _ in range(n)]
-        fast = extreme_discrepancy(pts)
-        star = star_discrepancy(pts)
+        fast = extreme_discrepancy(*grid(pts))
+        star = star_discrepancy(*grid(pts))
         assert fast == brute_interval_discrepancy(pts), pts
         assert star == staircase_star(pts), pts
         assert F(1, n) <= fast <= 1
@@ -328,17 +329,17 @@ def test_criterion_07_toy_constructions():
         ok = ok and any(record.chosen_bound > 0 for record in cert.steps)
         chosen = None
         for record in cert.steps:
-            interval = record.interval
+            lo, hi = record.interval
             # records carry the interval entering the step; the digit then
             # keeps one half, so the post-choice interval has measure 2**-step
-            ok = ok and interval.hi - interval.lo == F(1, 2 ** (record.step - 1))
+            ok = ok and hi - lo == F(1, 2 ** (record.step - 1))
             if chosen is not None:
-                ok = ok and (interval.lo, interval.hi) == chosen
-            mid = (interval.lo + interval.hi) / 2
+                ok = ok and (lo, hi) == chosen
+            mid = (lo + hi) / 2
             if record.digit == 0:
-                chosen = (interval.lo, mid)
+                chosen = (lo, mid)
             else:
-                chosen = (mid, interval.hi)
+                chosen = (mid, hi)
             ok = ok and record.chosen_bound + record.tail < record.threshold
         ok = ok and chosen == (F(int(cert.digits, 2), 64), F(int(cert.digits, 2) + 1, 64))
         ok = ok and verification.ok and elapsed < 600

@@ -637,6 +637,10 @@ HOSTILE_STEPS = {
     "tail-zero-denominator": lambda step: step.update(tail="1/0"),
     "bound-number": lambda step: step.update(chosen_bound=5),
     "interval-empty": lambda step: step.update(interval=[]),
+    "interval-above-one": lambda step: step.update(interval=["1/2", "3/2"]),
+    "chosen-reversed": lambda step: step.update(chosen=["1/2", "0/1"]),
+    "interval-three-ends": lambda step: step.update(interval=["0/1", "1/2", "1/1"]),
+    "interval-number": lambda step: step.update(interval=5),
     "overlap-zero-denominator": lambda step: step["components"][0].update(
         chosen_overlap="1/0"
     ),
@@ -650,6 +654,23 @@ HOSTILE_STEPS = {
     # rows must be JSON objects: a row of pairs can carry an integer key,
     # which does not sort with the replay's string keys
     "row-pairs": lambda step: step.update(components=[[[1, 2]]]),
+}
+
+def unpack_error(value) -> str:
+    """The interpreter's own message for unpacking `value` into two names."""
+    try:
+        lo, hi = value
+    except (TypeError, ValueError) as exc:
+        return str(exc)
+    raise AssertionError("%r unpacks into two names" % (value,))
+
+
+# the whole stderr of the interval tampering, pinned word for word
+HOSTILE_STEP_ERRORS = {
+    "interval-above-one": "interval endpoints must lie in [0, 1]",
+    "chosen-reversed": "interval endpoints out of order",
+    "interval-three-ends": unpack_error(["0/1", "1/2", "1/1"]),
+    "interval-number": unpack_error(5),
 }
 
 
@@ -706,6 +727,8 @@ def test_hostile_certificate_values_exit_five(capsys, tmp_path, name):
         ), verdict["problems"]
     else:
         assert "malformed certificate" in err
+    if name in HOSTILE_STEP_ERRORS:
+        assert err == "malformed certificate: %s\n" % HOSTILE_STEP_ERRORS[name]
 
 
 # -- field-by-field certificate mutation -------------------------------------
@@ -991,18 +1014,19 @@ def test_discrepancy_computed_once(capsys, monkeypatch, ratio):
     original = normnum.discrepancy.extreme_discrepancy
     original_orbit = normnum.discrepancy.orbit_points
 
-    def counted(points):
+    def counted(points, denominator):
         calls.append(len(points))
-        return original(points)
+        return original(points, denominator)
 
     def counted_orbit(x, base, count):
         orbits.append(count)
         return original_orbit(x, base, count)
 
     def counted_sort(values):
-        values = sorted(values)
-        sorts.append(len(values))
-        return values
+        ordered = sorted(values)
+        # a sort of sorted input is one linear pass
+        sorts.append((len(ordered), ordered == list(values)))
+        return ordered
 
     # the CLI calls both through their module
     monkeypatch.setattr(normnum.discrepancy, "extreme_discrepancy", counted)
@@ -1017,7 +1041,8 @@ def test_discrepancy_computed_once(capsys, monkeypatch, ratio):
     assert report["star"] == "1/3"
     assert calls == [16]
     assert orbits == [16]
-    assert sorts == [16]
+    # the command sorts the orbit once, so each closed form's sort is linear
+    assert sorts == [(16, True), (16, True)]
 
 
 @pytest.mark.parametrize("ratio", [(), ("--ratio",)], ids=["plain", "ratio"])

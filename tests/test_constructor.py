@@ -48,8 +48,7 @@ def test_flagship_eight_digits():
     cert = run_construction(preset("paper"), 8)
     assert cert.digits == "00000000"
     assert all(len(record.components) == 0 for record in cert.steps)
-    assert cert.steps[-1].chosen.lo == 0
-    assert cert.steps[-1].chosen.hi == F(1, 256)
+    assert cert.steps[-1].chosen == (0, F(1, 256))
 
 
 def test_flagship_ten_digits_verify():
@@ -88,14 +87,15 @@ def test_toy_run_invariants(name):
     # nested halving with exact shrink rate
     interval = None
     for record in cert.steps:
-        assert record.chosen.hi - record.chosen.lo == F(1, 2**record.step)
+        lo, hi = record.chosen
+        assert hi - lo == F(1, 2**record.step)
         if interval is not None:
-            assert interval.lo <= record.chosen.lo
-            assert record.chosen.hi <= interval.hi
+            assert interval[0] <= lo
+            assert hi <= interval[1]
         assert record.chosen_bound + record.tail < record.threshold
         assert record.tail == 0  # toy universes are finite and fully built
         interval = record.chosen
-    assert digits_to_fraction(cert.digits) == cert.steps[-1].chosen.lo
+    assert digits_to_fraction(cert.digits) == cert.steps[-1].chosen[0]
     report = verify_certificate(cert, schedule)
     assert report.ok, report.problems
 
@@ -118,8 +118,8 @@ def test_witness_point_escapes_every_component():
     for name in ("toy-sparse", "toy-seeded"):
         schedule = preset(name)
         cert = run_construction(schedule, 6)
-        final = cert.steps[-1].chosen
-        witness = final.lo + (final.hi - final.lo) / 3
+        lo, hi = cert.steps[-1].chosen
+        witness = lo + (hi - lo) / 3
         family = bad_family(4, schedule)
         for comp in family.components:
             assert not comp.region.contains(witness), (name, comp.label)
@@ -131,8 +131,8 @@ def test_witness_f_values_stay_below_thresholds():
 
     schedule = preset("toy-sparse")
     cert = run_construction(schedule, 6)
-    final = cert.steps[-1].chosen
-    witness = final.lo + (final.hi - final.lo) / 3
+    lo, hi = cert.steps[-1].chosen
+    witness = lo + (hi - lo) / 3
     pieces = [block_bad_set(2, 4, a, h, schedule)
               for h in (1, 2, 3) for a in range(2**h)]
     pieces += [tail_bad_set(2, 4, a, h, 4, 1, schedule)

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, strategies as st
 from mpmath import mp
 from mpmath.libmp import to_rational
 
@@ -16,6 +17,8 @@ from normnum.discrepancy import (
     star_discrepancy,
 )
 from normnum.orbit import Window, f_value
+
+from fraction_orbit import fraction_orbit_points, grid
 
 
 def brute_interval_discrepancy(pts):
@@ -62,37 +65,37 @@ def encloses_irrational_sqrt(enclosure, radicand):
 
 
 def test_single_point_values():
-    assert extreme_discrepancy([F(0)]) == 1
-    assert extreme_discrepancy([F(1, 2)]) == 1
-    assert star_discrepancy([F(1, 2)]) == F(1, 2)
-    assert star_discrepancy([F(0)]) == 1
+    assert extreme_discrepancy(*grid([F(0)])) == 1
+    assert extreme_discrepancy(*grid([F(1, 2)])) == 1
+    assert star_discrepancy(*grid([F(1, 2)])) == F(1, 2)
+    assert star_discrepancy(*grid([F(0)])) == 1
 
 
 def test_quarter_pair_values():
     pts = [F(1, 4), F(3, 4)]
-    assert extreme_discrepancy(pts) == F(1, 2)
-    assert star_discrepancy(pts) == F(1, 4)
+    assert extreme_discrepancy(*grid(pts)) == F(1, 2)
+    assert star_discrepancy(*grid(pts)) == F(1, 4)
 
 
 def test_centered_eighths_values():
     pts = [F(1, 8), F(3, 8), F(5, 8), F(7, 8)]
-    assert extreme_discrepancy(pts) == F(1, 4)
-    assert star_discrepancy(pts) == F(1, 8)
+    assert extreme_discrepancy(*grid(pts)) == F(1, 4)
+    assert star_discrepancy(*grid(pts)) == F(1, 8)
 
 
 def test_repeated_thirds_values():
     # duplicates count with multiplicity; the closed hull of the four
     # points holds everything at only a third of the length
     pts = [F(2, 3), F(1, 3), F(2, 3), F(1, 3)]
-    assert extreme_discrepancy(pts) == F(2, 3)
-    assert star_discrepancy(pts) == F(1, 3)
+    assert extreme_discrepancy(*grid(pts)) == F(2, 3)
+    assert star_discrepancy(*grid(pts)) == F(1, 3)
 
 
 def test_uniform_grid_is_optimal():
     # left-endpoint grid {0, 1/n, ..., (n-1)/n} achieves the 1/n floor
     for n in (1, 2, 5, 8):
         pts = [F(k, n) for k in range(n)]
-        assert extreme_discrepancy(pts) == F(1, n)
+        assert extreme_discrepancy(*grid(pts)) == F(1, n)
 
 
 # -- input validation --------------------------------------------------------
@@ -100,20 +103,22 @@ def test_uniform_grid_is_optimal():
 
 def test_rejects_bad_points():
     with pytest.raises(ValueError):
-        extreme_discrepancy([])
+        extreme_discrepancy(*grid([]))
     with pytest.raises(ValueError):
-        extreme_discrepancy([F(1)])
+        extreme_discrepancy(*grid([F(1)]))
     with pytest.raises(ValueError):
-        star_discrepancy([F(-1, 2)])
+        star_discrepancy(*grid([F(-1, 2)]))
 
 
 def test_orbit_points_examples():
-    assert orbit_points(F(5, 8), 2, 4) == [F(5, 8), F(1, 4), F(1, 2), F(0)]
-    assert orbit_points(F(1, 3), 2, 4) == [F(1, 3), F(2, 3), F(1, 3), F(2, 3)]
-    assert orbit_points(F(1, 4), 3, 3) == [F(1, 4), F(3, 4), F(1, 4)]
+    # numerators over x's reduced denominator: 5/8, 1/4, 1/2, 0
+    assert orbit_points(F(5, 8), 2, 4) == ([5, 2, 4, 0], 8)
+    assert orbit_points(F(1, 3), 2, 4) == ([1, 2, 1, 2], 3)
+    assert orbit_points(F(1, 4), 3, 3) == ([1, 3, 1], 4)
+    assert orbit_points(F(0), 2, 2) == ([0, 0], 1)
     # inputs outside [0, 1) are reduced to their fractional part first
-    assert orbit_points(F(7, 3), 2, 1) == [F(1, 3)]
-    assert orbit_points(F(-1, 3), 2, 1) == [F(2, 3)]
+    assert orbit_points(F(7, 3), 2, 1) == ([1], 3)
+    assert orbit_points(F(-1, 3), 2, 1) == ([2], 3)
     with pytest.raises(ValueError):
         orbit_points(F(1, 3), 1, 4)
     with pytest.raises(ValueError):
@@ -135,11 +140,13 @@ def test_matches_brute_force_enumeration():
     for _ in range(60):
         q = rng.randrange(2, 32)
         x = F(rng.randrange(q), q)
-        samples.append(orbit_points(x, rng.choice([2, 3, 5]), rng.randrange(1, 41)))
+        samples.append(
+            fraction_orbit_points(x, rng.choice([2, 3, 5]), rng.randrange(1, 41))
+        )
     for pts in samples:
         n = len(pts)
-        fast = extreme_discrepancy(pts)
-        star = star_discrepancy(pts)
+        fast = extreme_discrepancy(*grid(pts))
+        star = star_discrepancy(*grid(pts))
         assert fast == brute_interval_discrepancy(pts)
         assert star == staircase_star(pts)
         assert F(1, n) <= fast <= 1
@@ -160,9 +167,24 @@ def test_band_counts_never_beat_supremum():
         hi = F(k + rng.randrange(1, 9 - k), 8)
         window = Window(base, 0, count)
         deviation = f_value(x, window, (lo, hi))
-        assert deviation <= count * extreme_discrepancy(
-            orbit_points(x, base, count)
-        )
+        assert deviation <= count * extreme_discrepancy(*orbit_points(x, base, count))
+
+
+RATIONALS = st.builds(
+    F,
+    st.integers(-(2**80), 2**80),
+    st.one_of(st.integers(1, 64), st.integers(1, 2**80)),
+)
+
+
+@given(RATIONALS, st.integers(2, 10), st.integers(1, 300))
+def test_integer_orbit_matches_fraction_walk(x, base, count):
+    # the residue walk p * base**j mod q against one Fraction per point
+    points, q = orbit_points(x, base, count)
+    reference = grid(fraction_orbit_points(x, base, count))
+    assert (points, q) == reference
+    assert extreme_discrepancy(points, q) == extreme_discrepancy(*reference)
+    assert star_discrepancy(points, q) == star_discrepancy(*reference)
 
 
 # -- growth-normalized ratio -------------------------------------------------
@@ -170,8 +192,8 @@ def test_band_counts_never_beat_supremum():
 
 def test_normality_ratio_guard_and_value():
     with pytest.raises(ValueError):
-        normalized_ratio(extreme_discrepancy(orbit_points(F(1, 3), 2, 15)), 15)
-    disc = extreme_discrepancy(orbit_points(F(1, 3), 2, 16))
+        normalized_ratio(extreme_discrepancy(*orbit_points(F(1, 3), 2, 15)), 15)
+    disc = extreme_discrepancy(*orbit_points(F(1, 3), 2, 16))
     assert disc == F(2, 3)
     ratio = normalized_ratio(disc, 16)
     # reference value at much higher precision than the enclosure, turned

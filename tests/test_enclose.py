@@ -10,7 +10,6 @@ from normnum import badsets, discrepancy, enclose
 from normnum.enclose import (
     Enclosure,
     DyadicInterval,
-    enclose_log2,
     eval_iv,
     eval_iv_tight,
     iv_fraction,
@@ -49,11 +48,6 @@ def test_sqrt_brackets_truth():
         assert e.lo > 0
         assert e.lo**2 <= n <= e.hi**2
         assert e.width <= F(1, 2**60)
-
-
-def test_log2_exact_for_powers_of_two():
-    assert enclose_log2(8) == Enclosure.exact(3)
-    assert enclose_log2(F(1, 4)) == Enclosure.exact(-2)
 
 
 def test_refinement_is_nested():
@@ -195,9 +189,9 @@ def _closed_forms():
         states = 2 * n + 2
         forms.append(
             (
-                "log2",
-                enclose.enclose_log2,
-                (states,),
+                "cost",
+                enclose.naive_cost_log2,
+                (n,),
                 lambda s=states: iv.log(mp_fraction(F(s))) / iv.log(iv.mpf(2)),
             )
         )

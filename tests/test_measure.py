@@ -18,10 +18,8 @@ from normnum.mc import SamplerSpec
 from normnum import measure
 from normnum.measure import (
     BudgetError,
-    Interval,
     IntervalSet,
     PeriodicIntervalSet,
-    UNIT,
     decimal_string,
     format_fraction,
     parse_fraction,
@@ -100,32 +98,6 @@ def test_decimal_string_at_seven_megabits():
     text = decimal_string(value)
     assert text[0] != "0"
     assert _parse_decimal(text) == value
-
-
-# -- intervals ------------------------------------------------------------
-
-
-def test_interval_basics():
-    iv = Interval(F(1, 4), F(3, 4))
-    assert (iv.lo, iv.hi) == (F(1, 4), F(3, 4))
-    assert iv.to_json() == ["1/4", "3/4"]
-    assert Interval.from_json(["1/4", "3/4"]) == iv
-    lo, hi = iv.halves()
-    assert lo == Interval(F(1, 4), F(1, 2))
-    assert hi == Interval(F(1, 2), F(3, 4))
-
-
-def test_interval_validation():
-    with pytest.raises(ValueError):
-        Interval(F(3, 4), F(1, 4))
-    with pytest.raises(ValueError):
-        Interval(F(-1, 4), F(1, 4))
-    with pytest.raises(ValueError):
-        Interval(F(1, 2), F(3, 2))
-
-
-def test_unit_interval():
-    assert UNIT.lo == 0 and UNIT.hi == 1
 
 
 # -- canonical interval sets ---------------------------------------------
@@ -439,14 +411,13 @@ _SCHEDULE = Schedule(
 _REGION = iset((0, F(1, 4)), (F(1, 2), F(3, 4)))
 _COMPONENT = FamilyComponent("block", "block", _REGION, 3)
 _STEP = StepRecord(
-    1, 4, UNIT, 0, Interval(0, F(1, 2)), F(1, 8), None, F(1, 16), F(1, 2), 64,
+    1, 4, (F(0), F(1)), 0, (F(0), F(1, 2)), F(1, 8), None, F(1, 16), F(1, 2), 64,
     ({"label": "block"},),
 )
 
 # class: (every field in slot order, the defaults of the trailing fields);
 # the values are already in the form the constructor stores
 RECORDS = {
-    Interval: ((F(1, 4), F(1, 2)), ()),
     Enclosure: ((F(1, 3), F(1, 2)), ()),
     Band: ((1, 2), ()),
     Window: ((2, 3, 8), ()),
@@ -460,8 +431,8 @@ RECORDS = {
     FamilyComponent: (("block", "block", _REGION, 3), (0,)),
     BadFamily: ((4, _SCHEDULE, (_COMPONENT,)), ()),
     StepRecord: (
-        (1, 4, UNIT, 0, Interval(0, F(1, 2)), F(1, 8), None, F(1, 16), F(1, 2), 64,
-         ({"label": "block"},)),
+        (1, 4, (F(0), F(1)), 0, (F(0), F(1, 2)), F(1, 8), None, F(1, 16), F(1, 2),
+         64, ({"label": "block"},)),
         (),
     ),
     Certificate: ((_SCHEDULE, "0", (_STEP,)), ()),

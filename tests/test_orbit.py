@@ -26,7 +26,6 @@ from normnum.orbit import (
     deviation_measure,
     f_value,
     hit_count,
-    orbit_point,
     relabelling_representatives,
     sweep_cost,
 )
@@ -37,12 +36,21 @@ F = Fraction
 # -- points, counts, deviations -------------------------------------------
 
 
-def test_orbit_point_examples():
-    assert orbit_point(F(1, 3), 2, 0) == F(1, 3)
-    assert orbit_point(F(1, 3), 2, 1) == F(2, 3)
-    assert orbit_point(F(1, 3), 2, 2) == F(1, 3)
-    assert orbit_point(F(5, 8), 2, 2) == F(1, 2)
-    assert orbit_point(F(1, 10), 10, 1) == 0
+def test_hit_count_start_point_examples():
+    # the one point of a one-point window is frac(base**offset * x): it
+    # lies in [point, point + 1/720) and not below point, and the only
+    # point of x's grid (denominator at most 10) there is point itself
+    for x, base, offset, point in (
+        (F(1, 3), 2, 0, F(1, 3)),
+        (F(1, 3), 2, 1, F(2, 3)),
+        (F(1, 3), 2, 2, F(1, 3)),
+        (F(5, 8), 2, 2, F(1, 2)),
+        (F(1, 10), 10, 1, F(0)),
+    ):
+        window = Window(base, offset, 1)
+        assert hit_count(x, window, (point, point + F(1, 720))) == 1
+        if point:
+            assert hit_count(x, window, (F(0), point)) == 0
 
 
 def test_hit_count_basic():
@@ -62,7 +70,8 @@ def test_hit_count_with_offset():
 def reference_hit_count(x, window, band):
     """The Fraction orbit walk: step y -> frac(base * y) on rationals."""
     lo, hi = orbit._band_bounds(band)
-    y = orbit_point(x, window.base, window.offset)
+    y = x * window.base**window.offset
+    y -= y.numerator // y.denominator
     count = 0
     for _ in range(window.length):
         if lo <= y < hi:

@@ -195,7 +195,8 @@ def _decide_cutoffs(
         scale_length, schedule.delta, exponent, length, depth
     ):
         sweep_cost(base, length, budget)
-    expected = Fraction(length, 1 << depth)
+    # depth <= log2(length): an exact shift, where a Fraction takes a huge gcd
+    expected = length >> depth
     for _ in range(_REFINEMENT_ROUNDS + 1):
         threshold = _tilted_threshold(
             scale_length, base, schedule.delta, exponent, precision
@@ -326,18 +327,16 @@ def tail_bad_set(
 class FamilyComponent(Record):
     """A merged, independently measurable piece of a bad-set family."""
 
-    __slots__ = ("label", "kind", "region", "members", "_measure")
+    __slots__ = ("label", "kind", "region", "members")
 
     def __init__(self, label: str, kind: str, region: RegionLike, members: int = 0):
         # members: nonempty bad sets merged into the region
-        self._fill(label, kind, region, members, None)
+        self._fill(label, kind, region, members)
 
     @property
     def measure(self) -> Fraction:
-        """Exact measure of the region, summed once per component."""
-        if self._measure is None:
-            object.__setattr__(self, "_measure", self.region.measure())
-        return self._measure
+        """Exact measure of the region (a tail region caches its core's)."""
+        return self.region.measure()
 
 
 def _window_cores(
@@ -456,15 +455,10 @@ class BadFamily(Record):
     lower bound on the union's true measure.
     """
 
-    __slots__ = ("index", "schedule", "components")
+    __slots__ = ("components",)
 
-    def __init__(
-        self, index: int, schedule: Schedule, components: tuple[FamilyComponent, ...]
-    ):
-        self._fill(index, schedule, components)
-
-    def component_count(self) -> int:
-        return len(self.components)
+    def __init__(self, components: tuple[FamilyComponent, ...]):
+        self._fill(components)
 
     def outer_measure_bound(self) -> Fraction:
         return sum((comp.measure for comp in self.components), ZERO)
@@ -478,10 +472,6 @@ class BadFamily(Record):
 
     def outer_intersect_bound(self, lo: RationalLike, hi: RationalLike) -> Fraction:
         return sum(self.overlaps(lo, hi), ZERO)
-
-    def contains(self, x: RationalLike) -> bool:
-        """Membership in the region of some component."""
-        return any(comp.region.contains(x) for comp in self.components)
 
 
 def bad_family(
@@ -503,7 +493,7 @@ def bad_family(
             if block is not None:
                 components.append(block)
             components.extend(tail_bad_union(base, n, schedule, precision, budget))
-    return BadFamily(index, schedule, tuple(components))
+    return BadFamily(tuple(components))
 
 
 def square_sum_tail(start: int, stop: Optional[int] = None) -> Fraction:

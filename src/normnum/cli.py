@@ -159,7 +159,7 @@ def _cmd_badset(args) -> int:
             "which": "family",
             "preset": schedule.tag,
             "index": args.index,
-            "components": family.component_count(),
+            "components": len(family.components),
             "outer_measure": format_fraction(family.outer_measure_bound()),
             "inner_measure": format_fraction(family.inner_measure_bound()),
             "tail_bound": format_fraction(badsets.tail_mass_bound(args.index, schedule)),

@@ -313,28 +313,21 @@ def _differences(label: str, record: StepRecord, fresh: StepRecord) -> list[str]
 
 
 def verify_certificate(
-    certificate: Certificate,
-    schedule: Optional[Schedule] = None,
-    budget: int = DEFAULT_EVENT_BUDGET,
+    certificate: Certificate, budget: int = DEFAULT_EVENT_BUDGET
 ) -> VerificationReport:
     """Run the construction afresh and compare each recorded step with it.
 
-    The schedule (the recorded one, or `schedule` when it is given and its
-    digest differs) drives the same generator `run_construction` uses, for
-    as many steps as the certificate records. Recorded values are only
-    parsed and compared, never computed on: every field, component rows
-    included, must equal the fresh step's exactly. When the fresh run
+    The certificate's own schedule, whose digest `Certificate.from_json`
+    checks, drives the generator `run_construction` uses. Recorded values
+    are only parsed and compared, never computed on: every field, component
+    rows included, must equal the fresh step's exactly. When the fresh run
     stops because neither half of a step passes, that step is reported and
     the later steps, which have nothing to be compared with, are not.
     """
     problems: list[str] = []
-    sched = certificate.schedule
-    if schedule is not None and schedule.digest() != sched.digest():
-        problems.append("schedule digest does not match the supplied schedule")
-        sched = schedule
     if certificate.digits != "".join(str(record.digit) for record in certificate.steps):
         problems.append("digit string differs from the steps' digits")
-    fresh_records = _records(sched, budget=budget)
+    fresh_records = _records(certificate.schedule, budget=budget)
     for position, record in enumerate(certificate.steps, start=1):
         label = "step %d" % position
         try:

@@ -325,9 +325,6 @@ class DyadicInterval:
     def __sub__(self, other) -> "DyadicInterval":
         return self + -_coerce(other)
 
-    def __rsub__(self, other) -> "DyadicInterval":
-        return _coerce(other) + -self
-
     def __mul__(self, other) -> "DyadicInterval":
         other = _coerce(other)
         prec = self.prec

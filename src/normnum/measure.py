@@ -4,7 +4,7 @@ Every measure is an exact rational. An IntervalSet stores its parts as
 strictly increasing integer ends over one denominator, reduced by their
 common factor, so set equality is representation equality and every
 operation is oracle-checkable by structural comparison. Unions, measures
-and membership work on the integers; `Fraction`s are built only for
+and overlap queries work on the integers; `Fraction`s are built only for
 `pairs`, and `to_json` formats the integer ends directly.
 
 PeriodicIntervalSet represents the full preimage of a core set under
@@ -258,10 +258,6 @@ class IntervalSet:
         """Number of ends at or below x * denom."""
         return bisect_right(self.ends, x.numerator * self.denom // x.denominator)
 
-    def contains(self, x: RationalLike) -> bool:
-        # an odd number of ends at or below x puts x inside a part
-        return self._rank(as_fraction(x)) % 2 == 1
-
     def _runs(self, denom: int) -> list:
         """The parts as integer runs over a multiple of the denominator."""
         k = denom // self.denom
@@ -364,11 +360,6 @@ class PeriodicIntervalSet(Record):
         if self._measure is None:
             object.__setattr__(self, "_measure", self.core.measure())
         return self._measure
-
-    def contains(self, x: RationalLike) -> bool:
-        y = as_fraction(x) * self.base**self.level
-        y -= y.numerator // y.denominator
-        return self.core.contains(y)
 
     def intersect_measure(self, lo: RationalLike, hi: RationalLike) -> Fraction:
         """Exact measure of the intersection with [lo, hi).

@@ -151,6 +151,12 @@ def cases():
          "cert.json"),
         ("verify", "cert.json"),
     ]
+    # a band scale large enough that the threshold's width loop refines once
+    # before the sweep gate refuses the window
+    yield "refuse-block-width-loop", [
+        ("badset", "--preset", "toy-mixed", "--which", "block", "--base", "2",
+         "--index", "400000", "--band-scale", "200000"),
+    ]
 
 
 def main() -> int:

@@ -151,7 +151,7 @@ def test_precision_at_bound_runs(capsys):
     assert report["outer_measure"] == default["outer_measure"]
 
 
-def run_python(code, *argv):
+def run_python(code, *argv, timeout=120):
     """Run `code` in a fresh interpreter that imports normnum from this tree."""
     src = str(Path(normnum.__file__).resolve().parent.parent)
     return subprocess.run(
@@ -159,7 +159,7 @@ def run_python(code, *argv):
         env=dict(os.environ, PYTHONPATH=src),
         capture_output=True,
         text=True,
-        timeout=120,
+        timeout=timeout,
     )
 
 
@@ -424,6 +424,23 @@ def test_huge_size_index_exits_three(capsys, tmp_path, command):
     assert time.perf_counter() - start < 1.0
     assert code == 3
     assert str(MAX_SIZE_INDEX) in capsys.readouterr().err
+
+
+def test_band_scale_at_the_size_index_cap_exits_three_in_time():
+    # the window and its expected counts are 2**26-bit integers here; the
+    # expected count of a band is an exact shift, since a Fraction of two
+    # such integers takes a gcd of quadratic cost
+    done = run_python(
+        CLI_MAIN,
+        "badset", "--which", "block", "--base", "2", "--preset", "toy-mixed",
+        "--index", str(MAX_SIZE_INDEX), "--band-scale", str(MAX_SIZE_INDEX // 2 + 1),
+        timeout=20,
+    )
+    assert done.returncode == 3, done.stderr
+    assert done.stderr == (
+        "budget exceeded: sweep needs at least 2**(window end) events for a "
+        "window end of %d bits, budget is 5000000\n" % (MAX_SIZE_INDEX + 1)
+    )
 
 
 # every base up to base_cap adds an exact tail term with a 2**base-sized

@@ -23,6 +23,8 @@ from normnum.measure import BudgetError, IntervalSet
 from normnum.orbit import f_value
 from normnum.schedule import Schedule, preset
 
+from membership import contains
+
 F = Fraction
 
 
@@ -54,7 +56,7 @@ def test_flagship_eight_digits():
 def test_flagship_ten_digits_verify():
     cert = run_construction(preset("paper"), 10)
     assert cert.digits == "0000000000"
-    report = verify_certificate(cert, preset("paper"))
+    report = verify_certificate(cert)
     assert report.ok
     assert report.steps_checked == 10
     assert report.problems == ()
@@ -96,7 +98,7 @@ def test_toy_run_invariants(name):
         assert record.tail == 0  # toy universes are finite and fully built
         interval = record.chosen
     assert digits_to_fraction(cert.digits) == cert.steps[-1].chosen[0]
-    report = verify_certificate(cert, schedule)
+    report = verify_certificate(cert)
     assert report.ok, report.problems
 
 
@@ -122,8 +124,8 @@ def test_witness_point_escapes_every_component():
         witness = lo + (hi - lo) / 3
         family = bad_family(4, schedule)
         for comp in family.components:
-            assert not comp.region.contains(witness), (name, comp.label)
-        assert not family.contains(witness)
+            assert not contains(comp.region, witness), (name, comp.label)
+        assert not contains(family, witness)
 
 
 def test_witness_f_values_stay_below_thresholds():
@@ -240,13 +242,6 @@ def test_verify_catches_flipped_digit():
     report = verify_certificate(tampered(cert, flip))
     assert not report.ok
     assert any("step 2" in p for p in report.problems)
-
-
-def test_verify_catches_wrong_schedule():
-    cert = run_construction(preset("toy-sparse"), 2)
-    report = verify_certificate(cert, preset("toy-mixed"))
-    assert not report.ok
-    assert any("digest" in p for p in report.problems)
 
 
 def test_verify_catches_truncated_digits():

@@ -18,6 +18,7 @@ from normnum.orbit import (
 from normnum.schedule import preset
 
 from mc_estimate import estimate_measure, sample_points
+from membership import member_of
 
 
 def measure_of(region) -> F:
@@ -86,8 +87,8 @@ def test_half_interval_calibration():
 def test_estimates_are_reproducible():
     spec = SamplerSpec(31, 500)
     region = IntervalSet([(F(1, 7), F(2, 5)), (F(3, 4), F(7, 8))])
-    a = estimate_measure(region.contains, spec, measure_of(region))
-    b = estimate_measure(region.contains, spec, measure_of(region))
+    a = estimate_measure(member_of(region), spec, measure_of(region))
+    b = estimate_measure(member_of(region), spec, measure_of(region))
     assert a == b
     assert a.verdict == "consistent"
 
@@ -110,7 +111,7 @@ def test_report_json_shape():
 def test_block_component_measure():
     comp = block_bad_union(2, 4, preset("toy-sparse"))
     report = estimate_measure(
-        comp.region.contains,
+        member_of(comp.region),
         SamplerSpec(7, 2000),
         Enclosure.exact(measure_of(comp.region)),
     )
@@ -123,7 +124,7 @@ def test_tail_component_measure():
     # per-period copies preserve
     tail = tail_bad_union(2, 4, preset("toy-sparse"))[0]
     report = estimate_measure(
-        tail.region.contains,
+        member_of(tail.region),
         SamplerSpec(13, 4000),
         Enclosure.exact(measure_of(tail.region.core)),
     )

@@ -29,9 +29,6 @@ UNREACHED = {
     "discrepancy.fukuyama_constant": "no command reports it; item 4's audit (criterion 9)",
     "discrepancy._exact_sqrt": "reached only through the two constants; item 4",
     "enclose.Enclosure.exact": "reached only through the two constants; item 4",
-    "measure.IntervalSet.contains": "membership oracle; item 5 moves it to tests/",
-    "measure.PeriodicIntervalSet.contains": "membership oracle; item 5 moves it to tests/",
-    "badsets.BadFamily.contains": "membership oracle; item 5 moves it to tests/",
     "measure.IntervalSet.pairs": "reached only through materialize; item 5",
     "measure.IntervalSet.__len__": "reached only through materialize; item 5",
     "measure.Record.__eq__": "value semantics only tests use; kept",
@@ -43,10 +40,8 @@ UNREACHED = {
     "measure.IntervalSet.__eq__": "value semantics only tests use; kept",
     "measure.IntervalSet.__hash__": "value semantics only tests use; kept",
     "measure.IntervalSet.__repr__": "value semantics only tests use; kept",
-    "enclose.DyadicInterval.__rsub__": "no closed form takes a number minus an interval; item 5",
     "constructor.IndeterminateError.__init__": "no preset leaves both halves failing; kept",
     "constructor._shown": "formats a verify mismatch, and no corpus certificate has one; kept",
-    "enclose.Enclosure.intersect": "only eval_iv_tight's refinement loop calls it, which no case reaches; kept",
     "cli._deferred": "runs while normnum.cli is imported, before any argv; kept",
 }
 

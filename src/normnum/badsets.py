@@ -266,7 +266,7 @@ def block_bad_set(
     limit = depth_limit(length)
     if not 1 <= h <= limit:
         raise ValueError("band scale h must lie in [1, %d]" % limit)
-    if not 0 <= a < 2**h:
+    if a < 0 or a.bit_length() > h:
         raise ValueError("band index out of range")
     return _bad_set(
         "block b=%d n=%d h=%d a=%d" % (base, n, h, a),
@@ -310,7 +310,7 @@ def tail_bad_set(
         raise ValueError(
             "band scale h must lie in [1, %d] for window length %d" % (limit, length)
         )
-    if not 0 <= a < 2**h:
+    if a < 0 or a.bit_length() > h:
         raise ValueError("band index out of range")
     return _bad_set(
         "tail b=%d n=%d h=%d a=%d l=%d m=%d" % (base, n, h, a, l, m),
@@ -612,20 +612,10 @@ def band_depth_triangle_check(
         raise ValueError("depth must be non-negative")
     window = Window(base, 0, length)
     lhs = f_value(x, window, (target_lo, target_hi))
-    slack = Fraction(2 * length, 2**depth)
-    per_depth = []
-    rhs = slack
+    rhs = Fraction(2 * length, 2**depth)
     for m in range(1, depth + 1):
-        worst = max(f_value(x, window, Band(a, m)) for a in range(2**m))
-        per_depth.append(worst)
-        rhs += worst
-    return {
-        "lhs": lhs,
-        "rhs": rhs,
-        "slack": slack,
-        "per_depth": per_depth,
-        "holds": lhs <= rhs,
-    }
+        rhs += max(f_value(x, window, Band(a, m)) for a in range(2**m))
+    return {"lhs": lhs, "rhs": rhs, "holds": lhs <= rhs}
 
 
 def window_cover_check(x: RationalLike, base: int, length: int, a: int, h: int) -> dict:
@@ -654,20 +644,8 @@ def window_cover_check(x: RationalLike, base: int, length: int, a: int, h: int) 
         if best is None or diff < best[0]:
             best = (diff, dict(zip(scales, combo)))
         if ok:
-            return {
-                "holds": True,
-                "lhs": lhs,
-                "blockwise": total,
-                "slots": dict(zip(scales, combo)),
-                "excess": max(diff, ZERO),
-            }
-    return {
-        "holds": False,
-        "lhs": lhs,
-        "blockwise": lhs - best[0],
-        "slots": best[1],
-        "excess": best[0],
-    }
+            return {"holds": True, "slots": dict(zip(scales, combo))}
+    return {"holds": False, "slots": best[1]}
 
 
 def summed_mass_tail_check(start_index: int, delta: RationalLike, eta: RationalLike) -> dict:
@@ -684,15 +662,5 @@ def summed_mass_tail_check(start_index: int, delta: RationalLike, eta: RationalL
     if start_index < 2:
         raise ValueError("start index must be at least 2")
     base = start_index - 1
-    cubic_tail = Fraction(1, 2 * base * base)
-    root = isqrt(base)
-    sqrt_tail = Fraction(4, 3) / (base * root)
-    bound = cubic_tail + sqrt_tail
-    return {
-        "start_index": start_index,
-        "cubic_tail": cubic_tail,
-        "sqrt_tail": sqrt_tail,
-        "bound": bound,
-        "eta": eta,
-        "holds": bound < eta,
-    }
+    bound = Fraction(1, 2 * base * base) + Fraction(4, 3) / (base * isqrt(base))
+    return {"bound": bound, "eta": eta, "holds": bound < eta}

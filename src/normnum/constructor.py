@@ -37,12 +37,8 @@ DIGITS_PER_LINE = 64
 class IndeterminateError(RuntimeError):
     """Neither half of the current interval passed the avoidance test."""
 
-    def __init__(self, step, interval, bounds, tail, threshold):
+    def __init__(self, step, bounds, tail, threshold):
         self.step = step
-        self.interval = interval
-        self.bounds = bounds
-        self.tail = tail
-        self.threshold = threshold
         super().__init__(
             "step %d indeterminate: "
             "half bounds %s and %s plus tail %s do not beat threshold %s"
@@ -221,7 +217,7 @@ def _records(
             overlaps = family.overlaps(ends[1], ends[2])
             bound1 = sum(overlaps, ZERO)
             if not bound1 + tail < threshold:
-                raise IndeterminateError(step, interval, (bound0, bound1), tail, threshold)
+                raise IndeterminateError(step, (bound0, bound1), tail, threshold)
             digit, chosen_bound, rejected_bound = 1, bound1, bound0
         yield StepRecord(
             step=step,
@@ -354,16 +350,12 @@ def chain_margin_check(schedule: Schedule) -> dict:
         raise ValueError("margin chain assumes the derived, uncapped schedule")
     partial = ZERO
     partials = []
-    terms = []
     for step in range(1, 21):
         residual = tail_mass_bound(schedule.family_index(step), schedule)
-        term = 2 ** (step - 1) * residual
-        terms.append(term)
-        partial += term
+        partial += 2 ** (step - 1) * residual
         partials.append(partial)
     loose = Fraction(3, 4) + schedule.eta / 4
     return {
-        "terms": terms,
         "partials": partials,
         "total": partial,
         "loose_cap": loose,

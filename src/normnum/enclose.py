@@ -141,15 +141,6 @@ def _ln2(p: int) -> int:
     return value >> (bits - p)
 
 
-def _powers(x: int, count: int, big: int) -> list:
-    """[x**0, ..., x**count] at fixed point 2**-big, each floored; the
-    i-th is short by under i units when x < 2**big."""
-    powers = [1 << big]
-    for _ in range(count):
-        powers.append(powers[-1] * x >> big)
-    return powers
-
-
 def _exp_bounds(x: tuple, work: int) -> tuple:
     """(lo, hi, e) with lo * 2**e <= exp(x) <= hi * 2**e, hi - lo of about
     2**-work relative, for x = m * 2**e.
@@ -157,9 +148,6 @@ def _exp_bounds(x: tuple, work: int) -> tuple:
     x = k ln 2 + r with 0 <= r < ln 2 and exp(x) = 2**k exp(r); exp(r) is
     the Taylor sum at t = r / 2**s squared s times. r is known to p bits
     and the sum runs at big = p + s bits, so s squarings leave p good bits.
-    The sum keeps u partial sums, the i-th over the terms t**n / n! with
-    n = i mod u, so t**u is the only full product a term needs, once in u
-    terms; term n is a running quotient divided by n.
     """
     m, e = x
     if not m:
@@ -170,8 +158,7 @@ def _exp_bounds(x: tuple, work: int) -> tuple:
         one = 1 << (2 - t)
         return (one + 2, one + 8, t - 2) if m > 0 else (one - 4, one - 1, t - 2)
     top = max(t, 0)  # |k| < 2**(top + 1)
-    root = isqrt(work)
-    s, u = root // 3 + 1, root // 8 + 1
+    s = isqrt(work) // 3 + 1
     p = work + top + 20
     if e + p >= 0:
         x_lo = x_hi = m << (e + p)
@@ -186,20 +173,13 @@ def _exp_bounds(x: tuple, work: int) -> tuple:
         k = x_lo // ln2
         r_lo, r_hi = x_lo - k * ln2, x_hi - k * (ln2 + 2)
     big = p + s
-    # every step floors, so each partial sum is short by under u + 3
-    # units a term, and each power of t by under u units
-    powers = _powers(r_lo, u, big)
-    step = powers.pop()
-    sums = [0] * u
-    term, n = powers[0], 0
+    # every step floors, so the sum is short by under 4 units a term
+    lo, term, n = 0, 1 << big, 0
     while term:
-        for i in range(u):
-            sums[i] += term
-            n += 1
-            term //= n
-        term = term * step >> big
-    lo = sum(part * power for part, power in zip(sums, powers)) >> big
-    err = (u + 3) * n + 2 * u * u + 8
+        lo += term
+        n += 1
+        term = (term // n) * r_lo >> big
+    err = 4 * n + 10
     for _ in range(s):
         # (lo + err)**2 = lo**2 + err (2 lo + err)
         lo, err = lo * lo >> big, (err * (2 * lo + err) >> big) + 2
@@ -214,7 +194,7 @@ def _log_bounds(x: tuple, work: int) -> tuple:
     x = 2**k y with 3/4 <= y < 3/2, and log(x) = k ln 2 + 2**(j+1)
     atanh(z) with z = (y' - 1) / (y' + 1) for y' the j-th square root of
     y, so |z| <= 1/5 / 2**j. atanh(z) = z * sum(w**n / (2n + 1)) with
-    w = z**2, summed in u partial sums as in `_exp_bounds`.
+    w = z**2.
     """
     m, e = x
     bits = m.bit_length()
@@ -227,8 +207,7 @@ def _log_bounds(x: tuple, work: int) -> tuple:
         if not d:
             return 0, 0, 0
         tiny = max(0, -(d.bit_length() + e))
-    root = isqrt(work)
-    j, u = root // 8, root // 8 + 1
+    j = isqrt(work) // 8
     big = work + tiny + j + 20
     one = 1 << big
     # y in [y_lo, y_lo + 3] * 2**-big, through every square root taken
@@ -239,21 +218,16 @@ def _log_bounds(x: tuple, work: int) -> tuple:
             y_lo = isqrt(y_lo << big)
     # z in [z_lo, z_lo + 3] * 2**-big, as dz/dy < 2/3 for y >= 3/4
     z_lo = ((y_lo - one) << big) // (y_lo + one)
-    # atanh(|z_lo|) from below; every step floors, so it is short by
-    # under u + 4 units a term and 2 u + 2 units a partial sum
+    # atanh(|z_lo|) from below, short by under 5 units a term
     z = abs(z_lo)
-    powers = _powers(z * z >> big, u, big)
-    step = powers.pop()
-    sums = [0] * u
-    power, n = one, 0
+    w = z * z >> big
+    total, power, n = 0, one, 0
     while power:
-        for i in range(u):
-            sums[i] += power // (2 * n + 1)
-            n += 1
-        power = power * step >> big
-    total = sum(part * power for part, power in zip(sums, powers)) >> big
+        total += power // (2 * n + 1)
+        n += 1
+        power = power * w >> big
     total = total * z >> big
-    err = (u + 4) * n + 2 * u * u + 8
+    err = 5 * n + 10
     a_lo = total if z_lo >= 0 else -(total + err)
     # atanh(z) <= atanh(z_lo) + 3 * 1.05 for |z| <= 1/5
     a_hi = a_lo + err + 4

@@ -55,7 +55,7 @@ class Band(Record):
     def __init__(self, a: int, k: int):
         if k < 0:
             raise ValueError("band depth must be non-negative")
-        if not 0 <= a < 2**k:
+        if a < 0 or a.bit_length() > k:
             raise ValueError("band index out of range for depth %d" % k)
         self._fill(a, k)
 

@@ -240,8 +240,11 @@ def test_block_bad_set_validation():
         block_bad_set(2, 3, 0, 1, s)  # window below the scale floor
     with pytest.raises(ValueError):
         block_bad_set(2, 4, 0, 4, s)  # h beyond T(16) = 3
-    with pytest.raises(ValueError):
-        block_bad_set(2, 4, 2, 1, s)  # a beyond 2**h - 1
+    for h in (1, 3):
+        assert block_bad_set(2, 4, 2**h - 1, h, s).band.a == 2**h - 1
+        for a in (-1, 2**h):  # a outside [0, 2**h - 1]
+            with pytest.raises(ValueError, match="band index out of range"):
+                block_bad_set(2, 4, a, h, s)
 
 
 def test_block_membership_matches_f_value():
@@ -300,6 +303,11 @@ def test_tail_bad_set_validation():
         tail_bad_set(2, 4, 0, 1, 4, 2, s)  # m beyond 2**(n-l)
     with pytest.raises(ValueError):
         tail_bad_set(2, 4, 0, 3, 4, 1, s)  # h beyond T(2**(l-1)) = 2
+    for h in (1, 2):
+        assert tail_bad_set(2, 4, 2**h - 1, h, 4, 1, s).band.a == 2**h - 1
+        for a in (-1, 2**h):  # a outside [0, 2**h - 1]
+            with pytest.raises(ValueError, match="band index out of range"):
+                tail_bad_set(2, 4, a, h, 4, 1, s)
 
 
 def test_toy_sparse_block_structure():

@@ -430,17 +430,23 @@ def test_band_scale_at_the_size_index_cap_exits_three_in_time():
     # the window and its expected counts are 2**26-bit integers here; the
     # expected count of a band is an exact shift, since a Fraction of two
     # such integers takes a gcd of quadratic cost
-    done = run_python(
-        CLI_MAIN,
-        "badset", "--which", "block", "--base", "2", "--preset", "toy-mixed",
-        "--index", str(MAX_SIZE_INDEX), "--band-scale", str(MAX_SIZE_INDEX // 2 + 1),
-        timeout=20,
-    )
-    assert done.returncode == 3, done.stderr
-    assert done.stderr == (
-        "budget exceeded: sweep needs at least 2**(window end) events for a "
-        "window end of %d bits, budget is 5000000\n" % (MAX_SIZE_INDEX + 1)
-    )
+    n = MAX_SIZE_INDEX
+    cases = [
+        (["block", "--band-scale", str(n // 2 + 1)], n + 1),
+        (["tail", "--band-scale", str(n // 4), "--window-scale", str(n)], n),
+    ]
+    for which, end_bits in cases:
+        done = run_python(
+            CLI_MAIN,
+            "badset", "--which", *which, "--base", "2", "--preset", "toy-mixed",
+            "--index", str(n),
+            timeout=20,
+        )
+        assert done.returncode == 3, done.stderr
+        assert done.stderr == (
+            "budget exceeded: sweep needs at least 2**(window end) events for a "
+            "window end of %d bits, budget is 5000000\n" % end_bits
+        )
 
 
 # every base up to base_cap adds an exact tail term with a 2**base-sized

@@ -369,6 +369,9 @@ def _mpmath_value(op: str, x: tuple, work: int) -> tuple:
 )
 @example(op="log", work=88, mantissa=1, exponent=0, negative=False)
 @example(op="exp", work=88, mantissa=3, exponent=-200, negative=True)
+# a --precision 4096 evaluation starts at work 4120
+@example(op="log", work=4120, mantissa=2**200 - 12345, exponent=-197, negative=False)
+@example(op="exp", work=4120, mantissa=2**200 - 12345, exponent=-189, negative=True)
 def test_series_bounds_bracket_the_value(op, work, mantissa, exponent, negative):
     # the fixed-point bounds behind log and exp hold the true value, about
     # 2**-work apart

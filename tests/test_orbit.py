@@ -112,12 +112,13 @@ def test_f_value_is_absolute_deviation():
 
 def test_band_validation():
     with pytest.raises(ValueError):
-        Band(2, 1)
-    with pytest.raises(ValueError):
-        Band(-1, 1)
-    with pytest.raises(ValueError):
         Band(0, -1)
     assert Band(0, 0).bounds() == (F(0), F(1))
+    for k in (0, 1, 70):
+        assert Band(2**k - 1, k).hi == 1
+        for a in (-1, 2**k):  # a outside [0, 2**k - 1]
+            with pytest.raises(ValueError, match="band index out of range"):
+                Band(a, k)
 
 
 def test_window_validation():

@@ -19,8 +19,6 @@ than a floating approximation.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
-from math import isqrt
 from typing import Optional
 
 from .enclose import Enclosure, eval_iv_tight, iv_fraction
@@ -28,27 +26,21 @@ from .measure import (
     DEFAULT_EVENT_BUDGET,
     ZERO,
     BudgetError,
+    DomainError,
     IntervalSet,
     PeriodicIntervalSet,
     RationalLike,
     Record,
     RegionLike,
-    as_fraction,
-    format_fraction,
 )
 from .orbit import (
     Band,
     Window,
     count_cutoffs,
     cutoff_region,
-    f_value,
     sweep_cost,
 )
 from .schedule import Schedule
-
-
-class DomainError(ValueError):
-    """A closed-form bound was queried outside its hypotheses."""
 
 
 class StraddleError(RuntimeError):
@@ -538,129 +530,3 @@ def tail_mass_bound(index: int, schedule: Schedule) -> Fraction:
     if schedule.base_cap is None:
         total += schedule.eta * Fraction(1, 2**limit)
     return total
-
-
-def badic_deviation_bound(
-    base: int, m: int, length: int, eps: RationalLike, precision: int = 64
-) -> Enclosure:
-    """Closed-form measure bound for one base-b**-m band deviation event.
-
-    Bounds the measure of {x : deviation > eps * length} for any band of
-    depth m in base `base` and any window of the given length. Requires
-    6 / floor(length / m) <= eps <= base**-m.
-    """
-    if base < 2 or m < 1:
-        raise ValueError("base must be >= 2 and band depth >= 1")
-    if length < m:
-        raise DomainError("window length below band depth: floor(length/m) = 0")
-    eps = as_fraction(eps)
-    blocks = length // m
-    lo_req = Fraction(6, blocks)
-    hi_req = Fraction(1, base**m)
-    if eps < lo_req:
-        raise DomainError(
-            "eps violates 6/floor(length/m) <= eps: %s < %s"
-            % (format_fraction(eps), format_fraction(lo_req))
-        )
-    if eps > hi_req:
-        raise DomainError(
-            "eps violates eps <= base**-m: %s > %s"
-            % (format_fraction(eps), format_fraction(hi_req))
-        )
-    coefficient = 2 * base ** (2 * m - 2) * m
-    exponent = -(eps * eps) * length * base**m / (6 * m)
-    return eval_iv_tight(
-        precision, lambda: coefficient * iv_fraction(exponent).exp()
-    )
-
-
-def dyadic_deviation_bound(
-    base: int, k: int, length: int, eps: RationalLike, precision: int = 64
-) -> Enclosure:
-    """Closed-form measure bound for one dyadic band deviation event.
-
-    Bounds the measure of {x : deviation >= eps * length} for any dyadic
-    band of depth k, orbits in base `base`, any window of the given
-    length, any positive eps.  Covering a depth-k dyadic band with
-    base-`base` cells of total width about 2**(k+2) makes the exponent
-    uniform in the orbit base; only the validity check uses `base`.
-    """
-    if base < 2 or k < 0 or length < 1:
-        raise ValueError("need base >= 2, k >= 0, length >= 1")
-    eps = as_fraction(eps)
-    if eps <= 0:
-        raise DomainError("eps must be positive")
-    coefficient = 9 * 2 ** (2 * (k + 2)) * (k + 2)
-    exponent = -(eps * eps) * length * 2 ** (k + 2) / (6 * (k + 2))
-    return eval_iv_tight(
-        precision, lambda: coefficient * iv_fraction(exponent).exp()
-    )
-
-
-def band_depth_triangle_check(
-    x: RationalLike,
-    base: int,
-    length: int,
-    target_lo: RationalLike,
-    target_hi: RationalLike,
-    depth: int,
-) -> dict:
-    """Exact check that an arbitrary interval's deviation is controlled by
-    the dyadic band maxima up to a chosen depth, plus a 2**(1-depth) slack.
-    """
-    if depth < 0:
-        raise ValueError("depth must be non-negative")
-    window = Window(base, 0, length)
-    lhs = f_value(x, window, (target_lo, target_hi))
-    rhs = Fraction(2 * length, 2**depth)
-    for m in range(1, depth + 1):
-        rhs += max(f_value(x, window, Band(a, m)) for a in range(2**m))
-    return {"lhs": lhs, "rhs": rhs, "holds": lhs <= rhs}
-
-
-def window_cover_check(x: RationalLike, base: int, length: int, a: int, h: int) -> dict:
-    """Search for window slots splitting a full-range deviation bound.
-
-    For length in [2**n, 2**(n+1)), tries every choice of slots for the
-    short windows past the leading block and reports one that bounds the
-    full-window deviation by the blockwise sum plus length**(1/3); the
-    cube-root slack is decided exactly by comparing diff**3 with length.
-    """
-    if length < 2:
-        raise ValueError("length must be at least 2")
-    n = length.bit_length() - 1
-    band = Band(a, h)
-    window = Window(base, 0, length)
-    lhs = f_value(x, window, band)
-    base_term = f_value(x, Window(base, 0, 2**n), band)
-    scales = list(range((n + 1) // 2, n + 1))
-    best = None
-    for combo in product(*(range(2 ** (n - l)) for l in scales)):
-        total = base_term
-        for l, m in zip(scales, combo):
-            total += f_value(x, Window(base, 2**n + m * 2**l, 2 ** (l - 1)), band)
-        diff = lhs - total
-        ok = diff <= 0 or diff**3 <= length
-        if best is None or diff < best[0]:
-            best = (diff, dict(zip(scales, combo)))
-        if ok:
-            return {"holds": True, "slots": dict(zip(scales, combo))}
-    return {"holds": False, "slots": best[1]}
-
-
-def summed_mass_tail_check(start_index: int, delta: RationalLike, eta: RationalLike) -> dict:
-    """Certified rational bound on the summed family mass from start_index on.
-
-    Implemented for the flagship tilt delta = 1/2 only, where the per-index
-    masses are at most index**-3 + 2 * index**-5/2 and integral comparison
-    gives a rational tail bound.
-    """
-    delta = as_fraction(delta)
-    eta = as_fraction(eta)
-    if delta != Fraction(1, 2):
-        raise DomainError("mass tail bound implemented only for delta = 1/2")
-    if start_index < 2:
-        raise ValueError("start index must be at least 2")
-    base = start_index - 1
-    bound = Fraction(1, 2 * base * base) + Fraction(4, 3) / (base * isqrt(base))
-    return {"bound": bound, "eta": eta, "holds": bound < eta}

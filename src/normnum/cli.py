@@ -36,9 +36,10 @@ def _deferred(name: str):
     `LazyLoader` recipe.
 
     So a command runs only the layers it uses. Imports inside the handlers
-    would too, but `bench/launcher.py` wraps the functions of every layer
-    it finds in `sys.modules` right after `import normnum.cli`; its
-    `vars(module)` runs the body then."""
+    would too, and `lemmas` and `digitfile` are imported there, but
+    `bench/launcher.py` wraps the functions of every layer it finds in
+    `sys.modules` right after `import normnum.cli`; its `vars(module)` runs
+    the body then."""
     fullname = "%s.%s" % (__package__, name)
     module = sys.modules.get(fullname)
     if module is None:
@@ -51,11 +52,13 @@ def _deferred(name: str):
     return module
 
 
-orbit = _deferred("orbit")
 badsets = _deferred("badsets")
 constructor = _deferred("constructor")
 discrepancy = _deferred("discrepancy")
-mc = _deferred("mc")
+# cli calls neither of these (the lemma audit reads them from the package);
+# they are deferred so that they are in sys.modules as well
+_deferred("orbit")
+_deferred("mc")
 
 DEFAULT_SEED = 20260819
 
@@ -140,7 +143,9 @@ def _cmd_digits(args) -> int:
         "digits": certificate.digits,
     }
     if args.digits_out:
-        constructor.write_digit_file(args.digits_out, certificate)
+        from . import digitfile
+
+        digitfile.write_digit_file(args.digits_out, certificate)
         report["digits_path"] = args.digits_out
     if args.cert_out:
         with open(args.cert_out, "w", encoding="ascii") as handle:
@@ -240,8 +245,10 @@ def _cmd_discrepancy(args) -> int:
             )
         source = format_fraction(x)
     else:
-        digits, _meta = constructor.read_digit_file(args.digits_file)
-        x = constructor.digits_to_fraction(digits)
+        from . import digitfile
+
+        digits, _meta = digitfile.read_digit_file(args.digits_file)
+        x = digitfile.digits_to_fraction(digits)
         source = args.digits_file
     if not 0 <= x < 1:
         raise ValueError("the point must lie in [0, 1)")
@@ -281,186 +288,15 @@ def _cmd_verify(args) -> int:
     return 0 if report.ok else 5
 
 
-# Each deviation grid checks a lemma's measure bound against the worst cell
-# of its grid points (base, scale, length, eps): the bound function, the
-# cell count of a scale, the target cells that decide the worst, whether
-# the deviation must exceed eps * length strictly, and the report key of
-# the scale. Cells that a measure-preserving map commuting with the orbit
-# sends onto each other have the same measure, so one cell per class
-# decides: any relabelling of the base digits for the base**m cells; for
-# dyadic cells of a base-3 orbit only the complement x -> 1 - x, which
-# sends cell a to cell cells - 1 - a (up to endpoints, a null set). The
-# table is built when a grid runs, so it takes the module's functions as
-# they are then, not as they were at import.
-def _deviation_grid(which: str) -> tuple:
-    return {
-        "badic": (
-            badsets.badic_deviation_bound,
-            lambda base, m: base**m,
-            orbit.relabelling_representatives,
-            True,
-            "band_scale",
-            [
-                (2, 1, 64, Fraction(1, 4)),
-                (2, 1, 128, Fraction(1, 2)),
-                (2, 2, 256, Fraction(1, 4)),
-                (3, 1, 64, Fraction(1, 4)),
-                (3, 2, 512, Fraction(1, 9)),
-            ],
-        ),
-        "dyadic": (
-            badsets.dyadic_deviation_bound,
-            lambda base, k: 2**k,
-            lambda base, k: range((2**k + 1) // 2),
-            False,
-            "band_depth",
-            [
-                (2, 1, 256, Fraction(1, 2)),
-                (2, 2, 256, Fraction(1, 2)),
-                (3, 1, 128, Fraction(1, 2)),
-            ],
-        ),
-    }[which]
-
-
-def _lemma_deviation_grid(args) -> tuple[list[dict], bool]:
-    bound_of, cells_of, targets_of, strict, scale_key, grid = _deviation_grid(
-        args.which
-    )
-    rows = []
-    ok = True
-    for base, scale, length, eps in grid:
-        bound = bound_of(base, scale, length, eps, args.precision)
-        cells = cells_of(base, scale)
-        worst = max(
-            orbit.deviation_measure(
-                orbit.Window(base, 0, length), cells, a, eps * length, strict=strict
-            )
-            for a in targets_of(base, scale)
-        )
-        vacuous = bound.lo >= 1
-        holds = vacuous or worst <= bound.hi
-        ok = ok and holds
-        rows.append(
-            {
-                "base": base,
-                scale_key: scale,
-                "length": length,
-                "eps": format_fraction(eps),
-                "bound": bound.to_json(),
-                "worst_measure": format_fraction(worst),
-                "vacuous": vacuous,
-                "holds": holds,
-            }
-        )
-    return rows, ok
-
-
-def _seeded_rationals(seed: int, count: int):
-    """Seeded rationals in [0, 1) over odd denominators below 2**16."""
-    for raw in mc.sample_integers(mc.SamplerSpec(seed=seed, count=count)):
-        den = (raw & 0xFFFF) | 1
-        num = (raw >> 16) % (den + 1)
-        yield Fraction(num % den, den)
-
-
-def _lemma_depth(args) -> tuple[list[dict], bool]:
-    rows = []
-    ok = True
-    draws = list(_seeded_rationals(args.seed, 40))
-    for i, x in enumerate(draws):
-        base = 2 + (i % 2)
-        length = 8 + (i * 7) % 57
-        depth = i % 4
-        lo = x / 2
-        hi = lo + Fraction(1, 2)
-        result = badsets.band_depth_triangle_check(x, base, length, lo, hi, depth)
-        ok = ok and result["holds"]
-        rows.append(
-            {
-                "x": format_fraction(x),
-                "base": base,
-                "length": length,
-                "depth": depth,
-                "lhs": format_fraction(result["lhs"]),
-                "rhs": format_fraction(result["rhs"]),
-                "holds": result["holds"],
-            }
-        )
-    return rows, ok
-
-
-def _lemma_cover(args) -> tuple[list[dict], bool]:
-    rows = []
-    ok = True
-    draws = list(_seeded_rationals(args.seed, 30))
-    for i, x in enumerate(draws):
-        base = 2 + (i % 2)
-        length = 4 + (i * 5) % 21
-        h = 1 + (i % 3)
-        a = i % 2**h
-        result = badsets.window_cover_check(x, base, length, a, h)
-        ok = ok and result["holds"]
-        rows.append(
-            {
-                "x": format_fraction(x),
-                "base": base,
-                "length": length,
-                "band_scale": h,
-                "band_index": a,
-                "holds": result["holds"],
-                "slots": {str(k): v for k, v in result["slots"].items()},
-            }
-        )
-    return rows, ok
-
-
-def _lemma_chain(args) -> tuple[list[dict], bool]:
-    result = constructor.chain_margin_check(preset("paper"))
-    rows = [
-        {
-            "step": i + 1,
-            "partial": format_fraction(partial),
-            "partial_approx": float(partial),
-        }
-        for i, partial in enumerate(result["partials"])
-    ]
-    ok = result["holds_seven_eighths"] and result["holds_with_eta"]
-    rows.append(
-        {
-            "total": format_fraction(result["total"]),
-            "holds_seven_eighths": result["holds_seven_eighths"],
-            "holds_with_eta": result["holds_with_eta"],
-            "holds_loose": result["holds_loose"],
-        }
-    )
-    return rows, ok
-
-
-def _lemma_masstail(args) -> tuple[list[dict], bool]:
-    result = badsets.summed_mass_tail_check(args.start, Fraction(1, 2), Fraction(1, 8))
-    row = {
-        "start_index": args.start,
-        "bound": format_fraction(result["bound"]),
-        "bound_approx": float(result["bound"]),
-        "eta": format_fraction(result["eta"]),
-        "holds": result["holds"],
-    }
-    return [row], result["holds"]
-
-
-_LEMMA_HANDLERS = {
-    "badic": _lemma_deviation_grid,
-    "dyadic": _lemma_deviation_grid,
-    "depth": _lemma_depth,
-    "cover": _lemma_cover,
-    "chain": _lemma_chain,
-    "masstail": _lemma_masstail,
-}
+# The names of the checks in `lemmas.HANDLERS`, spelled out here so that
+# the parser needs no lemma code.
+LEMMA_NAMES = ("badic", "chain", "cover", "depth", "dyadic", "masstail")
 
 
 def _cmd_lemma(args) -> int:
-    rows, ok = _LEMMA_HANDLERS[args.which](args)
+    from . import lemmas
+
+    rows, ok = lemmas.HANDLERS[args.which](args)
     _emit(
         {
             "schema": "normnum.lemma/1",
@@ -538,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.set_defaults(func=_cmd_verify)
 
     p_lemma = sub.add_parser("lemma", help="run bound and decomposition checks")
-    p_lemma.add_argument("--which", choices=sorted(_LEMMA_HANDLERS), required=True)
+    p_lemma.add_argument("--which", choices=LEMMA_NAMES, required=True)
     p_lemma.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p_lemma.add_argument("--start", type=_positive_int, default=9)
     p_lemma.add_argument("--precision", type=_precision_arg, default=64)
@@ -563,7 +399,7 @@ def main(argv=None) -> int:
     except BudgetError as exc:
         print("budget exceeded: %s" % exc, file=sys.stderr)
         return 3
-    except ValueError as exc:  # badsets.DomainError included
+    except ValueError as exc:  # measure.DomainError included
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except (constructor.IndeterminateError, badsets.StraddleError) as exc:

@@ -13,16 +13,13 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from functools import partial
 from itertools import count, islice
 from typing import Iterator, Optional
 
 from .badsets import bad_family, tail_mass_bound
 from .measure import (
     DEFAULT_EVENT_BUDGET,
-    MAX_DIGIT_COUNT,
     ZERO,
-    BudgetError,
     Record,
     format_fraction,
     parse_fraction,
@@ -30,8 +27,6 @@ from .measure import (
 from .schedule import Schedule
 
 CERTIFICATE_SCHEMA = "normnum.certificate/1"
-DIGIT_FILE_HEADER = "# normnum digit file v1"
-DIGITS_PER_LINE = 64
 
 
 class IndeterminateError(RuntimeError):
@@ -333,100 +328,3 @@ def verify_certificate(
             break
         problems.extend(_differences(label, record, fresh))
     return VerificationReport(not problems, len(certificate.steps), tuple(problems))
-
-
-def chain_margin_check(schedule: Schedule) -> dict:
-    """Exact partial sums of the doubled residual tails of steps 1 to 20.
-
-    Only meaningful for the uncapped derived schedule, whose residuals
-    shrink fast enough; capped or tabled schedules are rejected.
-    """
-    if (
-        schedule.z_table is not None
-        or schedule.p_const is not None
-        or schedule.base_cap is not None
-        or schedule.index_cap is not None
-    ):
-        raise ValueError("margin chain assumes the derived, uncapped schedule")
-    partial = ZERO
-    partials = []
-    for step in range(1, 21):
-        residual = tail_mass_bound(schedule.family_index(step), schedule)
-        partial += 2 ** (step - 1) * residual
-        partials.append(partial)
-    loose = Fraction(3, 4) + schedule.eta / 4
-    return {
-        "partials": partials,
-        "total": partial,
-        "loose_cap": loose,
-        "holds_loose": partial < loose,
-        "holds_seven_eighths": partial < Fraction(7, 8),
-        "holds_with_eta": schedule.eta + partial < 1,
-    }
-
-
-def digits_to_fraction(digits: str) -> Fraction:
-    """The rational 0.d1 d2 ... in base 2."""
-    value = 0
-    for ch in digits:
-        if ch not in "01":
-            raise ValueError("digit %r out of range for base 2" % ch)
-        value = value * 2 + int(ch)
-    return Fraction(value, 2 ** len(digits))
-
-
-def write_digit_file(path: str, certificate: Certificate) -> None:
-    lines = [
-        DIGIT_FILE_HEADER,
-        "# preset: %s" % certificate.schedule.tag,
-        "# schedule-digest: %s" % certificate.schedule.digest(),
-        "# count: %d" % len(certificate.digits),
-    ]
-    digits = certificate.digits
-    for i in range(0, len(digits), DIGITS_PER_LINE):
-        lines.append(digits[i : i + DIGITS_PER_LINE])
-    with open(path, "w", encoding="ascii") as handle:
-        handle.write("\n".join(lines) + "\n")
-
-
-def read_digit_file(path: str) -> tuple[str, dict]:
-    """Digits plus header metadata; raises ValueError on malformed content.
-
-    More than MAX_DIGIT_COUNT digits raise BudgetError as soon as the
-    digits read pass the bound. Lines are read in pieces of at most
-    MAX_DIGIT_COUNT + 1 characters, so not even one long line is read far
-    past it; a long comment line keeps the metadata of its first piece.
-    """
-    meta: dict = {}
-    digits = []
-    total = 0
-    in_comment = False  # the previous piece was a comment without its newline
-    with open(path, "r", encoding="ascii") as handle:
-        for piece in iter(partial(handle.readline, MAX_DIGIT_COUNT + 1), ""):
-            if in_comment:
-                in_comment = not piece.endswith("\n")
-                continue
-            line = piece.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                in_comment = not piece.endswith("\n")
-                body = line[1:].strip()
-                if ":" in body:
-                    key, value = body.split(":", 1)
-                    meta[key.strip()] = value.strip()
-                continue
-            if set(line) - set("01"):
-                raise ValueError("digit line contains characters outside {0, 1}")
-            total += len(line)
-            if total > MAX_DIGIT_COUNT:
-                raise BudgetError(
-                    "digit file holds more than the bound of %d digits" % MAX_DIGIT_COUNT
-                )
-            digits.append(line)
-    text = "".join(digits)
-    if not text:
-        raise ValueError("digit file holds no digits")
-    if "count" in meta and int(meta["count"]) != len(text):
-        raise ValueError("digit count header disagrees with the body")
-    return text, meta

@@ -43,11 +43,6 @@ class Enclosure(Record):
             raise ValueError("enclosure endpoints out of order")
         self._fill(lo, hi)
 
-    @classmethod
-    def exact(cls, value: RationalLike) -> "Enclosure":
-        v = as_fraction(value)
-        return cls(v, v)
-
     @property
     def width(self) -> Fraction:
         return self.hi - self.lo

@@ -32,6 +32,10 @@ class BudgetError(RuntimeError):
     """An operation would exceed its explicit work budget."""
 
 
+class DomainError(ValueError):
+    """A closed-form bound was queried outside its hypotheses."""
+
+
 # Events a region walk may visit unless a caller grants another budget.
 DEFAULT_EVENT_BUDGET = 5_000_000
 

@@ -10,7 +10,7 @@ from typing import Callable, Optional, Union
 
 from normnum.enclose import Enclosure
 from normnum.mc import SamplerSpec, sample_integers
-from normnum.measure import RationalLike, as_fraction, format_fraction
+from normnum.measure import RationalLike, format_fraction
 
 _SCALE = 2**128
 
@@ -76,7 +76,7 @@ def estimate_measure(
         ref_enc = (
             reference
             if isinstance(reference, Enclosure)
-            else Enclosure.exact(as_fraction(reference))
+            else Enclosure(reference, reference)
         )
         if variance == 0:
             ok = ref_enc.lo <= estimate <= ref_enc.hi

@@ -13,26 +13,17 @@ import sys
 import time
 from fractions import Fraction as F
 
-from normnum.badsets import (
+from normnum.cli import main
+from normnum.constructor import Certificate, run_construction, verify_certificate
+from normnum.discrepancy import extreme_discrepancy, star_discrepancy
+from normnum.enclose import Enclosure, naive_cost_log2
+from normnum.lemmas import (
     badic_deviation_bound,
     band_depth_triangle_check,
+    chain_margin_check,
     dyadic_deviation_bound,
     window_cover_check,
 )
-from normnum.cli import main
-from normnum.constructor import (
-    Certificate,
-    chain_margin_check,
-    run_construction,
-    verify_certificate,
-)
-from normnum.discrepancy import (
-    extreme_discrepancy,
-    fukuyama_constant,
-    philipp_constant,
-    star_discrepancy,
-)
-from normnum.enclose import Enclosure, naive_cost_log2
 from normnum.mc import SamplerSpec
 from normnum.measure import DEFAULT_EVENT_BUDGET, IntervalSet, PeriodicIntervalSet
 from normnum.orbit import (
@@ -44,6 +35,7 @@ from normnum.orbit import (
 )
 from normnum.schedule import preset
 
+from closed_forms import fukuyama_constant, philipp_constant
 from fraction_orbit import grid
 from mc_estimate import estimate_measure
 from membership import member_of

@@ -8,27 +8,33 @@ import pytest
 from mpmath import iv
 
 from normnum.badsets import (
-    DomainError,
     StraddleError,
     _tilted_threshold,
     bad_family,
-    badic_deviation_bound,
-    band_depth_triangle_check,
     block_bad_set,
     block_bad_union,
     depth_limit,
-    dyadic_deviation_bound,
-    summed_mass_tail_check,
     tail_bad_set,
     tail_bad_union,
     tail_mass_bound,
-    window_cover_check,
 )
 import normnum.badsets as badsets_module
 from normnum import orbit
 from normnum.cli import main
 from normnum.enclose import Enclosure, eval_iv_tight
-from normnum.measure import DEFAULT_EVENT_BUDGET, IntervalSet, PeriodicIntervalSet
+from normnum.lemmas import (
+    badic_deviation_bound,
+    band_depth_triangle_check,
+    dyadic_deviation_bound,
+    summed_mass_tail_check,
+    window_cover_check,
+)
+from normnum.measure import (
+    DEFAULT_EVENT_BUDGET,
+    DomainError,
+    IntervalSet,
+    PeriodicIntervalSet,
+)
 from normnum.orbit import (
     Band,
     Window,

@@ -20,9 +20,10 @@ import normnum
 import normnum.cli
 import normnum.constructor
 import normnum.discrepancy
+from normnum import lemmas
 from normnum.badsets import MAX_SIZE_INDEX
 from normnum.cli import MAX_DIGIT_COUNT, MAX_ORBIT_POINTS, MAX_PRECISION, main
-from normnum.constructor import read_digit_file
+from normnum.digitfile import read_digit_file
 from normnum.enclose import Enclosure
 from normnum.measure import MAX_EVENT_BUDGET
 
@@ -219,21 +220,64 @@ def test_cli_import_loads_every_layer():
     assert set(done.stdout.split()) >= {"normnum." + layer for layer in LAYERS}
 
 
+@pytest.fixture(scope="module")
+def made_files(tmp_path_factory):
+    """A toy certificate and digit file, for the commands that read one."""
+    directory = tmp_path_factory.mktemp("made")
+    paths = {"certificate": directory / "cert.json", "digits": directory / "digits.txt"}
+    argv = ["digits", "--preset", "toy-mixed", "--count", "2"]
+    argv += ["--cert-out", str(paths["certificate"])]
+    argv += ["--digits-out", str(paths["digits"])]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0
+    return {name: str(path) for name, path in paths.items()}
+
+
+FRONT = {"cli", "enclose", "measure", "schedule"}
+CONSTRUCTION = FRONT | {"constructor", "badsets", "orbit"}
+
+
 @pytest.mark.parametrize(
     "argv, executed",
     [
         (
             ["discrepancy", "--x", "1/7", "--count", "32", "--ratio"],
-            {"cli", "discrepancy", "enclose", "measure", "schedule"},
+            FRONT | {"discrepancy"},
         ),
-        (["cost", "--n", "1"], {"cli", "enclose", "measure", "schedule"}),
+        (["cost", "--n", "1"], FRONT),
+        (
+            ["discrepancy", "--digits-file", "{digits}", "--count", "16", "--ratio"],
+            FRONT | {"discrepancy", "digitfile"},
+        ),
+        (["digits", "--preset", "toy-mixed", "--count", "2"], CONSTRUCTION),
+        (
+            ["digits", "--preset", "toy-mixed", "--count", "2", "--digits-out", "{out}"],
+            CONSTRUCTION | {"digitfile"},
+        ),
+        (["verify", "{certificate}"], CONSTRUCTION),
+        (
+            ["badset", "--preset", "toy-mixed", "--which", "block", "--index", "4",
+             "--band-scale", "3"],
+            FRONT | {"badsets", "orbit"},
+        ),
+        (["lemma", "--which", "masstail"], FRONT | {"lemmas"}),
+        (["lemma", "--which", "badic"], FRONT | {"lemmas", "orbit"}),
+        (["lemma", "--which", "dyadic"], FRONT | {"lemmas", "orbit"}),
+        (["lemma", "--which", "depth"], FRONT | {"lemmas", "orbit", "mc"}),
+        (["lemma", "--which", "cover"], FRONT | {"lemmas", "orbit", "mc"}),
+        (["lemma", "--which", "chain"], FRONT | {"lemmas", "badsets", "orbit"}),
     ],
-    ids=["discrepancy", "cost"],
+    ids=[
+        "discrepancy", "cost", "discrepancy-digits-file", "digits", "digits-out",
+        "verify", "badset", "masstail", "badic", "dyadic", "depth", "cover", "chain",
+    ],
 )
-def test_commands_run_only_the_layers_they_use(argv, executed):
+def test_commands_run_only_the_layers_they_use(made_files, tmp_path, argv, executed):
     # the CLI defers the other layers: each is in sys.modules from the
     # import on, and its body runs on its first attribute access. Until
-    # then it is a lazy module subclass, which type() reads without a load
+    # then it is a lazy module subclass, which type() reads without a load.
+    # The lemma audit and the digit files are imported where they are used
+    argv = [arg.format(out=tmp_path / "out.txt", **made_files) for arg in argv]
     done = run_python(
         "import types; from normnum.cli import main; code = main(sys.argv[1:]); "
         "print(' '.join(name for name, module in sys.modules.items() "
@@ -248,14 +292,31 @@ def test_commands_run_only_the_layers_they_use(argv, executed):
 def test_launcher_traces_every_kind_of_call(tmp_path):
     # bench/launcher.py wraps functions and methods by name and binds
     # counter arguments by name, so a rename under src/ that breaks it
-    # shows here as a failed run or an empty trace
+    # shows here as a failed run or an empty trace; each call must also
+    # reach a wrapped function of a layer it runs
     launcher = Path(__file__).parents[1] / "bench" / "launcher.py"
     src = str(Path(normnum.__file__).resolve().parent.parent)
-    for argv in (
-        ["digits", "--preset", "toy-mixed", "--count", "2", "--cert-out", "cert.json"],
-        ["verify", "cert.json"],
-        ["lemma", "--which", "badic"],
-        ["discrepancy", "--x", "1/7", "--count", "32", "--ratio"],
+    for argv, span in (
+        (
+            ["digits", "--preset", "toy-mixed", "--count", "2", "--cert-out", "cert.json"],
+            "constructor.run_construction",
+        ),
+        (["verify", "cert.json"], "constructor.verify_certificate"),
+        (["lemma", "--which", "badic"], "orbit.deviation_measure"),
+        (["lemma", "--which", "chain"], "badsets.tail_mass_bound"),
+        (["lemma", "--which", "depth"], "mc.sample_integers"),
+        (
+            ["discrepancy", "--x", "1/7", "--count", "32", "--ratio"],
+            "discrepancy.extreme_discrepancy",
+        ),
+        (
+            ["digits", "--preset", "toy-mixed", "--count", "2", "--digits-out", "digits.txt"],
+            "constructor.run_construction",
+        ),
+        (
+            ["discrepancy", "--digits-file", "digits.txt", "--count", "16", "--ratio"],
+            "discrepancy.extreme_discrepancy",
+        ),
     ):
         trace = tmp_path / "trace.json"
         trace.unlink(missing_ok=True)
@@ -271,6 +332,7 @@ def test_launcher_traces_every_kind_of_call(tmp_path):
         spans = json.loads(trace.read_text(encoding="utf-8"))["spans"]
         assert spans["cli.main"][0] == 1, argv
         assert len(spans) > 2, argv
+        assert span in spans, argv
 
 
 @pytest.mark.parametrize(
@@ -1177,6 +1239,12 @@ def test_digit_file_pipeline(capsys, tmp_path):
 LEMMAS = ["badic", "dyadic", "depth", "cover", "chain", "masstail"]
 
 
+def test_lemma_names_match_the_handlers():
+    # the parser spells the names out, so that it loads no lemma code
+    assert normnum.cli.LEMMA_NAMES == tuple(sorted(lemmas.HANDLERS))
+    assert sorted(LEMMAS) == list(normnum.cli.LEMMA_NAMES)
+
+
 @pytest.mark.parametrize("which", LEMMAS)
 def test_lemma_checks_hold(capsys, which):
     code, report, _ = run(capsys, "lemma", "--which", which)
@@ -1242,8 +1310,8 @@ def test_lemma_grids_pin_worst_measures(capsys, which):
 @pytest.mark.parametrize(
     "which, names",
     [
-        ("badic", ("badsets.badic_deviation_bound", "orbit.relabelling_representatives")),
-        ("dyadic", ("badsets.dyadic_deviation_bound",)),
+        ("badic", ("lemmas.badic_deviation_bound", "orbit.relabelling_representatives")),
+        ("dyadic", ("lemmas.dyadic_deviation_bound",)),
     ],
 )
 def test_lemma_grids_call_swapped_functions(capsys, monkeypatch, which, names):

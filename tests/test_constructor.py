@@ -8,18 +8,15 @@ import pytest
 import normnum.constructor
 from normnum.badsets import bad_family
 from normnum.constructor import (
-    MAX_DIGIT_COUNT,
     Certificate,
     IndeterminateError,
-    chain_margin_check,
-    digits_to_fraction,
-    read_digit_file,
     run_construction,
     verify_certificate,
-    write_digit_file,
 )
+from normnum.digitfile import digits_to_fraction, read_digit_file, write_digit_file
 from normnum.enclose import Enclosure, naive_cost_log2
-from normnum.measure import BudgetError, IntervalSet
+from normnum.lemmas import chain_margin_check
+from normnum.measure import MAX_DIGIT_COUNT, BudgetError, IntervalSet
 from normnum.orbit import f_value
 from normnum.schedule import Schedule, preset
 

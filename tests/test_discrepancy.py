@@ -10,14 +10,13 @@ from mpmath.libmp import to_rational
 
 from normnum.discrepancy import (
     extreme_discrepancy,
-    fukuyama_constant,
     normalized_ratio,
     orbit_points,
-    philipp_constant,
     star_discrepancy,
 )
 from normnum.orbit import Window, f_value
 
+from closed_forms import fukuyama_constant, philipp_constant
 from fraction_orbit import fraction_orbit_points, grid
 
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from mpmath import iv, libmp
 
-from normnum import badsets, discrepancy, enclose
+from normnum import badsets, discrepancy, enclose, lemmas
 from normnum.enclose import (
     Enclosure,
     DyadicInterval,
@@ -16,6 +16,7 @@ from normnum.enclose import (
 )
 from normnum.schedule import HARD_START_FLOOR
 
+import closed_forms
 from mpmath_iv import mp_fraction, mpmath_expr
 
 F = Fraction
@@ -117,7 +118,8 @@ RATIO_COUNTS = [2**k for k in range(4, 17)] + [17, 1000, 65535]
 def _closed_forms():
     """(name, function, args, mpmath expression) for each closed form the
     CLI evaluates: toy and paper thresholds, the badic and dyadic grid
-    rows, --ratio, the Philipp and Fukuyama constants and cost's log2."""
+    rows, --ratio and cost's log2; and for the Philipp and Fukuyama
+    constants of `closed_forms`."""
     forms = []
     for length, base, delta, exponent in THRESHOLDS:
         forms.append(
@@ -134,7 +136,7 @@ def _closed_forms():
         forms.append(
             (
                 "badic",
-                badsets.badic_deviation_bound,
+                lemmas.badic_deviation_bound,
                 (base, m, length, eps),
                 lambda c=coefficient, x=exponent: c * iv.exp(mp_fraction(x)),
             )
@@ -145,7 +147,7 @@ def _closed_forms():
         forms.append(
             (
                 "dyadic",
-                badsets.dyadic_deviation_bound,
+                lemmas.dyadic_deviation_bound,
                 (base, k, length, eps),
                 lambda c=coefficient, x=exponent: c * iv.exp(mp_fraction(x)),
             )
@@ -165,7 +167,7 @@ def _closed_forms():
         forms.append(
             (
                 "philipp",
-                discrepancy.philipp_constant,
+                closed_forms.philipp_constant,
                 (base,),
                 lambda b=base: 166 + 664 / (iv.sqrt(iv.mpf(b)) - 1),
             )
@@ -180,7 +182,7 @@ def _closed_forms():
         forms.append(
             (
                 "fukuyama",
-                discrepancy.fukuyama_constant,
+                closed_forms.fukuyama_constant,
                 (theta,),
                 lambda r=radicand: iv.sqrt(mp_fraction(r)),
             )
@@ -205,9 +207,9 @@ def _handed_expression(monkeypatch, fn, args):
 
     def capture(precision, expr):
         handed.append(expr)
-        return Enclosure.exact(0)
+        return Enclosure(0, 0)
 
-    for module in (badsets, discrepancy, enclose):
+    for module in (badsets, closed_forms, discrepancy, enclose, lemmas):
         monkeypatch.setattr(module, "eval_iv_tight", capture)
     fn(*args)
     monkeypatch.undo()

@@ -110,10 +110,9 @@ def test_report_json_shape():
 
 def test_block_component_measure():
     comp = block_bad_union(2, 4, preset("toy-sparse"))
+    exact = measure_of(comp.region)
     report = estimate_measure(
-        member_of(comp.region),
-        SamplerSpec(7, 2000),
-        Enclosure.exact(measure_of(comp.region)),
+        member_of(comp.region), SamplerSpec(7, 2000), Enclosure(exact, exact)
     )
     assert report.verdict == "consistent"
     assert report.hits > 0
@@ -123,10 +122,9 @@ def test_tail_component_measure():
     # periodic membership must agree with the core measure, which the
     # per-period copies preserve
     tail = tail_bad_union(2, 4, preset("toy-sparse"))[0]
+    exact = measure_of(tail.region.core)
     report = estimate_measure(
-        member_of(tail.region),
-        SamplerSpec(13, 4000),
-        Enclosure.exact(measure_of(tail.region.core)),
+        member_of(tail.region), SamplerSpec(13, 4000), Enclosure(exact, exact)
     )
     assert report.verdict == "consistent"
     assert report.hits > 0

@@ -25,10 +25,6 @@ UNREACHED = {
     "measure.IntervalSet.intersect": "bench/launcher.py wraps it by name; items 3 and 5",
     "measure.PeriodicIntervalSet.materialize": "bench/launcher.py wraps it by name; items 3 and 5",
     "badsets.BadFamily.outer_intersect_bound": "bench/launcher.py wraps it by name; items 3 and 5",
-    "discrepancy.philipp_constant": "no command reports it; item 4's audit (criterion 9)",
-    "discrepancy.fukuyama_constant": "no command reports it; item 4's audit (criterion 9)",
-    "discrepancy._exact_sqrt": "reached only through the two constants; item 4",
-    "enclose.Enclosure.exact": "reached only through the two constants; item 4",
     "measure.IntervalSet.pairs": "reached only through materialize; item 5",
     "measure.IntervalSet.__len__": "reached only through materialize; item 5",
     "measure.Record.__eq__": "value semantics only tests use; kept",

@@ -327,7 +327,7 @@ class FamilyComponent(Record):
 
     @property
     def measure(self) -> Fraction:
-        """Exact measure of the region (a tail region caches its core's)."""
+        """Exact measure of the region."""
         return self.region.measure()
 
 

@@ -21,6 +21,7 @@ from .measure import (
     MAX_DIGIT_COUNT,
     MAX_EVENT_BUDGET,
     BudgetError,
+    check_digit_count,
     decimal_string,
     format_fraction,
     parse_fraction,
@@ -122,15 +123,8 @@ def _approx(value) -> float:
     return float(value)
 
 
-def _check_digit_count(count: int) -> None:
-    if count > MAX_DIGIT_COUNT:
-        raise BudgetError(
-            "%d digit steps exceed the bound of %d" % (count, MAX_DIGIT_COUNT)
-        )
-
-
 def _cmd_digits(args) -> int:
-    _check_digit_count(args.count)
+    check_digit_count(args.count)
     schedule = _load_schedule(args)
     certificate = constructor.run_construction(
         schedule, args.count, precision=args.precision, budget=args.budget
@@ -160,7 +154,7 @@ def _cmd_badset(args) -> int:
     if args.which == "family":
         family = badsets.bad_family(args.index, schedule, args.precision, args.budget)
         report = {
-            "schema": "normnum.badset/1",
+            "schema": "normnum.badset/2",
             "which": "family",
             "preset": schedule.tag,
             "index": args.index,
@@ -171,13 +165,10 @@ def _cmd_badset(args) -> int:
             "labels": [comp.label for comp in family.components],
         }
         if args.list_parts:
-            # inner and outer name the one exact region, kept for report stability
-            report["parts"] = []
-            for comp in family.components:
-                region = region_to_json(comp.region)
-                report["parts"].append(
-                    {"label": comp.label, "inner": region, "outer": region}
-                )
+            report["parts"] = [
+                {"label": comp.label, "region": region_to_json(comp.region)}
+                for comp in family.components
+            ]
         _emit(report)
         return 0
     if args.band_scale is None:
@@ -206,9 +197,8 @@ def _cmd_badset(args) -> int:
             args.precision,
             args.budget,
         )
-    measure = format_fraction(piece.region.measure())
     report = {
-        "schema": "normnum.badset/1",
+        "schema": "normnum.badset/2",
         "which": args.which,
         "preset": schedule.tag,
         "label": piece.label,
@@ -219,12 +209,11 @@ def _cmd_badset(args) -> int:
         },
         "band": {"index": piece.band.a, "depth": piece.band.k},
         "threshold": piece.threshold.to_json(),
-        "inner_measure": measure,
-        "outer_measure": measure,
+        "measure": format_fraction(piece.region.measure()),
         "empty": piece.is_empty(),
     }
     if args.list_parts:
-        report["inner"] = report["outer"] = region_to_json(piece.region)
+        report["region"] = region_to_json(piece.region)
     _emit(report)
     return 0
 
@@ -282,7 +271,6 @@ def _cmd_verify(args) -> int:
     except (ValueError, KeyError, TypeError) as exc:
         print("malformed certificate: %s" % exc, file=sys.stderr)
         return 5
-    _check_digit_count(len(certificate.steps))
     report = constructor.verify_certificate(certificate, budget=args.budget)
     _emit({"schema": "normnum.verify/1", "digits": certificate.digits, **report.to_json()})
     return 0 if report.ok else 5

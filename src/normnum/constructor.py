@@ -21,6 +21,7 @@ from .measure import (
     DEFAULT_EVENT_BUDGET,
     ZERO,
     Record,
+    check_digit_count,
     format_fraction,
     parse_fraction,
 )
@@ -159,11 +160,17 @@ class Certificate(Record):
                 "schedule_digest does not match the recorded schedule, whose "
                 "digest is %s" % digest
             )
-        return cls(
-            schedule=schedule,
-            digits=str(data["digits"]),
-            steps=tuple(StepRecord.from_json(entry) for entry in data["steps"]),
-        )
+        entries = data["steps"]
+        if type(entries) is not list:
+            raise ValueError("steps must be a list")
+        check_digit_count(len(entries))
+        steps = []
+        for position, entry in enumerate(entries, start=1):
+            try:
+                steps.append(StepRecord.from_json(entry))
+            except (ValueError, KeyError, TypeError) as exc:
+                raise ValueError("step %d: %s" % (position, exc)) from exc
+        return cls(schedule=schedule, digits=str(data["digits"]), steps=tuple(steps))
 
     def dump(self) -> str:
         return json.dumps(self.to_json(), indent=2, sort_keys=True)

@@ -44,11 +44,20 @@ DEFAULT_EVENT_BUDGET = 5_000_000
 # parts, one per two events; an unbounded budget means unbounded memory.
 MAX_EVENT_BUDGET = 1 << 23
 
-# Digit steps above which `digits --count` and `verify` are refused before
-# any family is built, and digits above which a digit file is refused: step
-# k carries k-bit denominators in every field, and a point of k digits has
-# a 2**k denominator that every orbit point carries.
+# Digit steps above which `digits --count` and a certificate are refused
+# before any family is built or step parsed, and digits above which a digit
+# file is refused: step k carries k-bit denominators in every field, and a
+# point of k digits has a 2**k denominator that every orbit point carries.
 MAX_DIGIT_COUNT = 1 << 12
+
+
+def check_digit_count(count: int) -> None:
+    """Refuse `count` digit steps above MAX_DIGIT_COUNT with BudgetError."""
+    if count > MAX_DIGIT_COUNT:
+        raise BudgetError(
+            "%d digit steps exceed the bound of %d" % (count, MAX_DIGIT_COUNT)
+        )
+
 
 # Bit length up to which an integer is printed with "%d". CPython converts
 # an int to decimal in quadratic time, so longer ones are split in halves by
@@ -126,8 +135,7 @@ def floor_fraction(x: Fraction) -> int:
 
 
 class Record:
-    """Immutable value whose fields are the public names of its class's
-    `__slots__`; a slot named with a leading underscore is a cache.
+    """Immutable value whose fields are its class's `__slots__`.
 
     Each subclass writes its own `__init__`, which checks and coerces the
     arguments and stores them through `_fill` in slot order. Records
@@ -143,7 +151,7 @@ class Record:
             object.__setattr__(self, name, value)
 
     def _fields(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__ if name[0] != "_")
+        return tuple(getattr(self, name) for name in self.__slots__)
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -155,9 +163,7 @@ class Record:
 
     def __repr__(self) -> str:
         shown = ", ".join(
-            "%s=%r" % (name, getattr(self, name))
-            for name in self.__slots__
-            if name[0] != "_"
+            "%s=%r" % (name, getattr(self, name)) for name in self.__slots__
         )
         return "%s(%s)" % (type(self).__name__, shown)
 
@@ -346,24 +352,21 @@ class PeriodicIntervalSet(Record):
     far too large for the copies to be expanded.
     """
 
-    __slots__ = ("core", "base", "level", "_measure")
+    __slots__ = ("core", "base", "level")
 
     def __init__(self, core: IntervalSet, base: int, level: int):
         if base < 2:
             raise ValueError("base must be at least 2")
         if level < 0:
             raise ValueError("level must be non-negative")
-        self._fill(core, base, level, None)
+        self._fill(core, base, level)
 
     def is_empty(self) -> bool:
         return self.core.is_empty()
 
     def measure(self) -> Fraction:
-        # each of the base**level copies has measure core/base**level; the
-        # core never changes, so its measure is summed once
-        if self._measure is None:
-            object.__setattr__(self, "_measure", self.core.measure())
-        return self._measure
+        # each of the base**level copies has measure core/base**level
+        return self.core.measure()
 
     def intersect_measure(self, lo: RationalLike, hi: RationalLike) -> Fraction:
         """Exact measure of the intersection with [lo, hi).
@@ -377,10 +380,11 @@ class PeriodicIntervalSet(Record):
         if hi <= lo:
             return ZERO
         scale = self.base**self.level
+        copy_measure = self.core.measure()
 
         def below(t: Fraction) -> Fraction:
             copies = floor_fraction(t)
-            return copies * self.measure() + self.core.intersect_measure(
+            return copies * copy_measure + self.core.intersect_measure(
                 ZERO, t - copies
             )
 

@@ -149,7 +149,7 @@ def test_precision_at_bound_runs(capsys):
     # the region is exact, so the working precision cannot move it
     code, default, _ = run(capsys, *BLOCK_PIECE)
     assert code == 0
-    assert report["outer_measure"] == default["outer_measure"]
+    assert report["measure"] == default["measure"]
 
 
 def run_python(code, *argv, timeout=120):
@@ -752,11 +752,23 @@ def unpack_error(value) -> str:
 
 # the whole stderr of the interval tampering, pinned word for word
 HOSTILE_STEP_ERRORS = {
-    "interval-above-one": "interval endpoints must lie in [0, 1]",
-    "chosen-reversed": "interval endpoints out of order",
-    "interval-three-ends": unpack_error(["0/1", "1/2", "1/1"]),
-    "interval-number": unpack_error(5),
+    "interval-above-one": "step 1: interval endpoints must lie in [0, 1]",
+    "chosen-reversed": "step 1: interval endpoints out of order",
+    "interval-three-ends": "step 1: " + unpack_error(["0/1", "1/2", "1/1"]),
+    "interval-number": "step 1: " + unpack_error(5),
 }
+
+
+def test_malformed_later_step_is_named(capsys, tmp_path):
+    path = tampered_certificate(
+        capsys,
+        tmp_path,
+        HOSTILE_STEPS["chosen-reversed"],
+        part=lambda data: data["steps"][1],
+    )
+    code, verdict, err = run(capsys, "verify", path)
+    assert (code, verdict) == (5, None)
+    assert err == "malformed certificate: step 2: interval endpoints out of order\n"
 
 
 def tamper_schedule(**fields):
@@ -784,6 +796,7 @@ HOSTILE_CERTIFICATES = {
     # each would verify if the start index were coerced with int()
     "z-table-float": (tamper_schedule(z_table={"2": 4.9}), "z_table"),
     "z-table-string": (tamper_schedule(z_table={"2": "4"}), "z_table"),
+    "steps-not-list": (lambda data: data.update(steps={"1": {}}), "steps must be a list"),
 }
 
 
@@ -951,7 +964,11 @@ def test_digit_count_above_bound_exits_three(capsys, monkeypatch, tmp_path):
     def refuse(*args):
         raise AssertionError("family built past the bound")
 
+    def parse(*args):
+        raise AssertionError("step parsed past the bound")
+
     monkeypatch.setattr(normnum.constructor, "bad_family", refuse)
+    monkeypatch.setattr(normnum.constructor.StepRecord, "from_json", parse)
     for argv in (
         ["digits", "--preset", "toy-sparse", "--count", str(MAX_DIGIT_COUNT + 1)],
         ["verify", str(cert_path)],
@@ -984,7 +1001,7 @@ def test_threshold_straddle_exits_four(capsys, monkeypatch):
 def test_badset_family_flagship(capsys):
     code, report, _ = run(capsys, "badset", "--index", "4")
     assert code == 0
-    assert report["schema"] == "normnum.badset/1"
+    assert report["schema"] == "normnum.badset/2"
     assert report["which"] == "family"
     assert report["components"] == 0
     assert F(report["outer_measure"]) == 0
@@ -1000,8 +1017,8 @@ def test_badset_family_toy(capsys):
     assert report["labels"] == ["block b=2 n=4", "tail b=2 n=4 offset=32"]
     assert F(report["outer_measure"]) == F(497, 32768)
     assert len(report["parts"]) == 2
-    assert report["parts"][0]["outer"]["kind"] == "flat"
-    assert report["parts"][1]["outer"]["kind"] == "periodic"
+    assert report["parts"][0]["region"]["kind"] == "flat"
+    assert report["parts"][1]["region"]["kind"] == "periodic"
 
 
 def test_badset_single_pieces(capsys):
@@ -1040,6 +1057,49 @@ def test_badset_single_pieces(capsys):
     assert code == 0
     assert report["label"] == "tail b=2 n=4 h=1 a=0 l=4 m=1"
     assert report["empty"] is False
+
+
+def region_measure(region):
+    """The measure of a reported region, summed from its listed parts: a
+    periodic region's copies each carry its core's measure over base**level."""
+    pairs = region["parts"] if region["kind"] == "flat" else region["core"]
+    return sum((F(hi) - F(lo) for lo, hi in pairs), F(0))
+
+
+PIECES = {
+    "block": ("--which", "block", "--band-scale", "1"),
+    "tail": ("--which", "tail", "--band-scale", "1", "--window-scale", "4"),
+}
+
+
+@pytest.mark.parametrize("which", sorted(PIECES))
+def test_badset_piece_states_its_region_once(capsys, which):
+    argv = ("badset", "--preset", "toy-sparse", "--index", "4", *PIECES[which])
+    code, report, _ = run(capsys, *argv, "--list-parts")
+    assert code == 0
+    assert report["schema"] == "normnum.badset/2"
+    for key in ("inner", "outer", "inner_measure", "outer_measure"):
+        assert key not in report
+    assert report["region"]["kind"] == ("flat" if which == "block" else "periodic")
+    assert region_measure(report["region"]) == F(report["measure"]) > 0
+    code, plain, _ = run(capsys, *argv)
+    assert code == 0
+    assert plain == {key: value for key, value in report.items() if key != "region"}
+
+
+def test_badset_family_parts_carry_label_and_region(capsys):
+    code, report, _ = run(
+        capsys, "badset", "--preset", "toy-seeded", "--index", "4", "--list-parts"
+    )
+    assert code == 0
+    parts = report["parts"]
+    assert [part["label"] for part in parts] == report["labels"]
+    assert all(sorted(part) == ["label", "region"] for part in parts)
+    assert [part["region"]["kind"] for part in parts] == ["flat", "flat", "periodic"]
+    # the family keeps both bounds: the component sum and the largest one
+    measures = [region_measure(part["region"]) for part in parts]
+    assert sum(measures) == F(report["outer_measure"])
+    assert max(measures) == F(report["inner_measure"]) < F(report["outer_measure"])
 
 
 def test_badset_piece_validation(capsys):

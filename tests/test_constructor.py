@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 import normnum.constructor
-from normnum.badsets import bad_family
+from normnum.badsets import FamilyComponent, bad_family
 from normnum.constructor import (
     Certificate,
     IndeterminateError,
@@ -16,7 +16,7 @@ from normnum.constructor import (
 from normnum.digitfile import digits_to_fraction, read_digit_file, write_digit_file
 from normnum.enclose import Enclosure, naive_cost_log2
 from normnum.lemmas import chain_margin_check
-from normnum.measure import MAX_DIGIT_COUNT, BudgetError, IntervalSet
+from normnum.measure import MAX_DIGIT_COUNT, BudgetError
 from normnum.orbit import f_value
 from normnum.schedule import Schedule, preset
 
@@ -142,17 +142,19 @@ def test_witness_f_values_stay_below_thresholds():
 
 
 def test_component_measures_summed_once(monkeypatch):
-    # every step's rows carry each component's measure; it is summed once
+    # every step's rows carry each component's measure; it is read once per
+    # family build, not once per step
     calls = []
-    summed = IntervalSet.measure
+    measure = FamilyComponent.measure
 
     def counting(self):
-        calls.append(self)
-        return summed(self)
+        calls.append(self.label)
+        return measure.fget(self)
 
-    monkeypatch.setattr(IntervalSet, "measure", counting)
+    monkeypatch.setattr(FamilyComponent, "measure", property(counting))
     cert = run_construction(preset("toy-seeded"), 50)
-    assert 0 < len(calls) <= len(cert.steps[0].components) == 3
+    assert calls == [row["label"] for row in cert.steps[0].components]
+    assert len(calls) == 3
 
 
 @pytest.mark.parametrize(

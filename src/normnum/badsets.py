@@ -23,7 +23,6 @@ from typing import Optional
 
 from .enclose import Enclosure, eval_iv_tight, iv_fraction
 from .measure import (
-    DEFAULT_EVENT_BUDGET,
     ZERO,
     BudgetError,
     DomainError,
@@ -58,7 +57,7 @@ MAX_TAIL_TERMS = 1 << 12
 # length 1 << n, an n-bit integer, and so do its thresholds and cutoffs, so
 # an unbounded index means unbounded memory. The bound sits above the
 # paper's first start index, `schedule.HARD_START_FLOOR`, so the paper
-# schedule still runs into its sweep budget first.
+# schedule still runs into the sweep gate first.
 MAX_SIZE_INDEX = 1 << 26
 
 
@@ -167,7 +166,6 @@ def _decide_cutoffs(
     exponent: Fraction,
     schedule: Schedule,
     precision: int,
-    budget: int,
 ) -> tuple[Enclosure, Optional[tuple[int, int]]]:
     """First step of a bad set: the threshold 2**exponent times the scale of
     `scale_length`, and the count cutoffs it gives every band of the depth
@@ -178,15 +176,14 @@ def _decide_cutoffs(
     once the low end's cutoffs lie outside the window, since higher
     thresholds only widen them; otherwise the window must pass the
     `sweep_cost` gate, and the precision doubles until both ends of the
-    enclosure give the same cutoffs. When a window beyond the gate's bit
-    length test has a threshold certainly below its expected count, no
-    enclosure can give empty cutoffs, so the gate refuses it before any
-    threshold is evaluated.
+    enclosure give the same cutoffs. When a window's threshold is certainly
+    below its expected count, no enclosure can give empty cutoffs, so the
+    gate checks it before any threshold is evaluated.
     """
-    if length > budget.bit_length() and _threshold_certainly_below(
+    if _threshold_certainly_below(
         scale_length, schedule.delta, exponent, length, depth
     ):
-        sweep_cost(base, length, budget)
+        sweep_cost(base, length)
     # depth <= log2(length): an exact shift, where a Fraction takes a huge gcd
     expected = length >> depth
     for _ in range(_REFINEMENT_ROUNDS + 1):
@@ -197,8 +194,8 @@ def _decide_cutoffs(
         if c_lo < 0 and c_hi > length:
             return threshold, None
         # the low end already needs the region: refuse a window beyond the
-        # budget first, which also bounds the depth of the region walk
-        sweep_cost(base, length, budget)
+        # event bound first, which also bounds the depth of the region walk
+        sweep_cost(base, length)
         if (c_lo, c_hi) == count_cutoffs(expected, threshold.hi):
             return threshold, (c_lo, c_hi)
         precision *= 2
@@ -217,7 +214,6 @@ def _bad_set(
     exponent: Fraction,
     schedule: Schedule,
     precision: int,
-    budget: int,
 ) -> SetEnclosure:
     """Where the window's deviation for the band reaches 2**exponent times
     the threshold scale of `scale_length`: `_decide_cutoffs`, then the
@@ -229,11 +225,11 @@ def _bad_set(
     """
     base, length = window.base, window.length
     threshold, cutoffs = _decide_cutoffs(
-        base, length, band.k, scale_length, exponent, schedule, precision, budget
+        base, length, band.k, scale_length, exponent, schedule, precision
     )
     region: RegionLike = IntervalSet.empty()
     if cutoffs is not None:
-        region = cutoff_region(base, length, 2**band.k, band.a, *cutoffs, budget)
+        region = cutoff_region(base, length, 2**band.k, band.a, *cutoffs)
         if window.offset:
             region = PeriodicIntervalSet(region, base, window.offset)
     return SetEnclosure(label, window, band, threshold, region)
@@ -246,7 +242,6 @@ def block_bad_set(
     h: int,
     schedule: Schedule,
     precision: int = 64,
-    budget: int = DEFAULT_EVENT_BUDGET,
 ) -> SetEnclosure:
     """Bad set over the leading window of length 2**n for one dyadic band.
 
@@ -268,7 +263,6 @@ def block_bad_set(
         Fraction(-h, 8),
         schedule,
         precision,
-        budget,
     )
 
 
@@ -281,7 +275,6 @@ def tail_bad_set(
     m: int,
     schedule: Schedule,
     precision: int = 64,
-    budget: int = DEFAULT_EVENT_BUDGET,
 ) -> SetEnclosure:
     """Bad set over a short window offset past the leading block.
 
@@ -312,7 +305,6 @@ def tail_bad_set(
         Fraction(-h, 8) + Fraction(l - n - 3, 6),
         schedule,
         precision,
-        budget,
     )
 
 
@@ -338,7 +330,6 @@ def _window_cores(
     tilt: Fraction,
     schedule: Schedule,
     precision: int,
-    budget: int,
 ):
     """Core region of every nonempty bad set of one window, for band
     scales h = 1, 2, ... and band indices a = 0, 1, ... in turn, as the
@@ -357,7 +348,7 @@ def _window_cores(
         depth = _band_depth(h, limit)
         _, cutoffs = _decide_cutoffs(
             base, length, depth, scale_length, Fraction(-h, 8) + tilt,
-            schedule, precision, budget,
+            schedule, precision,
         )
         if cutoffs is None:
             continue
@@ -369,9 +360,7 @@ def _window_cores(
                 if mirror is not None:
                     region = mirror.reflected()
                 else:
-                    region = cutoff_region(
-                        base, length, 2**depth, a, *cutoffs, budget
-                    )
+                    region = cutoff_region(base, length, 2**depth, a, *cutoffs)
                 regions[key] = region
             if not region.is_empty():
                 yield region
@@ -382,7 +371,6 @@ def block_bad_union(
     n: int,
     schedule: Schedule,
     precision: int = 64,
-    budget: int = DEFAULT_EVENT_BUDGET,
 ) -> Optional[FamilyComponent]:
     """Exact union of all block bad sets for one base and size index.
 
@@ -393,7 +381,7 @@ def block_bad_union(
     region = IntervalSet.empty()
     members = 0
     length = 1 << n
-    for core in _window_cores(base, length, length, ZERO, schedule, precision, budget):
+    for core in _window_cores(base, length, length, ZERO, schedule, precision):
         members += 1
         region = region.union(core)
     if not members:
@@ -406,7 +394,6 @@ def tail_bad_union(
     n: int,
     schedule: Schedule,
     precision: int = 64,
-    budget: int = DEFAULT_EVENT_BUDGET,
 ) -> list[FamilyComponent]:
     """Tail bad sets for one base and size index, merged per window offset.
 
@@ -421,7 +408,7 @@ def tail_bad_union(
     for l in range((n + 1) // 2, n + 1):
         tilt = Fraction(l - n - 3, 6)
         for core in _window_cores(
-            base, 1 << (l - 1), 1 << n, tilt, schedule, precision, budget
+            base, 1 << (l - 1), 1 << n, tilt, schedule, precision
         ):
             for m in range(1, (1 << (n - l)) + 1):
                 offset = (1 << n) + (m << l)
@@ -470,7 +457,6 @@ def bad_family(
     index: int,
     schedule: Schedule,
     precision: int = 64,
-    budget: int = DEFAULT_EVENT_BUDGET,
 ) -> BadFamily:
     """Assemble every contributing component at the given size index."""
     if index < 1:
@@ -481,10 +467,10 @@ def bad_family(
         components.append(FamilyComponent("obstacle", "obstacle", obstacle))
     for base in schedule.bases_for(index):
         for n in schedule.indices_for(base, index):
-            block = block_bad_union(base, n, schedule, precision, budget)
+            block = block_bad_union(base, n, schedule, precision)
             if block is not None:
                 components.append(block)
-            components.extend(tail_bad_union(base, n, schedule, precision, budget))
+            components.extend(tail_bad_union(base, n, schedule, precision))
     return BadFamily(tuple(components))
 
 

@@ -17,9 +17,7 @@ from fractions import Fraction
 
 from .enclose import Enclosure, naive_cost_log2
 from .measure import (
-    DEFAULT_EVENT_BUDGET,
     MAX_DIGIT_COUNT,
-    MAX_EVENT_BUDGET,
     BudgetError,
     check_digit_count,
     decimal_string,
@@ -90,15 +88,6 @@ def _precision_arg(text: str) -> int:
     return value
 
 
-def _budget_arg(text: str) -> int:
-    value = int(text)
-    if not 1 <= value <= MAX_EVENT_BUDGET:
-        raise argparse.ArgumentTypeError(
-            "must be an integer in [1, %d] events" % MAX_EVENT_BUDGET
-        )
-    return value
-
-
 def _fraction_arg(text: str) -> Fraction:
     try:
         return parse_fraction(text)
@@ -127,7 +116,7 @@ def _cmd_digits(args) -> int:
     check_digit_count(args.count)
     schedule = _load_schedule(args)
     certificate = constructor.run_construction(
-        schedule, args.count, precision=args.precision, budget=args.budget
+        schedule, args.count, precision=args.precision
     )
     report = {
         "schema": "normnum.digits/1",
@@ -152,7 +141,7 @@ def _cmd_digits(args) -> int:
 def _cmd_badset(args) -> int:
     schedule = _load_schedule(args)
     if args.which == "family":
-        family = badsets.bad_family(args.index, schedule, args.precision, args.budget)
+        family = badsets.bad_family(args.index, schedule, args.precision)
         report = {
             "schema": "normnum.badset/2",
             "which": "family",
@@ -181,7 +170,6 @@ def _cmd_badset(args) -> int:
             args.band_scale,
             schedule,
             args.precision,
-            args.budget,
         )
     else:
         if args.window_scale is None:
@@ -195,7 +183,6 @@ def _cmd_badset(args) -> int:
             args.window_slot,
             schedule,
             args.precision,
-            args.budget,
         )
     report = {
         "schema": "normnum.badset/2",
@@ -271,7 +258,7 @@ def _cmd_verify(args) -> int:
     except (ValueError, KeyError, TypeError) as exc:
         print("malformed certificate: %s" % exc, file=sys.stderr)
         return 5
-    report = constructor.verify_certificate(certificate, budget=args.budget)
+    report = constructor.verify_certificate(certificate)
     _emit({"schema": "normnum.verify/1", "digits": certificate.digits, **report.to_json()})
     return 0 if report.ok else 5
 
@@ -324,7 +311,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--preset", default="paper", choices=PRESET_NAMES)
         p.add_argument("--config", help="JSON schedule file overriding --preset")
         p.add_argument("--precision", type=_precision_arg, default=64)
-        p.add_argument("--budget", type=_budget_arg, default=DEFAULT_EVENT_BUDGET)
 
     p_digits = sub.add_parser("digits", help="emit digits with a certificate")
     add_common(p_digits)
@@ -358,7 +344,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="replay and recheck a certificate")
     p_verify.add_argument("certificate")
-    p_verify.add_argument("--budget", type=_budget_arg, default=DEFAULT_EVENT_BUDGET)
     p_verify.set_defaults(func=_cmd_verify)
 
     p_lemma = sub.add_parser("lemma", help="run bound and decomposition checks")

@@ -18,7 +18,6 @@ from typing import Iterator, Optional
 
 from .badsets import bad_family, tail_mass_bound
 from .measure import (
-    DEFAULT_EVENT_BUDGET,
     ZERO,
     Record,
     check_digit_count,
@@ -153,6 +152,9 @@ class Certificate(Record):
         schema = data.get("schema") if isinstance(data, dict) else None
         if schema != CERTIFICATE_SCHEMA:
             raise ValueError("unrecognized certificate schema %r" % schema)
+        for key in ("schedule", "steps", "digits"):
+            if key not in data:
+                raise ValueError("missing field %r" % key)
         schedule = Schedule.from_json(data["schedule"])
         digest = schedule.digest()
         if data.get("schedule_digest") != digest:
@@ -168,7 +170,9 @@ class Certificate(Record):
         for position, entry in enumerate(entries, start=1):
             try:
                 steps.append(StepRecord.from_json(entry))
-            except (ValueError, KeyError, TypeError) as exc:
+            except KeyError as exc:
+                raise ValueError("step %d: missing field %s" % (position, exc)) from exc
+            except (ValueError, TypeError) as exc:
                 raise ValueError("step %d: %s" % (position, exc)) from exc
         return cls(schedule=schedule, digits=str(data["digits"]), steps=tuple(steps))
 
@@ -180,11 +184,7 @@ class Certificate(Record):
         return cls.from_json(json.loads(text))
 
 
-def _records(
-    schedule: Schedule,
-    precision: int = 64,
-    budget: int = DEFAULT_EVENT_BUDGET,
-) -> Iterator[StepRecord]:
+def _records(schedule: Schedule, precision: int = 64) -> Iterator[StepRecord]:
     """The construction itself: one record per digit step, without end.
 
     One family, with its component rows, and one tail bound are built per
@@ -200,7 +200,7 @@ def _records(
     for step in count(1):
         size_index = schedule.family_index(step)
         if size_index != built_index:
-            family = bad_family(size_index, schedule, precision, budget)
+            family = bad_family(size_index, schedule, precision)
             rows = [
                 {"label": comp.label, "kind": comp.kind, "members": comp.members,
                  "outer_measure": format_fraction(comp.measure)}
@@ -241,10 +241,7 @@ def _records(
 
 
 def run_construction(
-    schedule: Schedule,
-    digit_count: int,
-    precision: int = 64,
-    budget: int = DEFAULT_EVENT_BUDGET,
+    schedule: Schedule, digit_count: int, precision: int = 64
 ) -> Certificate:
     """Emit digits with a full audit trail.
 
@@ -252,11 +249,11 @@ def run_construction(
     families themselves are exact and do not depend on it. Raises
     IndeterminateError if both halves of some step fail the avoidance
     test, and propagates BudgetError if a family build would exceed the
-    sweep budget.
+    sweep's event bound (`orbit.EVENT_BUDGET`).
     """
     if digit_count < 1:
         raise ValueError("digit count must be positive")
-    records = tuple(islice(_records(schedule, precision, budget), digit_count))
+    records = tuple(islice(_records(schedule, precision), digit_count))
     digits = "".join(str(record.digit) for record in records)
     return Certificate(schedule, digits, records)
 
@@ -310,9 +307,7 @@ def _differences(label: str, record: StepRecord, fresh: StepRecord) -> list[str]
     return problems
 
 
-def verify_certificate(
-    certificate: Certificate, budget: int = DEFAULT_EVENT_BUDGET
-) -> VerificationReport:
+def verify_certificate(certificate: Certificate) -> VerificationReport:
     """Run the construction afresh and compare each recorded step with it.
 
     The certificate's own schedule, whose digest `Certificate.from_json`
@@ -325,7 +320,7 @@ def verify_certificate(
     problems: list[str] = []
     if certificate.digits != "".join(str(record.digit) for record in certificate.steps):
         problems.append("digit string differs from the steps' digits")
-    fresh_records = _records(certificate.schedule, budget=budget)
+    fresh_records = _records(certificate.schedule)
     for position, record in enumerate(certificate.steps, start=1):
         label = "step %d" % position
         try:

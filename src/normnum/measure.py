@@ -15,6 +15,7 @@ interval take two core queries at any level.
 
 from __future__ import annotations
 
+import re
 from bisect import bisect_right
 from fractions import Fraction
 from math import gcd, lcm
@@ -35,14 +36,6 @@ class BudgetError(RuntimeError):
 class DomainError(ValueError):
     """A closed-form bound was queried outside its hypotheses."""
 
-
-# Events a region walk may visit unless a caller grants another budget.
-DEFAULT_EVENT_BUDGET = 5_000_000
-
-# Largest event budget a caller may grant a sweep. It bounds the leaves of
-# each cell branch of the region walk, base**(end - 1), and the region's
-# parts, one per two events; an unbounded budget means unbounded memory.
-MAX_EVENT_BUDGET = 1 << 23
 
 # Digit steps above which `digits --count` and a certificate are refused
 # before any family is built or step parsed, and digits above which a digit
@@ -118,13 +111,17 @@ def format_fraction(value: RationalLike) -> str:
     return "%d/%d" % (num, den)
 
 
+_FRACTION_TEXT = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
+
 def parse_fraction(text: str) -> Fraction:
-    """Parse "num/den" or an integer; anything else raises ValueError."""
-    if not isinstance(text, str):
+    """Parse ASCII "-?digits" or "-?digits/digits"; anything else, spaces,
+    signs on the denominator and underscores included, raises ValueError."""
+    match = _FRACTION_TEXT.fullmatch(text) if isinstance(text, str) else None
+    if match is None:
         raise ValueError("expected a fraction string, got %r" % (text,))
-    text = text.strip()
-    num, den = text.split("/", 1) if "/" in text else (text, "1")
-    denominator = int(den)
+    num, den = match.groups()
+    denominator = int(den or "1")
     if denominator == 0:
         raise ValueError("zero denominator in %r" % text)
     return Fraction(int(num), denominator)
@@ -390,12 +387,12 @@ class PeriodicIntervalSet(Record):
 
         return (below(hi * scale) - below(lo * scale)) / scale
 
-    def materialize(self, budget: int = DEFAULT_COPY_BUDGET) -> IntervalSet:
+    def materialize(self, limit: int = DEFAULT_COPY_BUDGET) -> IntervalSet:
         copies = self.base**self.level
         work = copies * max(1, len(self.core))
-        if work > budget:
+        if work > limit:
             raise BudgetError(
-                "materializing needs %d intervals, budget is %d" % (work, budget)
+                "materializing needs %d intervals, budget is %d" % (work, limit)
             )
         pairs = []
         core_pairs = self.core.pairs

@@ -127,22 +127,30 @@ def f_value(x: RationalLike, window: Window, band: BandLike) -> Fraction:
     return abs(hit_count(x, window, (lo, hi)) - expected)
 
 
-def sweep_cost(base: int, length: int, budget: int) -> int:
+# Events a region walk may visit. It bounds the leaves of each cell branch
+# of the walk, base**(end - 1), and the region's parts, one per two events.
+# Window lengths are powers of two, and no base up to 64 has a window whose
+# event count lies between this bound and 2**23, so a larger bound would
+# admit no further window.
+EVENT_BUDGET = 5_000_000
+
+
+def sweep_cost(base: int, length: int) -> int:
     """Event count of a window of the given length, starting at index 0:
     2 * (base**length - 1) / (base - 1), twice the node count of one
     cell's walk tree in `cutoff_region`, which also bounds the region's
-    parts. Raises BudgetError when it exceeds the budget."""
+    parts. Raises BudgetError when it exceeds EVENT_BUDGET."""
     # total >= 2 * base**(length-1) >= 2**length, so reject oversized
     # windows before materializing the power itself
-    if length > budget.bit_length():
+    if length > EVENT_BUDGET.bit_length():
         raise BudgetError(
             "sweep needs at least 2**(window end) events for a window end "
-            "of %d bits, budget is %d" % (length.bit_length(), budget)
+            "of %d bits, budget is %d" % (length.bit_length(), EVENT_BUDGET)
         )
     total = 2 * (base**length - 1) // (base - 1)
-    if total > budget:
+    if total > EVENT_BUDGET:
         raise BudgetError(
-            "sweep needs %d events, budget is %d" % (total, budget)
+            "sweep needs %d events, budget is %d" % (total, EVENT_BUDGET)
         )
     return total
 
@@ -161,7 +169,7 @@ def count_cutoffs(
 
 
 def cutoff_region(
-    base: int, length: int, cells: int, target: int, c_lo: int, c_hi: int, budget: int
+    base: int, length: int, cells: int, target: int, c_lo: int, c_hi: int
 ) -> IntervalSet:
     """Exact region {x : count <= c_lo or count >= c_hi} of the hit count
     of the orbit indices 0..length-1 in cell `target` of the uniform
@@ -181,11 +189,12 @@ def cutoff_region(
     costs one visit per cell. Adjacent spans merge on integers, and the run
     ends go to `IntervalSet.on_grid` as they are.
     """
-    sweep_cost(base, length, budget)
+    sweep_cost(base, length)
     # the walk starts one branch per cell
-    if cells > budget:
+    if cells > EVENT_BUDGET:
         raise BudgetError(
-            "region walk starts %d cell branches, budget is %d" % (cells, budget)
+            "region walk starts %d cell branches, budget is %d"
+            % (cells, EVENT_BUDGET)
         )
     classes, succ, hit = _chain(base, cells, target)
     # a node at depth d spans spans[d] grid points

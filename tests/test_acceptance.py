@@ -25,7 +25,7 @@ from normnum.lemmas import (
     window_cover_check,
 )
 from normnum.mc import SamplerSpec
-from normnum.measure import DEFAULT_EVENT_BUDGET, IntervalSet, PeriodicIntervalSet
+from normnum.measure import IntervalSet, PeriodicIntervalSet
 from normnum.orbit import (
     Band,
     Window,
@@ -121,7 +121,7 @@ def test_criterion_01_region_vs_cylinder_oracle():
         band = Band(a, k)
         # the offset-0 region, pulled back by x -> frac(base**offset * x)
         cutoffs = count_cutoffs(F(length, 2**k), threshold, strict)
-        core = cutoff_region(base, length, 2**k, a, *cutoffs, DEFAULT_EVENT_BUDGET)
+        core = cutoff_region(base, length, 2**k, a, *cutoffs)
         region = PeriodicIntervalSet(core, base, offset).materialize()
         if base == 2:
             expected = cylinder_oracle_base2(window, band, threshold, strict)

@@ -30,7 +30,6 @@ from normnum.lemmas import (
     window_cover_check,
 )
 from normnum.measure import (
-    DEFAULT_EVENT_BUDGET,
     DomainError,
     IntervalSet,
     PeriodicIntervalSet,
@@ -62,9 +61,7 @@ def swept_at(piece, end):
     base, length = piece.window.base, piece.window.length
     band = piece.band
     cutoffs = count_cutoffs(F(length, 2**band.k), end)
-    return cutoff_region(
-        base, length, 2**band.k, band.a, *cutoffs, DEFAULT_EVENT_BUDGET
-    )
+    return cutoff_region(base, length, 2**band.k, band.a, *cutoffs)
 
 
 def assert_region_exact(piece):
@@ -482,15 +479,18 @@ def test_integer_refusal_matches_evaluated_thresholds(
                 }
             )
         )
-        for budget in ("1", str(DEFAULT_EVENT_BUDGET)):
-            argv = ["digits", "--config", str(config), "--count", "2"]
-            argv += ["--budget", budget]
+        argv = ["digits", "--config", str(config), "--count", "2"]
+        # the event bound as it stands, and one that refuses every window
+        for budget in (orbit.EVENT_BUDGET, 1):
             with monkeypatch.context() as patch:
-                patch.setattr(
-                    badsets_module, "_threshold_certainly_below", lambda *args: False
-                )
-                evaluated = outcome(argv)
-            shortcut = outcome(argv)
+                patch.setattr(orbit, "EVENT_BUDGET", budget)
+                with monkeypatch.context() as inner:
+                    inner.setattr(
+                        badsets_module, "_threshold_certainly_below",
+                        lambda *args: False,
+                    )
+                    evaluated = outcome(argv)
+                shortcut = outcome(argv)
             assert shortcut == evaluated, (n, budget)
             fired += badsets_module._threshold_certainly_below(
                 1 << n, delta, F(-1, 8), 1 << n, 2
@@ -582,7 +582,7 @@ def top_scale_cutoffs(schedule, length, tilt):
     limit = depth_limit(length)
     return [
         badsets_module._decide_cutoffs(
-            2, length, limit, 16, F(-h, 8) + tilt, schedule, 64, DEFAULT_EVENT_BUDGET
+            2, length, limit, 16, F(-h, 8) + tilt, schedule, 64
         )[1]
         for h in (limit - 1, limit)
     ]
@@ -607,9 +607,9 @@ def test_union_decides_each_scale_and_walks_each_region_once(monkeypatch, name):
         thresholds.append((length, base, exponent, precision))
         return real_threshold(length, base, delta, exponent, precision)
 
-    def walk_spy(base, length, cells, target, c_lo, c_hi, budget):
+    def walk_spy(base, length, cells, target, c_lo, c_hi):
         walks.append((base, length, target, cells, c_lo, c_hi))
-        return real_walk(base, length, cells, target, c_lo, c_hi, budget)
+        return real_walk(base, length, cells, target, c_lo, c_hi)
 
     monkeypatch.setattr(badsets_module, "_tilted_threshold", threshold_spy)
     monkeypatch.setattr(badsets_module, "cutoff_region", walk_spy)

@@ -67,7 +67,7 @@ def test_flagship_is_deterministic():
 
 def test_flagship_horizon():
     # step 12 is the first whose family index reaches the start floor; the
-    # windows it would need are astronomically long, so the sweep budget
+    # windows it would need are astronomically long, so the sweep gate
     # must refuse loudly instead of grinding
     cert = run_construction(preset("paper"), 11)
     assert cert.digits == "0" * 11
@@ -202,8 +202,14 @@ def test_indeterminate_obstruction():
 
 
 def test_budget_exhaustion_propagates():
+    # toy-sparse moved to size index 5, whose block window of 32 points
+    # needs more sweep events than the fixed bound
+    schedule = Schedule(
+        "toy-index-5", F(-2, 5), F(1, 8), z_table={2: 5}, p_const=5,
+        base_cap=2, index_cap=5,
+    )
     with pytest.raises(BudgetError):
-        run_construction(preset("toy-sparse"), 1, budget=1000)
+        run_construction(schedule, 1)
 
 
 # -- tampering is caught ---------------------------------------------------------

@@ -39,6 +39,19 @@ def test_corpus_replays_byte_identical(case, tmp_path):
         assert regen.replay(call["argv"], tmp_path) == call
 
 
+def test_corpus_matches_case_list():
+    """The corpus holds the cases of `regen.cases()`, by name and argv and in
+    that order, so an edited case list cannot pass against a stale corpus.
+    Nothing is replayed."""
+    listed = [
+        (name, [list(argv) for argv in argvs]) for name, argvs in regen.cases()
+    ]
+    recorded = [
+        (case["name"], [call["argv"] for call in case["calls"]]) for case in CASES
+    ]
+    assert recorded == listed
+
+
 def test_corpus_certificates_match_bench_golden():
     """The certificate hashes agree with the benchmark's goldens, which were
     recorded independently of this corpus."""

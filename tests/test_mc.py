@@ -7,7 +7,7 @@ import pytest
 from normnum.badsets import block_bad_union, tail_bad_union
 from normnum.enclose import Enclosure
 from normnum.mc import SamplerSpec, sample_integers
-from normnum.measure import DEFAULT_EVENT_BUDGET, IntervalSet
+from normnum.measure import IntervalSet
 from normnum.orbit import (
     Band,
     Window,
@@ -139,7 +139,7 @@ def test_any_band_estimate_matches_exact_union():
     union = IntervalSet.empty()
     for a in range(4):
         union = union.union(
-            cutoff_region(2, 6, 4, a, *cutoffs, DEFAULT_EVENT_BUDGET)
+            cutoff_region(2, 6, 4, a, *cutoffs)
         )
     exact = measure_of(union)
     assert exact == F(43, 64)

@@ -57,6 +57,16 @@ def test_parse_rejects_garbage():
         parse_fraction("pi")
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["1_0/3", " 1/2 ", "+1/2", "1/ 2", "1/-2", "\u0661/2", "1/2\n"],
+)
+def test_parse_accepts_only_ascii_digits(text):
+    # int() reads each of these; a fraction is -?digits or -?digits/digits
+    with pytest.raises(ValueError):
+        parse_fraction(text)
+
+
 @pytest.fixture
 def no_int_string_limit():
     # str() of an integer past 4300 digits needs the limit lifted

@@ -10,12 +10,7 @@ from math import lcm
 import pytest
 
 from normnum import orbit
-from normnum.measure import (
-    DEFAULT_EVENT_BUDGET,
-    BudgetError,
-    IntervalSet,
-    PeriodicIntervalSet,
-)
+from normnum.measure import BudgetError, IntervalSet, PeriodicIntervalSet
 from normnum.orbit import (
     Band,
     Window,
@@ -141,13 +136,13 @@ def cell_of(band):
     return cells, int(lo * cells)
 
 
-def window_region(window, band, threshold, strict=False, budget=DEFAULT_EVENT_BUDGET):
+def window_region(window, band, threshold, strict=False):
     """The deviation region of a window, built the way the construction
     builds it: the region of the same length at offset 0, pulled back by
     x -> frac(base**offset * x), then expanded into its copies."""
     lo, hi = orbit._band_bounds(band)
     cutoffs = count_cutoffs((hi - lo) * window.length, F(threshold), strict)
-    core = cutoff_region(window.base, window.length, *cell_of(band), *cutoffs, budget)
+    core = cutoff_region(window.base, window.length, *cell_of(band), *cutoffs)
     return PeriodicIntervalSet(core, window.base, window.offset).materialize()
 
 
@@ -280,9 +275,7 @@ def test_region_kernel_matches_reference_loop(base, offset, band, strict):
     )
     regions = [
         PeriodicIntervalSet(
-            cutoff_region(
-                base, length, *cell_of((lo, hi)), c_lo, c_hi, DEFAULT_EVENT_BUDGET
-            ),
+            cutoff_region(base, length, *cell_of((lo, hi)), c_lo, c_hi),
             base,
             offset,
         ).materialize()
@@ -317,17 +310,20 @@ def test_cutoff_measure_matches_swept_region(base, offset):
                 assert (measure == 0) == region.is_empty()
 
 
-def test_region_cell_guard():
+def test_region_cell_guard(monkeypatch):
     # the walk starts one branch per cell of the band's grid, so a band
-    # with more cells than the budget is refused
+    # with more cells than the event bound is refused; cells equal to the
+    # bound pass
     w = Window(2, 0, 2)
     band = (F(0), F(1, 64))
     pairs = [count_cutoffs(band[1] * 2, F(1))]
-    region = cutoff_region(2, 2, 64, 0, *pairs[0], 64)
-    assert not region.is_empty()
-    assert [region] == reference_regions(w, *band, pairs)
-    with pytest.raises(BudgetError):
-        cutoff_region(2, 2, 128, 0, *count_cutoffs(F(1, 64), F(1)), 64)
+    with monkeypatch.context() as patch:
+        patch.setattr(orbit, "EVENT_BUDGET", 64)
+        region = cutoff_region(2, 2, 64, 0, *pairs[0])
+        assert not region.is_empty()
+        assert [region] == reference_regions(w, *band, pairs)
+        with pytest.raises(BudgetError):
+            cutoff_region(2, 2, 128, 0, *count_cutoffs(F(1, 64), F(1)))
     for k in (61, 62):
         with pytest.raises(BudgetError):
             window_region(w, (F(0), F(1, 2**k)), F(1))
@@ -343,14 +339,22 @@ def test_region_cell_guard():
     assert peak < 1 << 20
 
 
-def test_sweep_budget_guard():
+def test_sweep_budget_guard(monkeypatch):
     with pytest.raises(BudgetError):
-        sweep_cost(2, 64, 10**6)
+        sweep_cost(2, 64)
     # cutoffs that decide the region alone (no count, every count) pass
     # the same gate
     for c_lo, c_hi in [count_cutoffs(F(32), F(1)), (-1, 65), (3, 3)]:
         with pytest.raises(BudgetError):
-            cutoff_region(2, 64, 2, 0, c_lo, c_hi, 10**6)
+            cutoff_region(2, 64, 2, 0, c_lo, c_hi)
+    # the gate reads the bound when it runs, and a window of exactly the
+    # bound's events passes
+    assert sweep_cost(2, 16) == 131070
+    monkeypatch.setattr(orbit, "EVENT_BUDGET", 131070)
+    assert sweep_cost(2, 16) == 131070
+    monkeypatch.setattr(orbit, "EVENT_BUDGET", 131069)
+    with pytest.raises(BudgetError, match="needs 131070 events, budget is 131069"):
+        sweep_cost(2, 16)
 
 
 @pytest.mark.parametrize("cells, target", [(4, -1), (4, 4), (4, 7), (0, 0), (-2, 0)])
@@ -359,7 +363,7 @@ def test_cell_chain_refuses_bad_cells(cells, target):
     # no count): the cell is checked before either
     for c_lo, c_hi in [(0, 3), (0, 1), (-1, 100)]:
         with pytest.raises(ValueError):
-            cutoff_region(2, 4, cells, target, c_lo, c_hi, DEFAULT_EVENT_BUDGET)
+            cutoff_region(2, 4, cells, target, c_lo, c_hi)
         with pytest.raises(ValueError):
             cutoff_measure(2, 4, cells, target, c_lo, c_hi)
     for threshold in (0, 1, 100):
@@ -379,7 +383,7 @@ def test_empty_region_costs_one_visit_per_cell():
 
     sys.setprofile(count_walks)
     try:
-        region = cutoff_region(2, 8, 4, 1, -1, 5, DEFAULT_EVENT_BUDGET)
+        region = cutoff_region(2, 8, 4, 1, -1, 5)
     finally:
         sys.setprofile(None)
     assert region.is_empty()
@@ -399,7 +403,7 @@ def test_unit_region_costs_one_visit_per_cell():
 
     sys.setprofile(count_walks)
     try:
-        region = cutoff_region(2, 16, 4, 1, 3, 4, 5_000_000)
+        region = cutoff_region(2, 16, 4, 1, 3, 4)
     finally:
         sys.setprofile(None)
     assert region == IntervalSet([(0, 1)])
@@ -785,12 +789,10 @@ def test_mirror_band_region_is_reflection(base):
                 if base == 2:
                     oracle = cylinder_counts_base2(Window(2, 0, length), mirror)
                 for c_lo, c_hi in cutoffs:
-                    region = cutoff_region(
-                        base, length, 2**k, a, c_lo, c_hi, DEFAULT_EVENT_BUDGET
-                    )
+                    region = cutoff_region(base, length, 2**k, a, c_lo, c_hi)
                     reflected = region.reflected()
                     assert reflected == cutoff_region(
-                        base, length, 2**k, mirror.a, c_lo, c_hi, DEFAULT_EVENT_BUDGET
+                        base, length, 2**k, mirror.a, c_lo, c_hi
                     ), (length, k, a, c_lo, c_hi)
                     if base == 2:
                         assert reflected == cylinder_region(*oracle, c_lo, c_hi)

@@ -19,7 +19,7 @@ than a floating approximation.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Optional
+from typing import Callable, Iterable, Optional
 
 from .enclose import Enclosure, eval_iv_tight, iv_fraction
 from .measure import (
@@ -206,33 +206,62 @@ def _decide_cutoffs(
     )
 
 
-def _bad_set(
-    label: str,
-    window: Window,
-    band: Band,
-    scale_length: int,
-    exponent: Fraction,
-    schedule: Schedule,
-    precision: int,
-) -> SetEnclosure:
-    """Where the window's deviation for the band reaches 2**exponent times
-    the threshold scale of `scale_length`: `_decide_cutoffs`, then the
-    region of those cutoffs for the band's cell (`cutoff_region`).
+def _scales(n: int) -> range:
+    """Window scales l of the short windows at size index n."""
+    return range((n + 1) // 2, n + 1)
 
-    An offset window's set is the preimage of the core's under
-    x -> frac(base**offset * x); a set empty by its cutoffs stays the plain
-    empty set.
-    """
-    base, length = window.base, window.length
+
+def _short_windows(n: int, l: int) -> tuple[int, Fraction, range, Callable[[int], int]]:
+    """The short windows of scale l at size index n: their length 2**(l-1),
+    their threshold's tilt (l - n - 3) / 6, their slots m = 1, ..., 2**(n-l),
+    and the offset 2**n + m * 2**l of slot m. The slots are a step-1 range,
+    since a range of the offsets divides 2**n by 2**l when built, which
+    takes hours near MAX_SIZE_INDEX."""
+    slots = range(1, (1 << (n - l)) + 1)
+    return 1 << (l - 1), Fraction(l - n - 3, 6), slots, lambda m: (1 << n) + (m << l)
+
+
+def _decide_scale(
+    base: int, scale_length: int, length: int, tilt: Fraction, h: int, schedule: Schedule,
+    precision: int,
+) -> tuple[int, Enclosure, Optional[tuple[int, int]]]:
+    """Band depth, threshold and count cutoffs of band scale h over a
+    window of the length whose threshold carries the tilt: `_decide_cutoffs`
+    for the exponent tilt - h / 8 on the threshold scale of `scale_length`."""
+    depth = _band_depth(h, depth_limit(length))
     threshold, cutoffs = _decide_cutoffs(
-        base, length, band.k, scale_length, exponent, schedule, precision
+        base, length, depth, scale_length, tilt - Fraction(h, 8), schedule, precision
+    )
+    return depth, threshold, cutoffs
+
+
+def _bad_set(
+    label: str, base: int, scale_length: int, offset: int, length: int,
+    tilt: Fraction, h: int, a: int, schedule: Schedule, precision: int,
+) -> SetEnclosure:
+    """Where the window's deviation for band (h, a) reaches its tilted
+    threshold: `_decide_scale`, then the region of those cutoffs for the
+    band's cell (`cutoff_region`). An offset window's set is the preimage
+    of the core's under x -> frac(base**offset * x); a set empty by its
+    cutoffs stays the plain empty set.
+    """
+    limit = depth_limit(length)
+    if not 1 <= h <= limit:
+        raise ValueError(
+            "band scale h must lie in [1, %d] for window length %d" % (limit, length)
+        )
+    if a < 0 or a.bit_length() > h:
+        raise ValueError("band index out of range")
+    depth, threshold, cutoffs = _decide_scale(
+        base, scale_length, length, tilt, h, schedule, precision
     )
     region: RegionLike = IntervalSet.empty()
     if cutoffs is not None:
-        region = cutoff_region(base, length, 2**band.k, band.a, *cutoffs)
-        if window.offset:
-            region = PeriodicIntervalSet(region, base, window.offset)
-    return SetEnclosure(label, window, band, threshold, region)
+        region = cutoff_region(base, length, 2**depth, a, *cutoffs)
+        if offset:
+            region = PeriodicIntervalSet(region, base, offset)
+    window = Window(base, offset, length)
+    return SetEnclosure(label, window, Band(a, depth), threshold, region)
 
 
 def block_bad_set(
@@ -250,20 +279,8 @@ def block_bad_set(
     """
     _check_size_index(n)
     length = 1 << n
-    limit = depth_limit(length)
-    if not 1 <= h <= limit:
-        raise ValueError("band scale h must lie in [1, %d]" % limit)
-    if a < 0 or a.bit_length() > h:
-        raise ValueError("band index out of range")
-    return _bad_set(
-        "block b=%d n=%d h=%d a=%d" % (base, n, h, a),
-        Window(base, 0, length),
-        Band(a, _band_depth(h, limit)),
-        length,
-        Fraction(-h, 8),
-        schedule,
-        precision,
-    )
+    label = "block b=%d n=%d h=%d a=%d" % (base, n, h, a)
+    return _bad_set(label, base, length, 0, length, ZERO, h, a, schedule, precision)
 
 
 def tail_bad_set(
@@ -276,36 +293,21 @@ def tail_bad_set(
     schedule: Schedule,
     precision: int = 64,
 ) -> SetEnclosure:
-    """Bad set over a short window offset past the leading block.
+    """Bad set over the short window of scale l and slot m (`_short_windows`).
 
-    The window starts at 2**n + m * 2**l and has length 2**(l-1); its
-    threshold carries an extra tilt that shrinks with the window. The
-    computed region is periodic with period base**-offset, and is kept in
-    that implicit form (a set empty by its cutoffs stays the plain empty
-    set).
+    The window lies past the leading block, and its threshold carries an
+    extra tilt that shrinks with the window. A nonempty region is periodic
+    with period base**-offset, and is kept in that implicit form.
     """
     _check_size_index(n)
-    if not (n + 1) // 2 <= l <= n:
-        raise ValueError("window scale l must lie in [%d, %d]" % ((n + 1) // 2, n))
-    if not 1 <= m <= 1 << (n - l):
-        raise ValueError("window slot m must lie in [1, %d]" % (1 << (n - l)))
-    length = 1 << (l - 1)
-    limit = depth_limit(length)
-    if not 1 <= h <= limit:
-        raise ValueError(
-            "band scale h must lie in [1, %d] for window length %d" % (limit, length)
-        )
-    if a < 0 or a.bit_length() > h:
-        raise ValueError("band index out of range")
-    return _bad_set(
-        "tail b=%d n=%d h=%d a=%d l=%d m=%d" % (base, n, h, a, l, m),
-        Window(base, (1 << n) + (m << l), length),
-        Band(a, _band_depth(h, limit)),
-        1 << n,
-        Fraction(-h, 8) + Fraction(l - n - 3, 6),
-        schedule,
-        precision,
-    )
+    scales = _scales(n)
+    if l not in scales:
+        raise ValueError("window scale l must lie in [%d, %d]" % (scales[0], scales[-1]))
+    length, tilt, slots, offset = _short_windows(n, l)
+    if m not in slots:
+        raise ValueError("window slot m must lie in [1, %d]" % slots[-1])
+    label = "tail b=%d n=%d h=%d a=%d l=%d m=%d" % (base, n, h, a, l, m)
+    return _bad_set(label, base, 1 << n, offset(m), length, tilt, h, a, schedule, precision)
 
 
 class FamilyComponent(Record):
@@ -323,47 +325,48 @@ class FamilyComponent(Record):
         return self.region.measure()
 
 
-def _window_cores(
-    base: int,
-    length: int,
-    scale_length: int,
-    tilt: Fraction,
-    schedule: Schedule,
+def _merge_cores(
+    base: int, scale_length: int, windows: Iterable[tuple], schedule: Schedule,
     precision: int,
-):
-    """Core region of every nonempty bad set of one window, for band
-    scales h = 1, 2, ... and band indices a = 0, 1, ... in turn, as the
-    union of `block_bad_set` or `tail_bad_set` over (h, a) would build them.
+) -> dict[int, tuple[IntervalSet, int]]:
+    """Union of the core regions of the nonempty bad sets of the windows,
+    (length, tilt, slots, offset of a slot) rows, and their count, per
+    window offset.
 
-    Scale h has exponent tilt - h / 8, and its cutoffs are decided once.
-    A region is walked once per (band, cutoffs): the complement
-    x -> 1 - x maps the hit count of band a onto that of band
-    2**depth - 1 - a, so the mirror band's region is the reflection, and
-    the top scale, which shares its depth with the one below, repeats
-    the lower half of its bands whenever their cutoffs agree.
-    """
-    limit = depth_limit(length)
-    regions: dict[tuple, IntervalSet] = {}
-    for h in range(1, limit + 1):
-        depth = _band_depth(h, limit)
-        _, cutoffs = _decide_cutoffs(
-            base, length, depth, scale_length, Fraction(-h, 8) + tilt,
-            schedule, precision,
-        )
-        if cutoffs is None:
-            continue
-        for a in range(2**h):
-            key = (a, depth, cutoffs)
-            region = regions.get(key)
-            if region is None:
-                mirror = regions.get((2**depth - 1 - a, depth, cutoffs))
-                if mirror is not None:
-                    region = mirror.reflected()
-                else:
-                    region = cutoff_region(base, length, 2**depth, a, *cutoffs)
-                regions[key] = region
-            if not region.is_empty():
-                yield region
+    The sets are the single-set builders' for band scales h = 1, 2, ...
+    and indices a = 0, 1, ... in turn. A core does not depend on the
+    offset, so each scale is decided once (`_decide_scale`), and a region
+    is walked once per (band, cutoffs): x -> 1 - x maps the hit count of
+    band a onto that of band 2**depth - 1 - a, so a mirror band's region
+    is the reflection, and the top scale, which shares its depth with the
+    one below, repeats the lower half of its bands when their cutoffs
+    agree. Pieces sharing an offset union exactly, as preimages at one
+    level."""
+    by_offset: dict[int, tuple[IntervalSet, int]] = {}
+    for length, tilt, slots, offset in windows:
+        regions: dict[tuple, IntervalSet] = {}
+        for h in range(1, depth_limit(length) + 1):
+            depth, _, cutoffs = _decide_scale(
+                base, scale_length, length, tilt, h, schedule, precision
+            )
+            if cutoffs is None:
+                continue
+            for a in range(2**h):
+                key = (a, depth, cutoffs)
+                region = regions.get(key)
+                if region is None:
+                    mirror = regions.get((2**depth - 1 - a, depth, cutoffs))
+                    if mirror is not None:
+                        region = mirror.reflected()
+                    else:
+                        region = cutoff_region(base, length, 2**depth, a, *cutoffs)
+                    regions[key] = region
+                if region.is_empty():
+                    continue
+                for start in map(offset, slots):
+                    merged, members = by_offset.get(start, (IntervalSet.empty(), 0))
+                    by_offset[start] = (merged.union(region), members + 1)
+    return by_offset
 
 
 def block_bad_union(
@@ -372,20 +375,15 @@ def block_bad_union(
     schedule: Schedule,
     precision: int = 64,
 ) -> Optional[FamilyComponent]:
-    """Exact union of all block bad sets for one base and size index.
-
-    The same sets as `block_bad_set` over every (h, a), each scale's
-    cutoffs decided once and each region walked once (`_window_cores`).
-    """
+    """Exact union of all block bad sets for one base and size index: the
+    block window, of length 2**n, tilt 0 and offset 0 (`_merge_cores`)."""
     _check_size_index(n)
-    region = IntervalSet.empty()
-    members = 0
     length = 1 << n
-    for core in _window_cores(base, length, length, ZERO, schedule, precision):
-        members += 1
-        region = region.union(core)
-    if not members:
+    block = (length, ZERO, [0], lambda m: 0)
+    merged = _merge_cores(base, length, [block], schedule, precision)
+    if not merged:
         return None
+    region, members = merged[0]
     return FamilyComponent("block b=%d n=%d" % (base, n), "block", region, members)
 
 
@@ -395,25 +393,12 @@ def tail_bad_union(
     schedule: Schedule,
     precision: int = 64,
 ) -> list[FamilyComponent]:
-    """Tail bad sets for one base and size index, merged per window offset.
-
-    The same sets as `tail_bad_set` over every (l, h, a, m). The core
-    region does not depend on the slot m, so each window scale's cores are
-    built once (`_window_cores`). Pieces sharing an offset are preimages at
-    the same level, so their cores union exactly; distinct offsets stay
-    separate components.
-    """
+    """Tail bad sets for one base and size index, merged per window offset
+    over every short window (`_merge_cores`); distinct offsets stay
+    separate components, in offset order."""
     _check_size_index(n)
-    by_offset: dict[int, tuple[IntervalSet, int]] = {}
-    for l in range((n + 1) // 2, n + 1):
-        tilt = Fraction(l - n - 3, 6)
-        for core in _window_cores(
-            base, 1 << (l - 1), 1 << n, tilt, schedule, precision
-        ):
-            for m in range(1, (1 << (n - l)) + 1):
-                offset = (1 << n) + (m << l)
-                merged, members = by_offset.get(offset, (IntervalSet.empty(), 0))
-                by_offset[offset] = (merged.union(core), members + 1)
+    windows = (_short_windows(n, l) for l in _scales(n))
+    merged = _merge_cores(base, 1 << n, windows, schedule, precision)
     return [
         FamilyComponent(
             "tail b=%d n=%d offset=%d" % (base, n, offset),
@@ -421,7 +406,7 @@ def tail_bad_union(
             PeriodicIntervalSet(core, base, offset),
             members,
         )
-        for offset, (core, members) in sorted(by_offset.items())
+        for offset, (core, members) in sorted(merged.items())
     ]
 
 

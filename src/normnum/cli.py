@@ -98,7 +98,11 @@ def _fraction_arg(text: str) -> Fraction:
 def _load_schedule(args) -> Schedule:
     if getattr(args, "config", None):
         with open(args.config, "r", encoding="utf-8") as handle:
-            return Schedule.from_json(json.load(handle))
+            try:
+                data = json.load(handle)
+            except RecursionError:
+                raise ValueError("malformed schedule: JSON nested too deeply") from None
+        return Schedule.from_json(data)
     return preset(args.preset)
 
 

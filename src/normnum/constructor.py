@@ -155,6 +155,8 @@ class Certificate(Record):
         for key in ("schedule", "steps", "digits"):
             if key not in data:
                 raise ValueError("missing field %r" % key)
+        if type(data["digits"]) is not str:
+            raise ValueError("field 'digits' must be a string")
         schedule = Schedule.from_json(data["schedule"])
         digest = schedule.digest()
         if data.get("schedule_digest") != digest:
@@ -174,14 +176,18 @@ class Certificate(Record):
                 raise ValueError("step %d: missing field %s" % (position, exc)) from exc
             except (ValueError, TypeError) as exc:
                 raise ValueError("step %d: %s" % (position, exc)) from exc
-        return cls(schedule=schedule, digits=str(data["digits"]), steps=tuple(steps))
+        return cls(schedule=schedule, digits=data["digits"], steps=tuple(steps))
 
     def dump(self) -> str:
         return json.dumps(self.to_json(), indent=2, sort_keys=True)
 
     @classmethod
     def load(cls, text: str) -> "Certificate":
-        return cls.from_json(json.loads(text))
+        try:
+            data = json.loads(text)
+        except RecursionError:
+            raise ValueError("JSON nested too deeply") from None
+        return cls.from_json(data)
 
 
 def _records(schedule: Schedule, precision: int = 64) -> Iterator[StepRecord]:

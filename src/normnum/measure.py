@@ -24,7 +24,7 @@ from typing import Iterable, Union
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
-RationalLike = Union[Fraction, int, str]
+RationalLike = Union[Fraction, int]
 
 DEFAULT_COPY_BUDGET = 65536
 
@@ -97,8 +97,6 @@ def decimal_string(value: int) -> str:
 def as_fraction(value: RationalLike) -> Fraction:
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, str):
-        return parse_fraction(value)
     return Fraction(value)
 
 

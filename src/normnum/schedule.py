@@ -188,10 +188,15 @@ class Schedule(Record):
         """Parse a schedule object; any malformed field raises ValueError."""
         if not isinstance(data, Mapping):
             raise ValueError("schedule must be a JSON object")
+        for key in ("tag", "delta", "eta"):
+            if key not in data:
+                raise ValueError("malformed schedule: missing field %r" % key)
+        if type(data["tag"]) is not str:
+            raise ValueError("malformed schedule: field 'tag' must be a string")
         z_table = data.get("z_table")
         try:
             return cls(
-                tag=str(data["tag"]),
+                tag=data["tag"],
                 delta=parse_fraction(data["delta"]),
                 eta=parse_fraction(data["eta"]),
                 z_table=(
@@ -206,7 +211,7 @@ class Schedule(Record):
                     else [(parse_fraction(lo), parse_fraction(hi)) for lo, hi in data["obstacle"]]
                 ),
             )
-        except (KeyError, TypeError, AttributeError) as exc:
+        except (TypeError, AttributeError) as exc:
             raise ValueError("malformed schedule: %s %s" % (type(exc).__name__, exc)) from exc
 
     def digest(self) -> str:

@@ -25,6 +25,7 @@ from normnum.badsets import MAX_SIZE_INDEX
 from normnum.cli import MAX_DIGIT_COUNT, MAX_ORBIT_POINTS, MAX_PRECISION, main
 from normnum.digitfile import read_digit_file
 from normnum.enclose import Enclosure
+from normnum.schedule import Schedule
 
 
 def run(capsys, *argv):
@@ -785,6 +786,77 @@ def test_missing_certificate_field_is_named(capsys, tmp_path, field):
     code, verdict, err = run(capsys, "verify", path)
     assert (code, verdict) == (5, None)
     assert err == "malformed certificate: missing field '%s'\n" % field
+
+
+def test_deeply_nested_certificate_exits_five(capsys, tmp_path):
+    path = tmp_path / "nested.json"
+    path.write_text("[" * 200_000 + "]" * 200_000)
+    code, verdict, err = run(capsys, "verify", str(path))
+    assert (code, verdict) == (5, None)
+    assert err == "malformed certificate: JSON nested too deeply\n"
+
+
+def test_deeply_nested_config_exits_two(capsys, tmp_path):
+    config = tmp_path / "nested.json"
+    schedule = {"tag": "nested", "delta": "-2/5", "eta": "1/8", "obstacle": "X"}
+    nested = "[" * 100_000 + "]" * 100_000
+    config.write_text(json.dumps(schedule).replace('"X"', nested))
+    code, report, err = run(capsys, "digits", "--config", str(config), "--count", "1")
+    assert (code, report) == (2, None)
+    assert err == "error: malformed schedule: JSON nested too deeply\n"
+
+
+def test_numeric_digits_exit_five(capsys, tmp_path):
+    # toy-seeded's digits "10" read back from the number 10 would verify
+    path = tmp_path / "cert.json"
+    code, _, _ = run(
+        capsys, "digits", "--preset", "toy-seeded", "--count", "2", "--cert-out", str(path)
+    )
+    assert code == 0
+    data = json.loads(path.read_text())
+    assert data["digits"] == "10"
+    path.write_text(json.dumps({**data, "digits": 10}))
+    code, verdict, err = run(capsys, "verify", str(path))
+    assert (code, verdict) == (5, None)
+    assert err == "malformed certificate: field 'digits' must be a string\n"
+
+
+def test_numeric_tag_is_malformed(capsys, tmp_path):
+    # the digest is the one the tag "7" gives, which str() of 7 would match
+    def numeric_tag(data):
+        data["schedule"]["tag"] = "7"
+        digest = Schedule.from_json(data["schedule"]).digest()
+        data.update(schedule_digest=digest)
+        data["schedule"]["tag"] = 7
+
+    path = tampered_certificate(capsys, tmp_path, numeric_tag, part=lambda data: data)
+    code, verdict, err = run(capsys, "verify", path)
+    assert (code, verdict) == (5, None)
+    message = "malformed schedule: field 'tag' must be a string\n"
+    assert err == "malformed certificate: " + message
+    config = tmp_path / "tag.json"
+    config.write_text(json.dumps(json.loads(Path(path).read_text())["schedule"]))
+    code, report, err = run(capsys, "digits", "--config", str(config), "--count", "1")
+    assert (code, report, err) == (2, None, "error: " + message)
+
+
+def test_missing_schedule_field_is_named_in_certificate(capsys, tmp_path):
+    def drop_eta(data):
+        del data["schedule"]["eta"]
+        resign(data)
+
+    path = tampered_certificate(capsys, tmp_path, drop_eta, part=lambda data: data)
+    code, verdict, err = run(capsys, "verify", path)
+    assert (code, verdict) == (5, None)
+    assert err == "malformed certificate: malformed schedule: missing field 'eta'\n"
+
+
+def test_missing_schedule_field_is_named_in_config(capsys, tmp_path):
+    config = tmp_path / "no-eta.json"
+    config.write_text(json.dumps(MALFORMED_CONFIGS["missing-eta"]))
+    code, report, err = run(capsys, "digits", "--config", str(config), "--count", "1")
+    assert (code, report) == (2, None)
+    assert err == "error: malformed schedule: missing field 'eta'\n"
 
 
 # each spells toy-sparse's step 1 chosen bound, 497/65536, in a form int()

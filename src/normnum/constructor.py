@@ -5,8 +5,8 @@ certified bad-mass bound (materialized overlap plus residual tail) stays
 under the step's shrinking threshold. Every step is recorded in a
 certificate with exact rational figures. One generator takes every digit
 decision: the emitter collects its records, and the verifier runs it afresh
-from the schedule and compares each recorded field with the fresh step, so
-no recorded value ever enters a computation.
+from the schedule and compares each recorded step, as the JSON it reads,
+with the fresh step's JSON, so no recorded value ever enters a computation.
 """
 
 from __future__ import annotations
@@ -17,16 +17,11 @@ from itertools import count, islice
 from typing import Iterator, Optional
 
 from .badsets import bad_family, tail_mass_bound
-from .measure import (
-    ZERO,
-    Record,
-    check_digit_count,
-    format_fraction,
-    parse_fraction,
-)
+from .measure import ZERO, Record, check_digit_count, format_fraction
 from .schedule import Schedule
 
 CERTIFICATE_SCHEMA = "normnum.certificate/1"
+_CERTIFICATE_FIELDS = {"schema", "schedule", "schedule_digest", "digits", "steps"}
 
 
 class IndeterminateError(RuntimeError):
@@ -45,17 +40,6 @@ class IndeterminateError(RuntimeError):
                 format_fraction(threshold),
             )
         )
-
-
-def _interval_from_json(data) -> tuple[Fraction, Fraction]:
-    """A recorded [lo, hi] pair, parsed and checked: 0 <= lo <= hi <= 1."""
-    lo, hi = data
-    lo, hi = parse_fraction(lo), parse_fraction(hi)
-    if not (0 <= lo <= 1 and 0 <= hi <= 1):
-        raise ValueError("interval endpoints must lie in [0, 1]")
-    if lo > hi:
-        raise ValueError("interval endpoints out of order")
-    return lo, hi
 
 
 class StepRecord(Record):
@@ -105,37 +89,64 @@ class StepRecord(Record):
             "components": list(self.components),
         }
 
-    @classmethod
-    def from_json(cls, data: dict) -> "StepRecord":
-        for key in ("step", "size_index", "digit", "precision"):
-            if type(data[key]) is not int:
-                raise ValueError("step field %r must be an integer" % key)
-        components = data.get("components", [])
-        if type(components) is not list or any(type(row) is not dict for row in components):
-            raise ValueError("step field 'components' must be a list of objects")
-        return cls(
-            step=data["step"],
-            size_index=data["size_index"],
-            interval=_interval_from_json(data["interval"]),
-            digit=data["digit"],
-            chosen=_interval_from_json(data["chosen"]),
-            chosen_bound=parse_fraction(data["chosen_bound"]),
-            rejected_bound=(
-                None
-                if data.get("rejected_bound") is None
-                else parse_fraction(data["rejected_bound"])
-            ),
-            tail=parse_fraction(data["tail"]),
-            threshold=parse_fraction(data["threshold"]),
-            precision=data["precision"],
-            components=tuple(dict(row) for row in components),
+
+# what a problem shows where a key is missing from one side
+_ABSENT = object()
+
+
+def _shown(value) -> str:
+    """A value as a problem shows it: a string bare, anything else as JSON,
+    cut to its first 64 characters."""
+    if value is _ABSENT:
+        return "(absent)"
+    if not isinstance(value, str):
+        try:
+            value = json.dumps(value)
+        except RecursionError:
+            return "(nested too deeply to show)"
+    if len(value) > 64:
+        return "%s\u2026 (%d characters)" % (value[:64], len(value))
+    return value
+
+
+def _same(recorded, expected) -> bool:
+    """Type-strict equality along the shape of the JSON value `expected`,
+    which bounds the recursion: lists item by item, objects by their key set
+    and values, leaves by type and value, so `false` is not `0`."""
+    kind = type(expected)
+    if type(recorded) is not kind:
+        return False
+    if kind is list:
+        return len(recorded) == len(expected) and all(map(_same, recorded, expected))
+    if kind is dict:
+        return recorded.keys() == expected.keys() and all(
+            _same(recorded[key], value) for key, value in expected.items()
         )
+    return recorded == expected
+
+
+def _mismatches(prefix: str, recorded, expected: dict, says="schedule says") -> list[str]:
+    """One problem per key of either object whose values are not `_same`; a
+    recorded value that is no object is one problem."""
+    if type(recorded) is not dict:
+        return ["%s%s, %s an object" % (prefix, _shown(recorded), says)]
+    problems = []
+    for key in sorted(recorded.keys() | expected.keys()):
+        value, wanted = recorded.get(key, _ABSENT), expected.get(key, _ABSENT)
+        if not _same(value, wanted):
+            field = prefix + _shown(key.replace("_", " "))
+            problems.append("%s %s, %s %s" % (field, _shown(value), says, _shown(wanted)))
+    return problems
 
 
 class Certificate(Record):
+    """A schedule, its digits and their steps: `StepRecord`s when built by
+    `run_construction` (only these are dumped), or the JSON values read when
+    loaded, which `verify_certificate` compares with the replay."""
+
     __slots__ = ("schedule", "digits", "steps")
 
-    def __init__(self, schedule: Schedule, digits: str, steps: tuple[StepRecord, ...]):
+    def __init__(self, schedule: Schedule, digits: str, steps: tuple):
         self._fill(schedule, digits, steps)
 
     def to_json(self) -> dict:
@@ -149,33 +160,32 @@ class Certificate(Record):
 
     @classmethod
     def from_json(cls, data: dict) -> "Certificate":
+        """Check what the replay depends on: the schema, the schedule as
+        `digits` writes it and its digest, the digit string, and a list of
+        at most MAX_DIGIT_COUNT steps. The steps themselves are left as read."""
         schema = data.get("schema") if isinstance(data, dict) else None
         if schema != CERTIFICATE_SCHEMA:
             raise ValueError("unrecognized certificate schema %r" % schema)
-        for key in ("schedule", "steps", "digits"):
-            if key not in data:
-                raise ValueError("missing field %r" % key)
+        wrong = sorted(data.keys() ^ _CERTIFICATE_FIELDS)
+        if wrong:
+            kind = "unexpected" if wrong[0] in data else "missing"
+            raise ValueError("%s field %r" % (kind, wrong[0][:64]))
         if type(data["digits"]) is not str:
             raise ValueError("field 'digits' must be a string")
         schedule = Schedule.from_json(data["schedule"])
+        respelled = _mismatches("", data["schedule"], schedule.to_json(), "digits writes")
+        if respelled:
+            raise ValueError("malformed schedule: " + "; ".join(respelled))
         digest = schedule.digest()
-        if data.get("schedule_digest") != digest:
+        if data["schedule_digest"] != digest:
             raise ValueError(
                 "schedule_digest does not match the recorded schedule, whose "
                 "digest is %s" % digest
             )
-        entries = data["steps"]
-        if type(entries) is not list:
+        steps = data["steps"]
+        if type(steps) is not list:
             raise ValueError("steps must be a list")
-        check_digit_count(len(entries))
-        steps = []
-        for position, entry in enumerate(entries, start=1):
-            try:
-                steps.append(StepRecord.from_json(entry))
-            except KeyError as exc:
-                raise ValueError("step %d: missing field %s" % (position, exc)) from exc
-            except (ValueError, TypeError) as exc:
-                raise ValueError("step %d: %s" % (position, exc)) from exc
+        check_digit_count(len(steps))
         return cls(schedule=schedule, digits=data["digits"], steps=tuple(steps))
 
     def dump(self) -> str:
@@ -278,61 +288,38 @@ class VerificationReport(Record):
         }
 
 
-def _shown(value) -> str:
-    return value if isinstance(value, str) else json.dumps(value)
-
-
-def _mismatches(prefix: str, recorded: dict, expected: dict) -> list[str]:
-    """One problem per key whose recorded value differs from the expected one."""
-    return [
-        "%s%s %s, schedule says %s"
-        % (prefix, key.replace("_", " "), _shown(recorded.get(key)), _shown(expected.get(key)))
-        for key in sorted(set(recorded) | set(expected))
-        if recorded.get(key) != expected.get(key)
-    ]
-
-
-def _differences(label: str, record: StepRecord, fresh: StepRecord) -> list[str]:
-    """Every field of `record`, component rows included, that the fresh run
-    does not reproduce. `precision` is left out: it is the start precision
-    of the threshold enclosures, and families do not depend on it.
-    """
-    recorded, expected = record.to_json(), fresh.to_json()
-    del recorded["precision"], expected["precision"]
-    rows, expected_rows = recorded.pop("components"), expected.pop("components")
-    problems = _mismatches(label + ": ", recorded, expected)
-    if len(rows) != len(expected_rows):
-        problems.append(
-            "%s: component count %d, schedule says %d"
-            % (label, len(rows), len(expected_rows))
-        )
-    for row, expected_row in zip(rows, expected_rows):
-        problems += _mismatches(
-            "%s: component %s: " % (label, expected_row["label"]), row, expected_row
-        )
-    return problems
-
-
 def verify_certificate(certificate: Certificate) -> VerificationReport:
-    """Run the construction afresh and compare each recorded step with it.
-
-    The certificate's own schedule, whose digest `Certificate.from_json`
-    checks, drives the generator `run_construction` uses. Recorded values
-    are only parsed and compared, never computed on: every field, component
-    rows included, must equal the fresh step's exactly. When the fresh run
-    stops because neither half of a step passes, that step is reported and
-    the later steps, which have nothing to be compared with, are not.
+    """Run the construction afresh from the certificate's schedule and
+    compare each recorded step, field for field and row for row, with the
+    fresh step's JSON (`_same`), and the digit string with the fresh digits.
+    A recorded `precision` may be any JSON integer: families do not depend
+    on the start precision. When the fresh run stops because neither half of
+    a step passes, that step is reported and the later ones are not.
     """
     problems: list[str] = []
-    if certificate.digits != "".join(str(record.digit) for record in certificate.steps):
-        problems.append("digit string differs from the steps' digits")
+    digits = ""
     fresh_records = _records(certificate.schedule)
-    for position, record in enumerate(certificate.steps, start=1):
-        label = "step %d" % position
+    for position, recorded in enumerate(certificate.steps, start=1):
+        label = "step %d: " % position
         try:
-            fresh = next(fresh_records)
+            fresh = next(fresh_records).to_json()
         except IndeterminateError:
-            problems.append("%s: neither half passes" % label)
+            problems.append(label + "neither half passes")
             break
-        problems.extend(_differences(label, record, fresh))
+        digits += str(fresh["digit"])
+        step = recorded if type(recorded) is dict else {}
+        if type(step.get("precision")) is int:
+            fresh["precision"] = step["precision"]
+        # rows of the same count are compared one by one, others as one field
+        rows, fresh_rows = step.get("components"), fresh["components"]
+        if type(rows) is list and len(rows) == len(fresh_rows):
+            recorded = {**step, "components": fresh_rows}
+        else:
+            rows = ()
+        problems += _mismatches(label, recorded, fresh)
+        for row, fresh_row in zip(rows, fresh_rows):
+            prefix = "%scomponent %s: " % (label, fresh_row["label"])
+            problems += _mismatches(prefix, row, fresh_row)
+    else:
+        problems += _mismatches("", {"digits": certificate.digits}, {"digits": digits})
     return VerificationReport(not problems, len(certificate.steps), tuple(problems))

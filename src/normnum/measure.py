@@ -117,7 +117,8 @@ def parse_fraction(text: str) -> Fraction:
     signs on the denominator and underscores included, raises ValueError."""
     match = _FRACTION_TEXT.fullmatch(text) if isinstance(text, str) else None
     if match is None:
-        raise ValueError("expected a fraction string, got %r" % (text,))
+        shown = repr(text) if isinstance(text, str) else type(text).__name__
+        raise ValueError("expected a fraction string, got %s" % shown)
     num, den = match.groups()
     denominator = int(den or "1")
     if denominator == 0:

@@ -185,40 +185,48 @@ class Schedule(Record):
 
     @classmethod
     def from_json(cls, data: Mapping) -> "Schedule":
-        """Parse a schedule object; any malformed field raises ValueError."""
+        """Parse a schedule object; a malformed field raises ValueError naming it."""
         if not isinstance(data, Mapping):
             raise ValueError("schedule must be a JSON object")
         for key in ("tag", "delta", "eta"):
-            if key not in data:
+            if data.get(key) is None:
                 raise ValueError("malformed schedule: missing field %r" % key)
         if type(data["tag"]) is not str:
             raise ValueError("malformed schedule: field 'tag' must be a string")
-        z_table = data.get("z_table")
-        try:
-            return cls(
-                tag=data["tag"],
-                delta=parse_fraction(data["delta"]),
-                eta=parse_fraction(data["eta"]),
-                z_table=(
-                    None if z_table is None else {int(b): z for b, z in z_table.items()}
-                ),
-                p_const=data.get("p_const"),
-                base_cap=data.get("base_cap"),
-                index_cap=data.get("index_cap"),
-                obstacle=(
-                    None
-                    if data.get("obstacle") is None
-                    else [(parse_fraction(lo), parse_fraction(hi)) for lo, hi in data["obstacle"]]
-                ),
-            )
-        except (TypeError, AttributeError) as exc:
-            raise ValueError("malformed schedule: %s %s" % (type(exc).__name__, exc)) from exc
+        return cls(
+            tag=data["tag"],
+            delta=_parsed(data, "delta", parse_fraction, "a fraction string"),
+            eta=_parsed(data, "eta", parse_fraction, "a fraction string"),
+            z_table=_parsed(
+                data, "z_table", lambda table: {int(b): z for b, z in table.items()},
+                "an object from base strings to integers",
+            ),
+            p_const=data.get("p_const"),
+            base_cap=data.get("base_cap"),
+            index_cap=data.get("index_cap"),
+            obstacle=_parsed(
+                data, "obstacle",
+                lambda pairs: [(parse_fraction(lo), parse_fraction(hi)) for lo, hi in pairs],
+                "a list of [lo, hi] fraction string pairs",
+            ),
+        )
 
     def digest(self) -> str:
         import hashlib
 
         payload = json.dumps(self.to_json(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(payload.encode("ascii")).hexdigest()
+
+
+def _parsed(data: Mapping, key: str, parse, shape: str):
+    """`parse` of a schedule field, None where it is null or absent; a value
+    `parse` refuses is named with the shape it must have."""
+    try:
+        return None if data.get(key) is None else parse(data[key])
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise ValueError(
+            "malformed schedule: field %r must be %s (%s)" % (key, shape, exc)
+        ) from None
 
 
 def preset(name: str) -> Schedule:

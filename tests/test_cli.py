@@ -25,7 +25,7 @@ from normnum.badsets import MAX_SIZE_INDEX
 from normnum.cli import MAX_DIGIT_COUNT, MAX_ORBIT_POINTS, MAX_PRECISION, main
 from normnum.digitfile import read_digit_file
 from normnum.enclose import Enclosure
-from normnum.schedule import Schedule
+from normnum.schedule import Schedule, preset
 
 
 def run(capsys, *argv):
@@ -659,15 +659,18 @@ def test_malformed_config_exits_two(capsys, tmp_path, name):
     assert "error" in capsys.readouterr().err
 
 
-def tampered_certificate(capsys, tmp_path, mutate, part=lambda data: data["steps"][0]):
+def tampered_certificate(
+    capsys, tmp_path, mutate, part=lambda data: data["steps"][0],
+    preset="toy-sparse", count=2,
+):
     cert_path = tmp_path / "cert.json"
     code, _, _ = run(
         capsys,
         "digits",
         "--preset",
-        "toy-sparse",
+        preset,
         "--count",
-        "2",
+        str(count),
         "--cert-out",
         str(cert_path),
     )
@@ -712,8 +715,8 @@ def drop_first_overlap(step):
     del step["components"][0]["chosen_overlap"]
 
 
-# each must exit 5 without a traceback: a field parsed at load is a
-# malformed certificate, a component row is compared with the replay
+# each must exit 5 without a traceback, with a verify problem on step 1 that
+# names the field: the recorded step is compared with the replay as written
 HOSTILE_STEPS = {
     "bound-zero-denominator": lambda step: step.update(chosen_bound="1/0"),
     "tail-zero-denominator": lambda step: step.update(tail="1/0"),
@@ -738,21 +741,36 @@ HOSTILE_STEPS = {
     "row-pairs": lambda step: step.update(components=[[[1, 2]]]),
 }
 
-def unpack_error(value) -> str:
-    """The interpreter's own message for unpacking `value` into two names."""
-    try:
-        lo, hi = value
-    except (TypeError, ValueError) as exc:
-        return str(exc)
-    raise AssertionError("%r unpacks into two names" % (value,))
-
-
-# the whole stderr of the interval tampering, pinned word for word
-HOSTILE_STEP_ERRORS = {
-    "interval-above-one": "step 1: interval endpoints must lie in [0, 1]",
-    "chosen-reversed": "step 1: interval endpoints out of order",
-    "interval-three-ends": "step 1: " + unpack_error(["0/1", "1/2", "1/1"]),
-    "interval-number": "step 1: " + unpack_error(5),
+# the one problem each tampering gives, pinned word for word
+HOSTILE_STEP_PROBLEMS = {
+    "bound-zero-denominator": "step 1: chosen bound 1/0, schedule says 497/65536",
+    "tail-zero-denominator": "step 1: tail 1/0, schedule says 0/1",
+    "bound-number": "step 1: chosen bound 5, schedule says 497/65536",
+    "interval-empty": 'step 1: interval [], schedule says ["0/1", "1/1"]',
+    "interval-above-one": 'step 1: interval ["1/2", "3/2"], schedule says ["0/1", "1/1"]',
+    "chosen-reversed": 'step 1: chosen ["1/2", "0/1"], schedule says ["0/1", "1/2"]',
+    "interval-three-ends": (
+        'step 1: interval ["0/1", "1/2", "1/1"], schedule says ["0/1", "1/1"]'
+    ),
+    "interval-number": 'step 1: interval 5, schedule says ["0/1", "1/1"]',
+    "overlap-zero-denominator": (
+        "step 1: component block b=2 n=4: chosen overlap 1/0, schedule says 369/65536"
+    ),
+    "overlap-number": (
+        "step 1: component block b=2 n=4: chosen overlap 5, schedule says 369/65536"
+    ),
+    "overlap-missing": (
+        "step 1: component block b=2 n=4: chosen overlap (absent), "
+        "schedule says 369/65536"
+    ),
+    "digit-float": "step 1: digit 0.7, schedule says 0",
+    "digit-string": "step 1: digit 0, schedule says 0",
+    "digit-bool": "step 1: digit false, schedule says 0",
+    "step-float": "step 1: step 1.0, schedule says 1",
+    "row-pairs": (
+        'step 1: components [[[1, 2]]], schedule says [{"label": "block b=2 n=4", '
+        '"kind": "block", "members": 4, "oute\u2026 (240 characters)'
+    ),
 }
 
 
@@ -764,8 +782,10 @@ def test_malformed_later_step_is_named(capsys, tmp_path):
         part=lambda data: data["steps"][1],
     )
     code, verdict, err = run(capsys, "verify", path)
-    assert (code, verdict) == (5, None)
-    assert err == "malformed certificate: step 2: interval endpoints out of order\n"
+    assert (code, err) == (5, "")
+    assert verdict["problems"] == [
+        'step 2: chosen ["1/2", "0/1"], schedule says ["0/1", "1/4"]'
+    ]
 
 
 def test_missing_step_field_is_named(capsys, tmp_path):
@@ -774,8 +794,10 @@ def test_missing_step_field_is_named(capsys, tmp_path):
         part=lambda data: data["steps"][1],
     )
     code, verdict, err = run(capsys, "verify", path)
-    assert (code, verdict) == (5, None)
-    assert err == "malformed certificate: step 2: missing field 'interval'\n"
+    assert (code, err) == (5, "")
+    assert verdict["problems"] == [
+        'step 2: interval (absent), schedule says ["0/1", "1/2"]'
+    ]
 
 
 @pytest.mark.parametrize("field", ["digits", "schedule", "steps"])
@@ -875,8 +897,170 @@ def test_respelled_fraction_exits_five(capsys, tmp_path, spelling):
 
     path = tampered_certificate(capsys, tmp_path, respell)
     code, verdict, err = run(capsys, "verify", path)
+    assert (code, err) == (5, "")
+    assert verdict["problems"] == [
+        "step 1: chosen bound %s, schedule says 497/65536" % spelling
+    ]
+
+
+def update(where, **fields):
+    return lambda data: where(data).update(fields)
+
+
+def step_at(index):
+    return lambda data: data["steps"][index]
+
+
+def drop(where, key):
+    return lambda data: where(data).pop(key)
+
+
+# each of these verified ok while verify parsed the recorded steps and
+# compared their reformatted text; each is now the one problem or the
+# malformed-certificate message shown, on toy-sparse's 3-step certificate
+# ("components-missing" on paper's)
+AS_WRITTEN = {
+    "chosen-bound-unreduced": (
+        update(step_at(1), chosen_bound="1162/262144"),
+        "step 2: chosen bound 1162/262144, schedule says 581/131072",
+    ),
+    "threshold-leading-zero": (
+        update(step_at(1), threshold="01/4"),
+        "step 2: threshold 01/4, schedule says 1/4",
+    ),
+    "tail-no-denominator": (
+        update(step_at(0), tail="0"), "step 1: tail 0, schedule says 0/1"
+    ),
+    "interval-unreduced": (
+        update(step_at(1), interval=["0/5", "2/4"]),
+        'step 2: interval ["0/5", "2/4"], schedule says ["0/1", "1/2"]',
+    ),
+    "members-float": (
+        update(lambda data: data["steps"][0]["components"][0], members=4.0),
+        "step 1: component block b=2 n=4: members 4.0, schedule says 4",
+    ),
+    "rejected-bound-missing": (
+        drop(step_at(0), "rejected_bound"),
+        "step 1: rejected bound (absent), schedule says null",
+    ),
+    "components-missing": (
+        drop(step_at(0), "components"),
+        "step 1: components (absent), schedule says []",
+    ),
+    "step-extra-key": (
+        update(step_at(0), note="x"), "step 1: note x, schedule says (absent)"
+    ),
+    "top-extra-key": (
+        update(lambda data: data, note="x"),
+        "malformed certificate: unexpected field 'note'",
+    ),
+    "schedule-extra-key": (
+        update(lambda data: data["schedule"], note="x"),
+        "malformed certificate: malformed schedule: note x, digits writes (absent)",
+    ),
+    # the recorded digest is the one the parsed schedule gives
+    "delta-respelled": (
+        update(lambda data: data["schedule"], delta="-4/10"),
+        "malformed certificate: malformed schedule: delta -4/10, digits writes -2/5",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(AS_WRITTEN))
+def test_certificate_is_compared_as_written(capsys, tmp_path, name):
+    mutate, expected = AS_WRITTEN[name]
+    source = "paper" if name == "components-missing" else "toy-sparse"
+    path = tampered_certificate(
+        capsys, tmp_path, mutate, part=lambda data: data, preset=source, count=3
+    )
+    code, verdict, err = run(capsys, "verify", path)
+    assert code == 5
+    if expected.startswith("malformed certificate: "):
+        assert (verdict, err) == (None, expected + "\n")
+    else:
+        assert (err, verdict["problems"]) == ("", [expected])
+
+
+def test_long_recorded_value_is_cut_in_its_problem(capsys, tmp_path):
+    path = tampered_certificate(
+        capsys, tmp_path, lambda step: step["components"][0].update(label="x" * 300)
+    )
+    code, verdict, err = run(capsys, "verify", path)
+    assert (code, err) == (5, "")
+    assert verdict["problems"] == [
+        "step 1: component block b=2 n=4: label %s\u2026 (300 characters), "
+        "schedule says block b=2 n=4" % ("x" * 64)
+    ]
+
+
+def test_deepest_step_field_exits_five(capsys, tmp_path):
+    # the deepest list the loader accepts, found from above, put in a step
+    # field: it is compared without being walked, and shown cut short
+    path = tampered_certificate(capsys, tmp_path, lambda step: step.update(tail="X"))
+    text = Path(path).read_text()
+    for depth in range(1100, 0, -1):
+        Path(path).write_text(text.replace('"X"', "[" * depth + "]" * depth))
+        code, verdict, err = run(capsys, "verify", path)
+        if err != "malformed certificate: JSON nested too deeply\n":
+            break
+    assert depth > 900
+    assert (code, err) == (5, "")
+    [problem] = verdict["problems"]
+    assert problem.startswith("step 1: tail "), problem
+    assert problem.endswith(", schedule says 0/1"), problem
+    assert len(problem) < 120
+
+
+# a schedule value of the wrong shape, from --config (exit 2) or from a
+# certificate (exit 5), named with its field and the shape it must have
+MALFORMED_SCHEDULE_VALUES = {
+    "obstacle-entry": (
+        {"obstacle": [["0/1"]]},
+        "field 'obstacle' must be a list of [lo, hi] fraction string pairs",
+    ),
+    "obstacle-string": (
+        {"obstacle": "0/1"},
+        "field 'obstacle' must be a list of [lo, hi] fraction string pairs",
+    ),
+    "z-table-list": (
+        {"z_table": [["2", 4]]},
+        "field 'z_table' must be an object from base strings to integers",
+    ),
+    "z-table-key": (
+        {"z_table": {"x": 4}},
+        "field 'z_table' must be an object from base strings to integers",
+    ),
+    # the echo of a value that is no string is its type, not the value
+    "delta-nested": (
+        {"delta": "NESTED"},
+        "field 'delta' must be a fraction string "
+        "(expected a fraction string, got list)",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_SCHEDULE_VALUES))
+def test_malformed_schedule_value_names_its_field(capsys, tmp_path, name):
+    fields, message = MALFORMED_SCHEDULE_VALUES[name]
+    nested = "[" * 500 + "]" * 500
+    config = tmp_path / "config.json"
+    schedule = {**preset("toy-sparse").to_json(), **fields}
+    config.write_text(json.dumps(schedule).replace('"NESTED"', nested))
+    code, report, err = run(capsys, "digits", "--config", str(config), "--count", "1")
+    assert (code, report) == (2, None)
+    assert err.startswith("error: malformed schedule: " + message), err
+    assert len(err) < 200
+
+    def replace_schedule(data):
+        data["schedule"].update(fields)
+        resign(data)
+
+    path = tampered_certificate(capsys, tmp_path, replace_schedule, part=lambda data: data)
+    Path(path).write_text(Path(path).read_text().replace('"NESTED"', nested))
+    code, verdict, err = run(capsys, "verify", path)
     assert (code, verdict) == (5, None)
-    assert err == "malformed certificate: step 1: expected a fraction string, got %r\n" % spelling
+    assert err.startswith("malformed certificate: malformed schedule: " + message), err
+    assert len(err) < 200
 
 
 def tamper_schedule(**fields):
@@ -905,6 +1089,10 @@ HOSTILE_CERTIFICATES = {
     "z-table-float": (tamper_schedule(z_table={"2": 4.9}), "z_table"),
     "z-table-string": (tamper_schedule(z_table={"2": "4"}), "z_table"),
     "steps-not-list": (lambda data: data.update(steps={"1": {}}), "steps must be a list"),
+    # the schedule must be written as digits writes it
+    "z-table-key-respelled": (
+        tamper_schedule(z_table={"02": 4}), 'z table {"02": 4}, digits writes {"2": 4}'
+    ),
 }
 
 
@@ -924,17 +1112,9 @@ def test_hostile_certificate_exits_five(capsys, tmp_path, name):
 def test_hostile_certificate_values_exit_five(capsys, tmp_path, name):
     path = tampered_certificate(capsys, tmp_path, HOSTILE_STEPS[name])
     code, verdict, err = run(capsys, "verify", path)
-    assert code == 5
-    if name.startswith("overlap"):
-        assert verdict["ok"] is False
-        assert any(
-            p.startswith("step 1: component block b=2 n=4: chosen overlap ")
-            for p in verdict["problems"]
-        ), verdict["problems"]
-    else:
-        assert "malformed certificate" in err
-    if name in HOSTILE_STEP_ERRORS:
-        assert err == "malformed certificate: %s\n" % HOSTILE_STEP_ERRORS[name]
+    assert (code, err) == (5, "")
+    assert verdict["ok"] is False
+    assert verdict["problems"] == [HOSTILE_STEP_PROBLEMS[name]]
 
 
 # -- field-by-field certificate mutation -------------------------------------
@@ -1031,27 +1211,35 @@ def families_built_once():
 @example(field=("schedule", "tag"), value="toy-other", signed=False)
 @example(field=("steps", 0, "components"), value=[[[1, 2]]], signed=False)
 @example(field=("steps", 1, "interval"), value=["0/1", "1/3"], signed=False)
+@example(field=("steps", 0, "components", 0, "members"), value=4.0, signed=False)
+@example(field=("steps", 0, "precision"), value=True, signed=False)
+@example(field=("steps", 0, "precision"), value=7, signed=False)
 def test_certificate_field_mutation_exits_cleanly(
     sparse_certificate, families_built_once, field, value, signed
 ):
     # one field replaced, the schedule digest optionally re-signed: verify
     # either reproduces the same digits or refuses; only a schedule field
     # drives a computation, so only it may exceed a budget (3) or stop the
-    # construction (4), and a step or row field gives 0 or 5
+    # construction (4). A step or row field compares as written: any change
+    # of type or value gives 5, except another integer `precision`, which
+    # gives 0, as an unchanged field does
     path, original = sparse_certificate
     data = copy.deepcopy(original)
     *parents, key = field
     holder = data
     for part in parents:
         holder = holder[part]
-    holder[key] = rewritten(value, holder[key])
+    recorded, holder[key] = holder[key], rewritten(value, holder[key])
+    changed = json.dumps(holder[key], sort_keys=True) != json.dumps(recorded, sort_keys=True)
+    if key == "precision" and type(holder[key]) is int:
+        changed = False
     if signed:
         resign(data)
     path.write_text(json.dumps(data).replace('"%s"' % HUGE_TOKEN, HUGE_INT))
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(["verify", str(path)])
-    allowed = (0, 3, 4, 5) if field[0] == "schedule" else (0, 5)
+    allowed = (0, 3, 4, 5) if field[0] == "schedule" else (5,) if changed else (0,)
     assert code in allowed, err.getvalue()
     if code == 0:
         assert json.loads(out.getvalue())["digits"] == original["digits"]
@@ -1072,11 +1260,11 @@ def test_digit_count_above_bound_exits_three(capsys, monkeypatch, tmp_path):
     def refuse(*args):
         raise AssertionError("family built past the bound")
 
-    def parse(*args):
-        raise AssertionError("step parsed past the bound")
+    def compare(*args):
+        raise AssertionError("step compared past the bound")
 
     monkeypatch.setattr(normnum.constructor, "bad_family", refuse)
-    monkeypatch.setattr(normnum.constructor.StepRecord, "from_json", parse)
+    monkeypatch.setattr(normnum.constructor, "verify_certificate", compare)
     for argv in (
         ["digits", "--preset", "toy-sparse", "--count", str(MAX_DIGIT_COUNT + 1)],
         ["verify", str(cert_path)],
